@@ -8,7 +8,8 @@ kind.
 The spatial operators use 4th-order central differences on the
 interior and 4th-order one-sided stencils on the two nodes nearest
 each boundary, so both are exact on polynomials up to degree 4 on any
-uniform grid.
+uniform grid. They act along the last axis, so a whole (order, node)
+stack is differentiated in one call.
 """
 
 from __future__ import annotations
@@ -19,14 +20,19 @@ import numpy as np
 
 from .errors import NonFiniteFieldError
 
-# One-sided / interior stencil weights for d/dx, O(dx^4).
-_D1_EDGE0 = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0])
-_D1_EDGE1 = np.array([-1.0 / 4.0, -5.0 / 6.0, 3.0 / 2.0, -1.0 / 2.0, 1.0 / 12.0])
+# d/dx weights, O(dx^4): one-sided rows for the edge node and its
+# neighbour (applied mirrored at the right edge), and the interior.
+_D1_EDGES = np.array([
+    [-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0],
+    [-1.0 / 4.0, -5.0 / 6.0, 3.0 / 2.0, -1.0 / 2.0, 1.0 / 12.0],
+])
 _D1_CENTER = np.array([1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0])
 
 # Same for d2/dx2, O(dx^4).
-_D2_EDGE0 = np.array([15.0 / 4.0, -77.0 / 6.0, 107.0 / 6.0, -13.0, 61.0 / 12.0, -5.0 / 6.0])
-_D2_EDGE1 = np.array([5.0 / 6.0, -5.0 / 4.0, -1.0 / 3.0, 7.0 / 6.0, -1.0 / 2.0, 1.0 / 12.0])
+_D2_EDGES = np.array([
+    [15.0 / 4.0, -77.0 / 6.0, 107.0 / 6.0, -13.0, 61.0 / 12.0, -5.0 / 6.0],
+    [5.0 / 6.0, -5.0 / 4.0, -1.0 / 3.0, 7.0 / 6.0, -1.0 / 2.0, 1.0 / 12.0],
+])
 _D2_CENTER = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
 
 
@@ -104,47 +110,55 @@ class ComplexField:
         _check_finite(values, "complex field")
 
 
-def _edge_apply(weights: np.ndarray, window: np.ndarray, node: int):
-    # Weight sums vanish, so applying them to differences from the
-    # evaluation node is algebraically identical but keeps a constant
-    # field at exactly zero and shrinks cancellation error.
-    return weights @ (window - window[node])
+def _edge_apply(weights: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Row r of `weights` applied at node r of each trailing window.
+
+    `window` is (..., w) and `weights` (rows, w); returns (..., rows).
+    Weight sums vanish, so applying them to differences from the
+    evaluation node is algebraically identical but keeps a constant
+    field at exactly zero and shrinks cancellation error.
+    """
+    diffs = window[..., None, :] - window[..., : weights.shape[0], None]
+    return np.matmul(diffs[..., None, :], weights[..., None])[..., 0, 0]
 
 
 def derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
-    """First derivative of raw samples, 4th order, one-sided at the edges."""
+    """First derivative along the last axis, 4th order, one-sided at the edges.
+
+    Accepts any (..., n) real or complex array; each row along the
+    last axis is differentiated independently.
+    """
     v = np.asarray(values)
     g = np.empty_like(v)
-    center = v[2:-2]
-    g[2:-2] = (
-        _D1_CENTER[0] * (v[:-4] - center)
-        + _D1_CENTER[1] * (v[1:-3] - center)
-        + _D1_CENTER[3] * (v[3:-1] - center)
-        + _D1_CENTER[4] * (v[4:] - center)
+    center = v[..., 2:-2]
+    g[..., 2:-2] = (
+        _D1_CENTER[0] * (v[..., :-4] - center)
+        + _D1_CENTER[1] * (v[..., 1:-3] - center)
+        + _D1_CENTER[3] * (v[..., 3:-1] - center)
+        + _D1_CENTER[4] * (v[..., 4:] - center)
     )
-    g[0] = _edge_apply(_D1_EDGE0, v[:5], 0)
-    g[1] = _edge_apply(_D1_EDGE1, v[:5], 1)
+    g[..., :2] = _edge_apply(_D1_EDGES, v[..., :5])
     # Mirrored one-sided stencils; first derivative flips sign.
-    g[-1] = -_edge_apply(_D1_EDGE0, v[-5:][::-1], 0)
-    g[-2] = -_edge_apply(_D1_EDGE1, v[-5:][::-1], 1)
+    g[..., :-3:-1] = -_edge_apply(_D1_EDGES, v[..., :-6:-1])
     return g / dx
 
 
 def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second derivative of raw samples, 4th order, one-sided at the edges."""
+    """Second derivative along the last axis, 4th order, one-sided at the edges.
+
+    Accepts any (..., n) real or complex array, like `derivative_values`.
+    """
     v = np.asarray(values)
     g = np.empty_like(v)
-    center = v[2:-2]
-    g[2:-2] = (
-        _D2_CENTER[0] * (v[:-4] - center)
-        + _D2_CENTER[1] * (v[1:-3] - center)
-        + _D2_CENTER[3] * (v[3:-1] - center)
-        + _D2_CENTER[4] * (v[4:] - center)
+    center = v[..., 2:-2]
+    g[..., 2:-2] = (
+        _D2_CENTER[0] * (v[..., :-4] - center)
+        + _D2_CENTER[1] * (v[..., 1:-3] - center)
+        + _D2_CENTER[3] * (v[..., 3:-1] - center)
+        + _D2_CENTER[4] * (v[..., 4:] - center)
     )
-    g[0] = _edge_apply(_D2_EDGE0, v[:6], 0)
-    g[1] = _edge_apply(_D2_EDGE1, v[:6], 1)
-    g[-1] = _edge_apply(_D2_EDGE0, v[-6:][::-1], 0)
-    g[-2] = _edge_apply(_D2_EDGE1, v[-6:][::-1], 1)
+    g[..., :2] = _edge_apply(_D2_EDGES, v[..., :6])
+    g[..., :-3:-1] = _edge_apply(_D2_EDGES, v[..., :-7:-1])
     return g / dx**2
 
 
@@ -206,24 +220,27 @@ def cubic_interpolate(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
     """Evaluate grid samples at off-grid points by 4-node Lagrange cubics.
 
     Matches the 4th-order accuracy of the stencils. Query points must
-    lie inside [x_min, x_max].
+    lie inside [x_min, x_max], up to a slack of 1e-9 dx for rounding
+    in the node positions.
     """
     xq = np.asarray(x, dtype=float)
     scalar = xq.ndim == 0
     xq = np.atleast_1d(xq)
-    if xq.size and (xq.min() < grid.x_min - 1e-12 or xq.max() > grid.x_max + 1e-12):
-        raise ValueError("interpolation point outside the grid")
     dx = grid.dx
+    slack = 1e-9 * dx
+    if xq.size and (xq.min() < grid.x_min - slack or xq.max() > grid.x_max + slack):
+        raise ValueError("interpolation point outside the grid")
+    u = (xq - grid.x_min) / dx
     # Left node of the 4-point window, clamped so the window fits.
-    j = np.floor((xq - grid.x_min) / dx).astype(int) - 1
-    j = np.clip(j, 0, grid.n_points - 4)
-    s = (xq - (grid.x_min + j * dx)) / dx  # in [0, 3] within the window
-    w0 = -(s - 1) * (s - 2) * (s - 3) / 6.0
-    w1 = s * (s - 2) * (s - 3) / 2.0
-    w2 = -s * (s - 1) * (s - 3) / 2.0
-    w3 = s * (s - 1) * (s - 2) / 6.0
+    j = np.minimum(np.maximum(np.floor(u).astype(int) - 1, 0), grid.n_points - 4)
+    s = u - j  # in [0, 3] within the window
     v = np.asarray(values)
-    out = w0 * v[j] + w1 * v[j + 1] + w2 * v[j + 2] + w3 * v[j + 3]
+    f0, f1, f2, f3 = v[j], v[j + 1], v[j + 2], v[j + 3]
+    # The same cubic in Newton form on forward differences.
+    d1 = f1 - f0
+    d2 = f2 - f1 - d1
+    d3 = f3 - 2.0 * f2 + f1 - d2
+    out = f0 + s * (d1 + (s - 1.0) * (0.5 * d2 + (s - 2.0) * (d3 / 6.0)))
     return out[0] if scalar else out
 
 

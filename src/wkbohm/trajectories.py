@@ -120,8 +120,11 @@ class OscillatorVelocityField:
 class GriddedVelocityField:
     """Velocity snapshots on a grid: cubic in x, linear blend in t.
 
-    The x window keeps two nodes of margin so the cubic interpolation
-    stencil never leans on boundary values.
+    The two bracketing snapshots are blended on the grid before one
+    cubic interpolation at the query points. The x window keeps two
+    nodes of margin so the cubic interpolation stencil never leans on
+    boundary values; the t window is the snapshot span, with a slack
+    of 1e-9 of that span for rounding in stage times.
     """
 
     grid: Grid1D
@@ -150,15 +153,18 @@ class GriddedVelocityField:
 
     def evaluate(self, x, t):
         t = float(t)
-        eps = 1e-9 * max(1.0, abs(self.times[-1]))
-        if t < self.times[0] - eps or t > self.times[-1] + eps:
+        times = self.times
+        t_first, t_last = float(times[0]), float(times[-1])
+        eps = 1e-9 * (t_last - t_first)
+        if t < t_first - eps or t > t_last + eps:
             raise ValueError(f"t={t} outside stored snapshot range")
-        j = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2))
-        t0, t1 = self.times[j], self.times[j + 1]
-        w = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-        v0 = cubic_interpolate(self.grid, self.fields[j], x)
-        v1 = cubic_interpolate(self.grid, self.fields[j + 1], x)
-        return (1.0 - w) * v0 + w * v1
+        j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
+        t0, t1 = float(times[j]), float(times[j + 1])
+        w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+        # The cubic is linear in the samples: blending the two snapshots
+        # on the grid first gives the same field with one interpolation.
+        blended = (1.0 - w) * self.fields[j] + w * self.fields[j + 1]
+        return cubic_interpolate(self.grid, blended, x)
 
 
 def _inside(window: tuple[float, float], x: np.ndarray) -> np.ndarray:
@@ -231,7 +237,7 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     def clipped_eval(xs, ts):
         # Stages may poke slightly outside; clip the probe but kill the
         # member if it strays beyond tolerance.
-        return provider.evaluate(np.clip(xs, xw[0], xw[1]), ts)
+        return provider.evaluate(np.minimum(np.maximum(xs, xw[0]), xw[1]), ts)
 
     for i in range(t.size - 1):
         if not alive.any():

@@ -253,6 +253,38 @@ class TestPropagation:
                 params=NATURAL,
             )
 
+    @pytest.mark.parametrize(
+        "case, steps_ok, error, message",
+        [
+            ("harmonic-2", 1280, CflViolation,
+             "dt=0.001 exceeds the advective bound 0.000997606 (max speed 33.4133) at t=1.28"),
+            ("harmonic-5", 1206, CausticDetected,
+             "|grad| of order-5 field reached 1.01e+06 at t=1.207; caustic suspected"),
+            ("focusing", 300, CflViolation,
+             "dt=0.004 exceeds the advective bound 0.004 (max speed 12.5) at t=1.2"),
+        ],
+    )
+    def test_guards_abort_at_the_pinned_step(self, case, steps_ok, error, message):
+        # Step, time and figures of each abort are pinned: the guards and
+        # the first rk4 stage share one stack gradient per step, and
+        # that sharing must not move any abort.
+        if case.startswith("harmonic"):
+            grid = Grid1D(-10, 10, 301)
+            state = init_hierarchy(gaussian_polar(grid, sigma0=np.sqrt(0.5)), int(case[-1]))
+            potential, dt = Potential.harmonic(1.0, 1.0), 1e-3
+        else:
+            # Converging free flow: speed 0.5 |x| grows as the packet focuses.
+            grid = Grid1D(-10, 10, 201)
+            values = np.zeros((3, grid.n_points))
+            values[0] = -0.25 * grid.nodes**2
+            values[1] = -0.25 * grid.nodes**2
+            state = HierarchyState(grid, values)
+            potential, dt = Potential.free(), 4e-3
+        before = propagate_hierarchy(state, potential, dt, steps_ok, params=NATURAL)
+        with pytest.raises(error) as abort:
+            propagate_hierarchy(before, potential, dt, 1, params=NATURAL)
+        assert str(abort.value) == message
+
     def test_cfl_violation_rejected_before_stepping(self):
         grid = Grid1D(-5, 5, 101)
         values = np.zeros((2, grid.n_points))

@@ -9,10 +9,12 @@ from wkbohm.numerics import (
     Grid1D,
     RealField,
     cubic_interpolate,
+    derivative_values,
     double_factorial,
     gradient,
     laplacian,
     rk4_step,
+    second_derivative_values,
 )
 
 
@@ -133,6 +135,39 @@ def test_stencils_exact_on_low_degree_polynomials(degree, x_min, span, n):
     assert np.max(np.abs(laplacian(f).values - d2)) <= 1e-11
 
 
+class TestStackedStencils:
+    """The stencils act along the last axis of any (..., n) array."""
+
+    @pytest.mark.parametrize("op", [derivative_values, second_derivative_values])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_equals_row_by_row(self, op, dtype):
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.uniform(-3, 3, size=(6, 1))
+        stack = scales * rng.standard_normal((6, 97))
+        if dtype is complex:
+            stack = stack * np.exp(1j * rng.uniform(0, 2 * np.pi, size=stack.shape))
+        dx = 0.07
+        out = op(stack, dx)
+        rows = np.stack([op(row, dx) for row in stack])
+        assert out.shape == stack.shape and out.dtype == stack.dtype
+        assert np.max(np.abs(out - rows) / np.max(np.abs(rows), axis=1, keepdims=True)) <= 1e-14
+        # Extra leading axes work the same way.
+        deep = op(stack.reshape(2, 3, 97), dx)
+        assert np.max(np.abs(deep.reshape(6, 97) - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+    def test_stack_exact_on_low_degree_polynomials(self):
+        grid = Grid1D(-1.5, 2.0, 15)
+        x = grid.nodes
+        stack = np.stack([x**d for d in range(5)])
+        d1 = np.stack([d * x ** max(d - 1, 0) for d in range(5)])
+        d2 = np.stack([d * (d - 1) * x ** max(d - 2, 0) for d in range(5)])
+        assert np.max(np.abs(derivative_values(stack, grid.dx) - d1)) <= 1e-11
+        assert np.max(np.abs(second_derivative_values(stack, grid.dx) - d2)) <= 1e-11
+        c = stack * (1.0 - 2.0j)
+        assert np.max(np.abs(derivative_values(c, grid.dx) - d1 * (1.0 - 2.0j))) <= 1e-11
+        assert np.max(np.abs(second_derivative_values(c, grid.dx) - d2 * (1.0 - 2.0j))) <= 1e-11
+
+
 class TestRk4:
     def test_zero_rhs(self):
         out = rk4_step(1.0, lambda s, t: 0.0, 0.0, 0.1)
@@ -219,6 +254,20 @@ class TestCubicInterpolation:
         g = Grid1D(0.0, 1.0, 11)
         with pytest.raises(ValueError):
             cubic_interpolate(g, np.zeros(11), 1.5)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_every_node_accepted_at_any_length_scale(self, scale):
+        # Node positions carry rounding of order eps * |x|; the bounds
+        # slack must scale with the grid, not be an absolute length.
+        # At scale 1e6 the first grid's last node lies 9.3e-10 past x_max.
+        for x_min, x_max, n in ((-3.0, 7.0 + 3e-7, 401), (-1.0, 1.0, 11), (2.5, 9.7, 1001)):
+            g = Grid1D(x_min * scale, x_max * scale, n)
+            values = np.cos(g.nodes / scale)
+            assert np.max(np.abs(cubic_interpolate(g, values, g.nodes) - values)) <= 1e-12
+            with pytest.raises(ValueError):
+                cubic_interpolate(g, values, g.x_max + 1e-6 * g.dx)
+            with pytest.raises(ValueError):
+                cubic_interpolate(g, values, g.x_min - 1e-6 * g.dx)
 
 
 class TestPotentials:

@@ -12,7 +12,7 @@ from wkbohm.analytic import (
     time_for_u,
 )
 from wkbohm.hierarchy import init_hierarchy, propagate_collecting, truncated_velocity_field, PolarFields
-from wkbohm.numerics import ComplexField, Grid1D, RealField
+from wkbohm.numerics import ComplexField, Grid1D, RealField, cubic_interpolate
 from wkbohm.potentials import Potential
 from wkbohm.tdse import TdseState, oracle_velocity, tdse_propagate_collecting
 from wkbohm.trajectories import (
@@ -78,6 +78,36 @@ class TestBohmianIntegration:
         provider = GriddedVelocityField(grid, np.array([0.0, 1.0]), np.zeros((2, 51)))
         with pytest.raises(ValueError):
             integrate_bohmian(provider, 5.0, np.linspace(0, 1, 11))
+
+
+class TestGriddedProvider:
+    def test_blend_then_interpolate_matches_interpolate_then_blend(self):
+        rng = np.random.default_rng(11)
+        grid = Grid1D(-3.0, 4.0, 141)
+        times = np.cumsum(rng.uniform(0.05, 0.2, size=9)) - 0.3
+        fields = np.sin(grid.nodes[None, :] * rng.uniform(0.5, 2.0, size=(9, 1)) + times[:, None])
+        provider = GriddedVelocityField(grid, times, fields)
+        lo, hi = provider.x_window
+        x = np.concatenate([rng.uniform(lo, hi, 200), [lo, hi, grid.x_min, grid.x_max], grid.nodes])
+        queries = np.concatenate([rng.uniform(times[0], times[-1], 40), times])
+        for t in queries:
+            j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
+            w = (t - times[j]) / (times[j + 1] - times[j])
+            reference = (1.0 - w) * cubic_interpolate(grid, fields[j], x) + w * cubic_interpolate(
+                grid, fields[j + 1], x
+            )
+            assert np.max(np.abs(provider.evaluate(x, t) - reference)) <= 1e-14
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e-6, 1.0, 1e6])
+    def test_time_window_scales_with_the_snapshot_span(self, scale):
+        grid = Grid1D(-1.0, 1.0, 21)
+        times = scale * np.array([0.0, 1.0, 2.0])
+        provider = GriddedVelocityField(grid, times, np.ones((3, 21)))
+        for t in times:
+            assert np.max(np.abs(provider.evaluate(np.array([0.0, 0.5]), t) - 1.0)) <= 1e-14
+        for t in (times[0] - 1e-6 * scale, times[-1] + 1e-6 * scale):
+            with pytest.raises(ValueError, match="outside stored snapshot range"):
+                provider.evaluate(np.array([0.0]), t)
 
 
 class TestClassicalIntegration:
