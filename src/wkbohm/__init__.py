@@ -60,8 +60,6 @@ from .numerics import (
     RealField,
     cubic_interpolate,
     double_factorial,
-    gradient,
-    laplacian,
     rk4_step,
 )
 from .potentials import Potential
@@ -72,7 +70,6 @@ from .tdse import (
     polar_decompose,
     tdse_propagate,
     tdse_propagate_collecting,
-    tdse_step,
 )
 from .trajectories import (
     AsymptoticFit,

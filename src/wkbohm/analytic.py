@@ -212,11 +212,8 @@ def free_packet_trajectory_series(
         raise ValueError(f"series order must be >= 0, got {order}")
     u = float(dimensionless_time(spec, t))
     pos = x0 + spec.v0 * t
-    fact = 1.0
     for n in range(1, order + 1):
-        fact *= n
-        coeff = (-1.0) ** (n - 1) * double_factorial(2 * n - 3) / (2.0**n * fact)
-        pos += coeff * u ** (2 * n) * x0
+        pos += trajectory_series_coefficient(n) * u ** (2 * n) * x0
     return TrajectorySeriesResult(position=pos, u=u, order=order, within_radius=abs(u) < 1.0)
 
 
@@ -240,18 +237,31 @@ def free_packet_asymptotic_velocity(spec: GaussianPacketSpec, x0: float) -> floa
     return spec.v0 + p.hbar * x0 / (2.0 * p.mass * spec.sigma0**2)
 
 
+def _ho_gaussian(spec: OscillatorSpec, x, t: float):
+    """Prefactor and real exponent of the coherent packet's rigid Gaussian."""
+    s0 = spec.sigma0
+    xr = np.asarray(x, dtype=float)
+    return (2.0 * np.pi * s0**2) ** (-0.25), -((xr - spec.a * np.cos(spec.omega * t)) ** 2) / (4.0 * s0**2)
+
+
 def ho_wavefunction(spec: OscillatorSpec, x, t: float):
     """Coherent packet: rigid Gaussian whose center rides a*cos(omega t)."""
     p = spec.params
-    s0 = spec.sigma0
     w, a = spec.omega, spec.a
     xr = np.asarray(x, dtype=float)
+    pref, gauss = _ho_gaussian(spec, x, t)
     expo = (
-        -((xr - a * np.cos(w * t)) ** 2) / (4.0 * s0**2)
+        gauss
         - 1j * w * t / 2.0
         - 1j * p.mass * w * (4.0 * xr * a * np.sin(w * t) - a**2 * np.sin(2.0 * w * t)) / (4.0 * p.hbar)
     )
-    return (2.0 * np.pi * s0**2) ** (-0.25) * np.exp(expo)
+    return pref * np.exp(expo)
+
+
+def ho_modulus(spec: OscillatorSpec, x, t: float):
+    """|psi| of the coherent packet: a width-sigma0 Gaussian profile."""
+    pref, gauss = _ho_gaussian(spec, x, t)
+    return pref * np.exp(gauss)
 
 
 def ho_action(spec: OscillatorSpec, x, t: float):

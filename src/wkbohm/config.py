@@ -11,11 +11,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields as dc_fields
+from typing import Callable
 
 import numpy as np
 
-from .analytic import GaussianPacketSpec, OscillatorSpec, PhysParams
+from .analytic import (
+    GaussianPacketSpec,
+    OscillatorSpec,
+    PhysParams,
+    free_packet_action,
+    free_packet_modulus,
+    ho_action,
+    ho_modulus,
+    spreading,
+)
 from .errors import ConfigError
+from .potentials import Potential
+from .trajectories import SAMPLING_MODES, FreePacketVelocityField, OscillatorVelocityField
 
 EXPERIMENTS = (
     "figure1-short",
@@ -24,8 +36,6 @@ EXPERIMENTS = (
     "equivariance",
     "residuals",
 )
-MODELS = ("free", "harmonic")
-ENSEMBLE_MODES = ("quantile", "uniform", "random")
 
 _COHERENT_WIDTH_RTOL = 1e-9
 
@@ -57,21 +67,6 @@ class RunConfig:
     def phys_params(self) -> PhysParams:
         return PhysParams(hbar=self.hbar, mass=self.mass)
 
-    def packet(self) -> GaussianPacketSpec:
-        return GaussianPacketSpec(params=self.phys_params(), sigma0=self.sigma0, p0=self.p0)
-
-    def oscillator(self) -> OscillatorSpec:
-        return OscillatorSpec(params=self.phys_params(), omega=self.omega, a=self.a)
-
-    def time_scale(self) -> float:
-        """Natural time unit: packet spreading time or oscillator 1/omega."""
-        if self.model == "free":
-            return 2.0 * self.mass * self.sigma0**2 / self.hbar
-        return 1.0 / self.omega
-
-    def dt_abs(self) -> float:
-        return self.dt if self.dt is not None else 1e-3 * self.time_scale()
-
     def default_fan(self) -> tuple:
         if self.x0_fan:
             return self.x0_fan
@@ -80,6 +75,81 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f for f in dc_fields(RunConfig)}
+
+
+@dataclass(frozen=True)
+class Model:
+    """Everything the experiments need to know about one physical system.
+
+    `modulus(x, t)` and `action(x, t)` are the exact |psi| and S;
+    `center(t)` and `width(t)` locate the packet. `natural_scale` names
+    the parameter that, with hbar = m = 1, makes the units natural.
+    """
+
+    spec: GaussianPacketSpec | OscillatorSpec
+    potential: Potential
+    provider: FreePacketVelocityField | OscillatorVelocityField
+    modulus: Callable
+    action: Callable
+    center: Callable
+    width: Callable
+    time_scale: float            # packet spreading time or 1/omega
+    equivariance_t: float        # default end of the equivariance run
+    residuals_t: float           # default residual evaluation time
+    plane_wave_p0: float         # momentum of the order-0 plane-wave check
+    natural_scale: tuple[str, float]
+
+    def density(self, x, t):
+        return self.modulus(x, t) ** 2
+
+
+def _free_model(cfg: RunConfig) -> Model:
+    spec = GaussianPacketSpec(params=cfg.phys_params(), sigma0=cfg.sigma0, p0=cfg.p0)
+    time_scale = 2.0 * cfg.mass * cfg.sigma0**2 / cfg.hbar
+    return Model(
+        spec=spec,
+        potential=Potential.free(),
+        provider=FreePacketVelocityField(spec),
+        modulus=lambda x, t: free_packet_modulus(spec, x, t),
+        action=lambda x, t: free_packet_action(spec, x, t),
+        center=lambda t: spec.v0 * t,
+        width=lambda t: spreading(spec, t).sigma_t,
+        time_scale=time_scale,
+        equivariance_t=time_scale,  # u = 1
+        residuals_t=0.5 * time_scale,
+        plane_wave_p0=cfg.p0,
+        natural_scale=("sigma0", cfg.sigma0),
+    )
+
+
+def _harmonic_model(cfg: RunConfig) -> Model:
+    osc = OscillatorSpec(params=cfg.phys_params(), omega=cfg.omega, a=cfg.a)
+    time_scale = 1.0 / cfg.omega
+    return Model(
+        spec=osc,
+        potential=Potential.harmonic(cfg.mass, cfg.omega),
+        provider=OscillatorVelocityField(osc),
+        modulus=lambda x, t: ho_modulus(osc, x, t),
+        action=lambda x, t: ho_action(osc, x, t),
+        center=lambda t: osc.a * np.cos(osc.omega * t),
+        width=lambda t: osc.sigma0,
+        time_scale=time_scale,
+        equivariance_t=osc.period,
+        residuals_t=0.3 * time_scale,
+        plane_wave_p0=0.0,
+        natural_scale=("omega", cfg.omega),
+    )
+
+
+# Each model name maps to its builder and the experiments defined for it.
+MODELS = {
+    "free": (_free_model, EXPERIMENTS),
+    "harmonic": (_harmonic_model, ("hierarchy-convergence", "equivariance", "residuals")),
+}
+
+
+def build_model(cfg: RunConfig) -> Model:
+    return MODELS[cfg.model][0](cfg)
 
 
 def _require_number(key: str, value, *, integer: bool = False, positive: bool = False,
@@ -118,8 +188,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"key 'experiment' must be one of {', '.join(EXPERIMENTS)}; got {raw['experiment']!r}"
         )
-    if raw["model"] not in MODELS:
+    if not isinstance(raw["model"], str) or raw["model"] not in MODELS:
         raise ConfigError(f"key 'model' must be one of {', '.join(MODELS)}; got {raw['model']!r}")
+    defined = MODELS[raw["model"]][1]
+    if raw["experiment"] not in defined:
+        raise ConfigError(
+            f"experiment {raw['experiment']!r} is not defined for model {raw['model']!r}; "
+            f"pick one of {', '.join(defined)}"
+        )
     out["experiment"] = raw["experiment"]
     out["model"] = raw["model"]
 
@@ -183,9 +259,9 @@ def parse_config(text: str) -> RunConfig:
         if out["ensemble_n"] < 2:
             raise ConfigError(f"key 'ensemble_n' must be >= 2, got {out['ensemble_n']}")
     if "ensemble_mode" in raw:
-        if raw["ensemble_mode"] not in ENSEMBLE_MODES:
+        if raw["ensemble_mode"] not in SAMPLING_MODES:
             raise ConfigError(
-                f"key 'ensemble_mode' must be one of {', '.join(ENSEMBLE_MODES)}; "
+                f"key 'ensemble_mode' must be one of {', '.join(SAMPLING_MODES)}; "
                 f"got {raw['ensemble_mode']!r}"
             )
         out["ensemble_mode"] = raw["ensemble_mode"]

@@ -17,17 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import (
-    free_packet_action,
-    free_packet_asymptotic_velocity,
-    free_packet_modulus,
-    free_packet_trajectory,
-    ho_action,
-    spreading,
-    time_for_u,
-)
-from .config import RunConfig, config_dict
-from .errors import NumericalAbort, WkbohmError
+from .analytic import free_packet_asymptotic_velocity, free_packet_trajectory
+from .config import Model, RunConfig, build_model, config_dict
+from .errors import NumericalAbort
 from .hierarchy import (
     PolarFields,
     complex_velocity_residual,
@@ -40,8 +32,6 @@ from .numerics import ComplexField, Grid1D, RealField
 from .potentials import Potential
 from .tables import emit_table, sha256_of
 from .trajectories import (
-    FreePacketVelocityField,
-    OscillatorVelocityField,
     fit_asymptotic_velocity,
     integrate_ensemble_positions,
     ks_distance,
@@ -78,8 +68,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     manifest_path = run_dir / "manifest.json"
     out = RunOutput(out_dir=run_dir, manifest_path=manifest_path)
 
+    model = build_model(cfg)
     started = _utc_now()
-    _write_manifest(manifest_path, cfg, started, None, out, status="running")
+    _write_manifest(manifest_path, cfg, model, started, None, out, status="running")
 
     runner = {
         "figure1-short": _run_figure1_short,
@@ -89,11 +80,11 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
         "residuals": _run_residuals,
     }[cfg.experiment]
     try:
-        runner(cfg, run_dir, out)
+        runner(cfg, model, run_dir, out)
     except NumericalAbort as exc:
         out.status = "aborted"
         out.error = f"{type(exc).__name__}: {exc}"
-    _write_manifest(manifest_path, cfg, started, _utc_now(), out, status=out.status)
+    _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)
     return out
 
 
@@ -101,13 +92,14 @@ def _utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
 
-def _unit_note(cfg: RunConfig) -> str:
-    if cfg.hbar == 1.0 and cfg.mass == 1.0 and (cfg.model == "harmonic" or cfg.sigma0 == 1.0):
-        return "natural units (hbar = m = sigma0 = 1)"
+def _unit_note(cfg: RunConfig, model: Model) -> str:
+    name, value = model.natural_scale
+    if cfg.hbar == 1.0 and cfg.mass == 1.0 and value == 1.0:
+        return f"natural units (hbar = m = {name} = 1)"
     return "model units as configured (hbar={}, mass={})".format(cfg.hbar, cfg.mass)
 
 
-def _write_manifest(path, cfg, started, finished, out: RunOutput, status: str) -> None:
+def _write_manifest(path, cfg, model, started, finished, out: RunOutput, status: str) -> None:
     files = [
         {"name": name, "bytes": Path(p).stat().st_size, "sha256": sha256_of(p)}
         for name, p in sorted(out.files.items())
@@ -119,7 +111,7 @@ def _write_manifest(path, cfg, started, finished, out: RunOutput, status: str) -
         "finished_utc": finished,
         "status": status,
         "error": out.error,
-        "units": _unit_note(cfg),
+        "units": _unit_note(cfg, model),
         "config": config_dict(cfg),
         "files": files,
         "metrics": out.metrics,
@@ -134,9 +126,17 @@ def _emit(out: RunOutput, run_dir: Path, name: str, columns, rows) -> None:
     out.files[name] = path
 
 
-def _require_free(cfg: RunConfig) -> None:
-    if cfg.model != "free":
-        raise WkbohmError(f"experiment {cfg.experiment!r} is defined for the free model only")
+def _grid(cfg: RunConfig, model: Model, t_end: float, t_width: float, points: int) -> Grid1D:
+    """The configured grid, else 10 widths (at t_width) beyond the center at 0 and t_end."""
+    if cfg.grid_x_min is not None:
+        return Grid1D(cfg.grid_x_min, cfg.grid_x_max, cfg.grid_points or points)
+    reach = max(abs(model.center(0.0)), abs(model.center(t_end)))
+    half = reach + 10.0 * model.width(t_width)
+    return Grid1D(-half, half, cfg.grid_points or points)
+
+
+def _comparison_window(model: Model, x: np.ndarray, t: float) -> np.ndarray:
+    return np.abs(x - model.center(t)) <= 2.0 * model.width(t)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +145,9 @@ def _require_free(cfg: RunConfig) -> None:
 _TRAJ_COLUMNS = [("t", "time"), ("u", "1"), ("x", "length"), ("source", "-"), ("x0", "length")]
 
 
-def _fan_rows(cfg: RunConfig, u_grid: np.ndarray):
-    spec = cfg.packet()
-    t_grid = u_grid * cfg.time_scale()
+def _fan_rows(cfg: RunConfig, model: Model, u_grid: np.ndarray):
+    spec = model.spec
+    t_grid = u_grid * model.time_scale
     rows = []
     for x0 in cfg.default_fan():
         xq = free_packet_trajectory(spec, float(x0), t_grid)
@@ -155,13 +155,12 @@ def _fan_rows(cfg: RunConfig, u_grid: np.ndarray):
         for t, u, xa, xb in zip(t_grid, u_grid, xq, xc):
             rows.append([float(t), float(u), float(xa), "analytic-free", float(x0)])
             rows.append([float(t), float(u), float(xb), "classical", float(x0)])
-    return spec, t_grid, rows
+    return t_grid, rows
 
 
-def _run_figure1_short(cfg: RunConfig, run_dir: Path, out: RunOutput) -> None:
-    _require_free(cfg)
+def _run_figure1_short(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
     u_grid = np.linspace(0.0, FIGURE_SHORT_U_MAX, 301)
-    spec, _, rows = _fan_rows(cfg, u_grid)
+    _, rows = _fan_rows(cfg, model, u_grid)
     _emit(out, run_dir, "trajectories.csv", _TRAJ_COLUMNS, rows)
     center = [x0 for x0 in cfg.default_fan() if x0 == 0.0]
     out.metrics = {
@@ -171,15 +170,15 @@ def _run_figure1_short(cfg: RunConfig, run_dir: Path, out: RunOutput) -> None:
     }
 
 
-def _run_figure1_asymptotic(cfg: RunConfig, run_dir: Path, out: RunOutput) -> None:
-    _require_free(cfg)
+def _run_figure1_asymptotic(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
     u_grid = np.linspace(0.0, FIGURE_ASYMPTOTIC_U_MAX, 1001)
-    spec, t_grid, rows = _fan_rows(cfg, u_grid)
+    spec = model.spec
+    t_grid, rows = _fan_rows(cfg, model, u_grid)
     _emit(out, run_dir, "trajectories.csv", _TRAJ_COLUMNS, rows)
 
     asym_rows = []
     fit_rows = []
-    ts = cfg.time_scale()
+    ts = model.time_scale
     window = (FIT_WINDOW_U[0] * ts, FIT_WINDOW_U[1] * ts)
     rel_errors = []
     for x0 in cfg.default_fan():
@@ -223,81 +222,26 @@ def _run_figure1_asymptotic(cfg: RunConfig, run_dir: Path, out: RunOutput) -> No
 # ---------------------------------------------------------------------------
 # hierarchy convergence
 
-def _model_polar(cfg: RunConfig, grid: Grid1D) -> PolarFields:
-    x = grid.nodes
-    if cfg.model == "free":
-        spec = cfg.packet()
-        r = free_packet_modulus(spec, x, 0.0)
-        s = free_packet_action(spec, x, 0.0)
-    else:
-        osc = cfg.oscillator()
-        r = np.abs(
-            (2.0 * np.pi * osc.sigma0**2) ** (-0.25)
-            * np.exp(-((x - osc.a) ** 2) / (4.0 * osc.sigma0**2))
-        )
-        s = ho_action(osc, x, 0.0)
-    return PolarFields(R=RealField(grid, r, 0.0), S=RealField(grid, np.asarray(s, float), 0.0))
-
-
-def _exact_polar(cfg: RunConfig, x: np.ndarray, t: float):
-    if cfg.model == "free":
-        spec = cfg.packet()
-        return free_packet_modulus(spec, x, t), np.asarray(free_packet_action(spec, x, t), float)
-    osc = cfg.oscillator()
-    r = (2.0 * np.pi * osc.sigma0**2) ** (-0.25) * np.exp(
-        -((x - osc.a * np.cos(osc.omega * t)) ** 2) / (4.0 * osc.sigma0**2)
-    )
-    return r, np.asarray(ho_action(osc, x, t), float)
-
-
-def _default_grid(cfg: RunConfig, t_end: float) -> Grid1D:
-    if cfg.grid_x_min is not None:
-        return Grid1D(cfg.grid_x_min, cfg.grid_x_max, cfg.grid_points or 401)
-    if cfg.model == "free":
-        spec = cfg.packet()
-        drift = abs(spec.v0) * t_end
-        half = 10.0 * cfg.sigma0 + drift
-    else:
-        half = abs(cfg.a) + 10.0 * cfg.sigma0
-    return Grid1D(-half, half, cfg.grid_points or 401)
-
-
-def _comparison_window(cfg: RunConfig, x: np.ndarray, t: float) -> np.ndarray:
-    if cfg.model == "free":
-        spec = cfg.packet()
-        s = spreading(spec, t)
-        return np.abs(x - spec.v0 * t) <= 2.0 * s.sigma_t
-    osc = cfg.oscillator()
-    return np.abs(x - osc.a * np.cos(osc.omega * t)) <= 2.0 * osc.sigma0
-
-
-def _potential_for(cfg: RunConfig) -> Potential:
-    if cfg.model == "free":
-        return Potential.free()
-    return Potential.harmonic(cfg.mass, cfg.omega)
-
-
-def _run_hierarchy_convergence(cfg: RunConfig, run_dir: Path, out: RunOutput) -> None:
-    t_end = cfg.t_max if cfg.t_max is not None else 0.2 * cfg.time_scale()
-    dt = cfg.dt_abs()
+def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
+    t_end = cfg.t_max if cfg.t_max is not None else 0.2 * model.time_scale
+    dt = cfg.dt if cfg.dt is not None else 1e-3 * model.time_scale
     n_steps = max(1, int(round(t_end / dt)))
     t_end = n_steps * dt
-    grid = _default_grid(cfg, t_end)
-    potential = _potential_for(cfg)
+    grid = _grid(cfg, model, t_end, 0.0, 401)
     params = cfg.phys_params()
-    psi0 = _model_polar(cfg, grid)
+    x = grid.nodes
+    psi0 = PolarFields(R=RealField(grid, model.modulus(x, 0.0)), S=RealField(grid, model.action(x, 0.0)))
 
     orders = sorted({1, cfg.order, cfg.order + 2})
-    x = grid.nodes
-    r_exact, s_exact = _exact_polar(cfg, x, t_end)
-    window = _comparison_window(cfg, x, t_end)
+    r_exact, s_exact = model.modulus(x, t_end), model.action(x, t_end)
+    window = _comparison_window(model, x, t_end)
 
     field_rows = []
     summary_rows = []
     errors = {}
     for order in orders:
         state = init_hierarchy(psi0, order)
-        state = propagate_hierarchy(state, potential, dt, n_steps, params=params)
+        state = propagate_hierarchy(state, model.potential, dt, n_steps, params=params)
         polar = reconstruct_polar(state, params)
         ds = polar.S.values - s_exact
         err_s = float(np.max(np.abs(ds)[window]))
@@ -338,43 +282,18 @@ def _run_hierarchy_convergence(cfg: RunConfig, run_dir: Path, out: RunOutput) ->
 # ---------------------------------------------------------------------------
 # equivariance
 
-def _density_field(cfg: RunConfig, grid: Grid1D, t: float) -> RealField:
+def _run_equivariance(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
+    t_end = cfg.t_max if cfg.t_max is not None else model.equivariance_t
+    grid = _grid(cfg, model, t_end, t_end, 2001)
     x = grid.nodes
-    if cfg.model == "free":
-        rho = free_packet_modulus(cfg.packet(), x, t) ** 2
-    else:
-        osc = cfg.oscillator()
-        c = osc.a * np.cos(osc.omega * t)
-        rho = (2.0 * np.pi * osc.sigma0**2) ** (-0.5) * np.exp(-((x - c) ** 2) / (2.0 * osc.sigma0**2))
-    return RealField(grid, rho, t)
-
-
-def _run_equivariance(cfg: RunConfig, run_dir: Path, out: RunOutput) -> None:
-    if cfg.model == "free":
-        spec = cfg.packet()
-        t_end = cfg.t_max if cfg.t_max is not None else time_for_u(spec, 1.0)
-        provider = FreePacketVelocityField(spec)
-        final_sigma = spec.sigma0 * float(np.sqrt(1.0 + (t_end / cfg.time_scale()) ** 2))
-        half = abs(spec.v0) * t_end + 10.0 * final_sigma
-    else:
-        osc = cfg.oscillator()
-        t_end = cfg.t_max if cfg.t_max is not None else osc.period
-        provider = OscillatorVelocityField(osc)
-        half = abs(osc.a) + 10.0 * osc.sigma0
-
-    grid = (
-        Grid1D(cfg.grid_x_min, cfg.grid_x_max, cfg.grid_points or 2001)
-        if cfg.grid_x_min is not None
-        else Grid1D(-half, half, cfg.grid_points or 2001)
-    )
     x0s = sample_initial_positions(
-        _density_field(cfg, grid, 0.0), cfg.ensemble_n, cfg.ensemble_mode, cfg.seed
+        RealField(grid, model.density(x, 0.0), 0.0), cfg.ensemble_n, cfg.ensemble_mode, cfg.seed
     )
 
-    dt = cfg.dt_abs()
+    dt = cfg.dt if cfg.dt is not None else 1e-3 * model.time_scale
     n_steps = max(4, int(round(t_end / dt)))
     t_grid = np.linspace(0.0, t_end, n_steps + 1)
-    positions, n_valid = integrate_ensemble_positions(provider, x0s, t_grid)
+    positions, n_valid = integrate_ensemble_positions(model.provider, x0s, t_grid)
     if int(n_valid.min()) < t_grid.size:
         raise NumericalAbort("an ensemble member left the velocity-field window")
 
@@ -384,9 +303,8 @@ def _run_equivariance(cfg: RunConfig, run_dir: Path, out: RunOutput) -> None:
     for frac in checkpoints:
         idx = int(round(frac * n_steps))
         t = float(t_grid[idx])
-        density = _density_field(cfg, grid, t)
-        ks = ks_distance(positions[:, idx], density)
-        ks_rows.append([t, t / cfg.time_scale(), ks, cfg.ensemble_n])
+        ks = ks_distance(positions[:, idx], RealField(grid, model.density(x, t), t))
+        ks_rows.append([t, t / model.time_scale, ks, cfg.ensemble_n])
         ks_values[f"{frac:.2f}"] = ks
     _emit(
         out, run_dir, "ks.csv",
@@ -411,32 +329,22 @@ def _run_equivariance(cfg: RunConfig, run_dir: Path, out: RunOutput) -> None:
 # ---------------------------------------------------------------------------
 # residuals
 
-def _complex_action_stack(cfg: RunConfig, grid: Grid1D, times: np.ndarray) -> list[ComplexField]:
-    """Closed-form complex action S - i hbar ln R at several instants."""
-    x = grid.nodes
-    fields = []
-    for t in times:
-        r, s = _exact_polar(cfg, x, float(t))
-        values = s - 1j * cfg.hbar * np.log(r)
-        fields.append(ComplexField(grid, values, float(t)))
-    return fields
-
-
-def _run_residuals(cfg: RunConfig, run_dir: Path, out: RunOutput) -> None:
+def _run_residuals(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
     params = cfg.phys_params()
-    potential = _potential_for(cfg)
-    t_eval = cfg.t_max if cfg.t_max is not None else (
-        0.5 * cfg.time_scale() if cfg.model == "free" else 0.3 * cfg.time_scale()
-    )
-    grid = _default_grid(cfg, t_eval)
-    delta = 1e-3 * cfg.time_scale()
+    t_eval = cfg.t_max if cfg.t_max is not None else model.residuals_t
+    grid = _grid(cfg, model, t_eval, 0.0, 401)
+    delta = 1e-3 * model.time_scale
     times = t_eval + delta * np.array([-2, -1, 0, 1, 2])
-    stack = _complex_action_stack(cfg, grid, times)
-    qhj = qhj_residual_from_series(stack, potential, params, delta)
-    cv = complex_velocity_residual(stack, potential, params, delta)
-
     x = grid.nodes
-    window = _comparison_window(cfg, x, t_eval)
+    # Closed-form complex action S - i hbar ln R at each instant.
+    stack = [
+        ComplexField(grid, model.action(x, t) - 1j * cfg.hbar * np.log(model.modulus(x, t)), t)
+        for t in map(float, times)
+    ]
+    qhj = qhj_residual_from_series(stack, model.potential, params, delta)
+    cv = complex_velocity_residual(stack, model.potential, params, delta)
+
+    window = _comparison_window(model, x, t_eval)
     _emit(
         out, run_dir, "residuals.csv",
         [("x", "length"), ("qhj_residual", "energy"), ("velocity_residual", "acceleration")],
@@ -444,7 +352,7 @@ def _run_residuals(cfg: RunConfig, run_dir: Path, out: RunOutput) -> None:
     )
 
     # Order-0 plane-wave state: linear action, exactly stationary residual.
-    p0 = cfg.p0 if cfg.model == "free" else 0.0
+    p0 = model.plane_wave_p0
     e0 = p0**2 / (2.0 * cfg.mass)
     plane = [
         ComplexField(grid, (p0 * x - e0 * float(t)) + 0j, float(t)) for t in times

@@ -38,6 +38,7 @@ from .numerics import (
     ComplexField,
     Grid1D,
     RealField,
+    collect_snapshots,
     derivative_values,
     second_derivative_values,
 )
@@ -221,17 +222,11 @@ def propagate_collecting(
     params: PhysParams | None = None,
 ) -> list[HierarchyState]:
     """Propagate and keep snapshots (including the initial state)."""
-    if every < 1:
-        raise ValueError("every must be >= 1")
-    out = [state]
-    current = state
-    done = 0
-    while done < n_steps:
-        chunk = min(every, n_steps - done)
-        current = propagate_hierarchy(current, potential, dt, chunk, params=params)
-        out.append(current)
-        done += chunk
-    return out
+    # Called through the module name on every chunk, so a wrapper
+    # installed on `propagate_hierarchy` sees each call.
+    return collect_snapshots(
+        state, lambda s, k: propagate_hierarchy(s, potential, dt, k, params=params), n_steps, every
+    )
 
 
 def reconstruct_polar(state: HierarchyState, params: PhysParams) -> PolarFields:

@@ -162,22 +162,6 @@ def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
     return g / dx**2
 
 
-def gradient(f: RealField | ComplexField) -> RealField | ComplexField:
-    """Spatial derivative of a field; same kind as the input."""
-    _check_finite(f.values, "gradient input")
-    out = derivative_values(f.values, f.grid.dx)
-    kind = RealField if isinstance(f, RealField) else ComplexField
-    return kind(f.grid, out, f.time)
-
-
-def laplacian(f: RealField | ComplexField) -> RealField | ComplexField:
-    """Second spatial derivative of a field; same kind as the input."""
-    _check_finite(f.values, "laplacian input")
-    out = second_derivative_values(f.values, f.grid.dx)
-    kind = RealField if isinstance(f, RealField) else ComplexField
-    return kind(f.grid, out, f.time)
-
-
 def rk4_step(state, rhs, t: float, dt: float):
     """One classical Runge-Kutta step of ds/dt = rhs(state, t).
 
@@ -199,6 +183,19 @@ def rk4_step(state, rhs, t: float, dt: float):
         stages.append(k)
     out = s + (dt / 6.0) * (stages[0] + 2.0 * stages[1] + 2.0 * stages[2] + stages[3])
     return out if out.shape else out[()]
+
+
+def collect_snapshots(state, advance, n_steps: int, every: int) -> list:
+    """`state`, then `advance(previous, k)` every `every` steps; the last chunk may be shorter."""
+    if every < 1:
+        raise ValueError("every must be >= 1")
+    out = [state]
+    done = 0
+    while done < n_steps:
+        chunk = min(every, n_steps - done)
+        out.append(advance(out[-1], chunk))
+        done += chunk
+    return out
 
 
 def double_factorial(n: int) -> int:

@@ -9,8 +9,6 @@ import numpy as np
 
 from .numerics import Grid1D, cubic_interpolate, derivative_values
 
-KINDS = ("free", "harmonic", "tabulated")
-
 
 @dataclass(frozen=True)
 class Potential:

@@ -27,7 +27,14 @@ from scipy.sparse.linalg import splu
 from .analytic import PhysParams, unwrap_phase
 from .errors import EdgeContamination, NumericalAbort
 from .hierarchy import PolarFields
-from .numerics import ComplexField, Grid1D, RealField, derivative_values, trapezoid_norm
+from .numerics import (
+    ComplexField,
+    Grid1D,
+    RealField,
+    collect_snapshots,
+    derivative_values,
+    trapezoid_norm,
+)
 from .potentials import Potential
 
 EDGE_AMPLITUDE_LIMIT = 1e-12
@@ -96,12 +103,6 @@ def ensure_oracle_domain(grid: Grid1D, final_center: float, final_sigma: float) 
         )
 
 
-def tdse_step(state: TdseState, dt: float) -> TdseState:
-    """Advance one Crank-Nicolson step; norm must stay within 1e-8 of 1."""
-    solver = CrankNicolsonSolver(state.psi.grid, state.potential, state.params, dt)
-    return _advance(state, solver, 1)
-
-
 def tdse_propagate(state: TdseState, dt: float, n_steps: int) -> TdseState:
     """Advance n_steps with one matrix factorization."""
     solver = CrankNicolsonSolver(state.psi.grid, state.potential, state.params, dt)
@@ -112,18 +113,8 @@ def tdse_propagate_collecting(
     state: TdseState, dt: float, n_steps: int, every: int
 ) -> list[TdseState]:
     """Propagate keeping snapshots every `every` steps (initial included)."""
-    if every < 1:
-        raise ValueError("every must be >= 1")
     solver = CrankNicolsonSolver(state.psi.grid, state.potential, state.params, dt)
-    out = [state]
-    current = state
-    done = 0
-    while done < n_steps:
-        chunk = min(every, n_steps - done)
-        current = _advance(current, solver, chunk)
-        out.append(current)
-        done += chunk
-    return out
+    return collect_snapshots(state, lambda s, k: _advance(s, solver, k), n_steps, every)
 
 
 def _advance(state: TdseState, solver: CrankNicolsonSolver, n_steps: int) -> TdseState:

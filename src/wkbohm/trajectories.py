@@ -79,15 +79,6 @@ class Ensemble:
     def times(self) -> np.ndarray:
         return max(self.members, key=lambda m: m.times.size).times
 
-    def positions_at(self, index: int) -> np.ndarray:
-        """Positions of all members at one shared time index."""
-        out = np.empty(len(self.members))
-        for i, m in enumerate(self.members):
-            if index >= m.times.size:
-                raise ValueError(f"member {i} was truncated before index {index}")
-            out[i] = m.positions[index]
-        return out
-
 
 @dataclass(frozen=True)
 class FreePacketVelocityField:
@@ -178,36 +169,24 @@ def integrate_bohmian(provider, x0: float, t_grid: np.ndarray) -> Trajectory:
     leaves the provider's x window, the trajectory is truncated at the
     last valid sample and flagged.
     """
-    members = integrate_ensemble_positions(provider, np.array([x0], dtype=float), t_grid)
-    positions, n_valid = members
-    k = int(n_valid[0])
-    return Trajectory(
-        times=np.asarray(t_grid, dtype=float)[:k],
-        positions=positions[0, :k],
-        x0=float(x0),
-        source=getattr(provider, "source", "hierarchy"),
-        truncated=k < len(t_grid),
-    )
+    return _integrate_members(provider, [x0], t_grid)[0]
 
 
 def integrate_ensemble(provider, x0s, t_grid, sampling: str = "quantile") -> Ensemble:
     """Member-wise integration over a shared time grid (vectorized)."""
+    return Ensemble(members=_integrate_members(provider, x0s, t_grid), sampling=sampling)
+
+
+def _integrate_members(provider, x0s, t_grid) -> list[Trajectory]:
     x0s = np.asarray(x0s, dtype=float)
     positions, n_valid = integrate_ensemble_positions(provider, x0s, t_grid)
     t = np.asarray(t_grid, dtype=float)
-    members = []
-    for i in range(x0s.size):
-        k = int(n_valid[i])
-        members.append(
-            Trajectory(
-                times=t[:k],
-                positions=positions[i, :k],
-                x0=float(x0s[i]),
-                source=getattr(provider, "source", "hierarchy"),
-                truncated=k < t.size,
-            )
-        )
-    return Ensemble(members=members, sampling=sampling)
+    source = getattr(provider, "source", "hierarchy")
+    return [
+        Trajectory(times=t[:k], positions=positions[i, :k], x0=float(x0s[i]), source=source,
+                   truncated=k < t.size)
+        for i, k in enumerate(n_valid.tolist())
+    ]
 
 
 def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wkbohm.cli import main as cli_main
-from wkbohm.config import parse_config, serialize_config
+from wkbohm.config import EXPERIMENTS, parse_config, serialize_config
 from wkbohm.errors import ConfigError, WkbohmError
 from wkbohm.experiments import run_experiment
 from wkbohm.tables import emit_table, format_value, sha256_of
@@ -36,6 +36,11 @@ class TestParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps({"model": "free"}))
         assert "experiment" in str(exc.value)
+
+    @pytest.mark.parametrize("model", [["free"], {"free": 1}, 3])
+    def test_non_string_model_rejected(self, model):
+        with pytest.raises(ConfigError, match="model"):
+            parse_config(json.dumps({"experiment": "residuals", "model": model}))
 
     def test_harmonic_width_is_derived(self):
         cfg = parse_config(
@@ -196,6 +201,22 @@ class TestRunOutputs:
         doc = json.loads(out.manifest_path.read_text())
         assert doc["status"] == "aborted"
 
+    @pytest.mark.parametrize(
+        "doc, note",
+        [
+            ({"model": "free"}, "natural units (hbar = m = sigma0 = 1)"),
+            ({"model": "free", "sigma0": 2.0}, "model units as configured (hbar=1.0, mass=1.0)"),
+            ({"model": "harmonic"}, "natural units (hbar = m = omega = 1)"),
+            ({"model": "harmonic", "omega": 4.0}, "model units as configured (hbar=1.0, mass=1.0)"),
+            ({"model": "harmonic", "mass": 2.0}, "model units as configured (hbar=1.0, mass=2.0)"),
+        ],
+    )
+    def test_manifest_unit_note_names_the_natural_scale(self, tmp_path, doc, note):
+        # The oscillator's width is derived, so omega is its unit-setting scale.
+        cfg = parse_config(json.dumps({"experiment": "residuals", **doc}))
+        out = run_experiment(cfg, out_dir=str(tmp_path))
+        assert json.loads(out.manifest_path.read_text())["units"] == note
+
     def test_figure1_asymptotic_slopes(self, tmp_path):
         cfg = parse_config(
             json.dumps(
@@ -304,6 +325,27 @@ class TestCli:
         )
         assert cli_main(["run", path]) == 3
         assert "abort" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("model", ["free", "harmonic"])
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_pair_runs_or_is_rejected_at_parse_time(self, tmp_path, capsys, experiment, model):
+        # The figure1 fans are free-packet figures; every other pair
+        # that validates must also run.
+        out_dir = tmp_path / "out"
+        doc = {"experiment": experiment, "model": model, "output_dir": str(out_dir)}
+        path = self.write_cfg(tmp_path, doc)
+        if model == "harmonic" and experiment.startswith("figure1"):
+            with pytest.raises(ConfigError, match=f"{experiment!r}.*{model!r}"):
+                parse_config(json.dumps(doc))
+            assert cli_main(["validate", path]) == 2
+            assert cli_main(["run", path]) == 2
+            assert not out_dir.exists()
+        else:
+            assert parse_config(json.dumps(doc)).experiment == experiment
+            assert cli_main(["validate", path]) == 0
+            assert cli_main(["run", path]) == 0
+            manifest = json.loads((out_dir / experiment / "manifest.json").read_text())
+            assert manifest["status"] == "ok"
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(
