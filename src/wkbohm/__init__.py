@@ -58,6 +58,8 @@ from .numerics import (
     ComplexField,
     Grid1D,
     RealField,
+    cubic_cell_evaluate,
+    cubic_cell_table,
     cubic_interpolate,
     double_factorial,
     rk4_step,

@@ -4,7 +4,10 @@
     wkbohm validate <config.json>
     wkbohm list-experiments
 
-Exit codes: 0 success, 2 configuration error, 3 numerical abort.
+Exit codes: 0 success, 2 configuration error, 3 numerical abort
+("numerical abort: ...") or failed run ("run failed: ...", for example
+a configured grid that misses the packet). On exit 3 the manifest
+records status "aborted" or "failed" and the error's type and message.
 The WKBOHM_OUTPUT_DIR environment variable overrides the config's
 output directory; the --output-dir flag overrides both.
 """
@@ -66,8 +69,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"wrote {result.manifest_path}")
-    if result.status != "ok":
+    if result.status == "aborted":
         print(f"numerical abort: {result.error}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    if result.status != "ok":
+        print(f"run failed: {result.error}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .analytic import free_packet_asymptotic_velocity, free_packet_trajectory
 from .config import Model, RunConfig, build_model, config_dict
-from .errors import NumericalAbort
+from .errors import NumericalAbort, WkbohmError
 from .hierarchy import (
     PolarFields,
     complex_velocity_residual,
@@ -60,7 +60,12 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     """Execute the configured experiment under its output directory.
 
     Numerical aborts (caustic, CFL, window exits) are recorded in the
-    manifest with any partial outputs retained; they do not raise.
+    manifest as status "aborted", and any other package error or
+    ValueError from the runner (for example a grid that misses the
+    packet) as status "failed", with its type and message; partial
+    outputs are retained and neither raises. Any other exception (a
+    defect, or an interrupt) is recorded as "failed" too and re-raised,
+    so the manifest never stays at "running".
     """
     base = Path(out_dir if out_dir is not None else cfg.output_dir)
     run_dir = base / cfg.experiment
@@ -81,9 +86,12 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     }[cfg.experiment]
     try:
         runner(cfg, model, run_dir, out)
-    except NumericalAbort as exc:
-        out.status = "aborted"
+    except BaseException as exc:
+        out.status = "aborted" if isinstance(exc, NumericalAbort) else "failed"
         out.error = f"{type(exc).__name__}: {exc}"
+        if not isinstance(exc, (WkbohmError, ValueError)):
+            _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)
+            raise
     _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)
     return out
 
@@ -146,21 +154,24 @@ _TRAJ_COLUMNS = [("t", "time"), ("u", "1"), ("x", "length"), ("source", "-"), ("
 
 
 def _fan_rows(cfg: RunConfig, model: Model, u_grid: np.ndarray):
+    """Times, each fan member's quantum positions, and the table rows."""
     spec = model.spec
     t_grid = u_grid * model.time_scale
     rows = []
+    fan = []
     for x0 in cfg.default_fan():
         xq = free_packet_trajectory(spec, float(x0), t_grid)
+        fan.append(xq)
         xc = x0 + spec.v0 * t_grid
         for t, u, xa, xb in zip(t_grid, u_grid, xq, xc):
             rows.append([float(t), float(u), float(xa), "analytic-free", float(x0)])
             rows.append([float(t), float(u), float(xb), "classical", float(x0)])
-    return t_grid, rows
+    return t_grid, fan, rows
 
 
 def _run_figure1_short(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
     u_grid = np.linspace(0.0, FIGURE_SHORT_U_MAX, 301)
-    _, rows = _fan_rows(cfg, model, u_grid)
+    _, _, rows = _fan_rows(cfg, model, u_grid)
     _emit(out, run_dir, "trajectories.csv", _TRAJ_COLUMNS, rows)
     center = [x0 for x0 in cfg.default_fan() if x0 == 0.0]
     out.metrics = {
@@ -173,7 +184,7 @@ def _run_figure1_short(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutp
 def _run_figure1_asymptotic(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
     u_grid = np.linspace(0.0, FIGURE_ASYMPTOTIC_U_MAX, 1001)
     spec = model.spec
-    t_grid, rows = _fan_rows(cfg, model, u_grid)
+    t_grid, fan, rows = _fan_rows(cfg, model, u_grid)
     _emit(out, run_dir, "trajectories.csv", _TRAJ_COLUMNS, rows)
 
     asym_rows = []
@@ -181,16 +192,11 @@ def _run_figure1_asymptotic(cfg: RunConfig, model: Model, run_dir: Path, out: Ru
     ts = model.time_scale
     window = (FIT_WINDOW_U[0] * ts, FIT_WINDOW_U[1] * ts)
     rel_errors = []
-    for x0 in cfg.default_fan():
+    for x0, xq in zip(cfg.default_fan(), fan):
         v_pred = free_packet_asymptotic_velocity(spec, float(x0))
         for t, u in zip(t_grid, u_grid):
             asym_rows.append([float(t), float(u), float(v_pred * t), float(x0)])
-        traj = Trajectory(
-            times=t_grid,
-            positions=free_packet_trajectory(spec, float(x0), t_grid),
-            x0=float(x0),
-            source="analytic-free",
-        )
+        traj = Trajectory(times=t_grid, positions=xq, x0=float(x0), source="analytic-free")
         fit = fit_asymptotic_velocity(traj, window, packet=spec)
         err = abs(fit.velocity - v_pred) / abs(v_pred) if v_pred != 0 else abs(fit.velocity)
         rel_errors.append(err)

@@ -213,32 +213,73 @@ def double_factorial(n: int) -> int:
     return out
 
 
+def _cell_weights(offset: int) -> np.ndarray:
+    """(power, sample) map from 4 window samples to their cubic in r = s - offset.
+
+    The samples sit at s = 0..3. Each Lagrange basis polynomial is built
+    from integer roots and divided once, so the constant row is exactly
+    0 or 1 at the window's own nodes.
+    """
+    w = np.empty((4, 4))
+    for i in range(4):
+        others = [m for m in range(4) if m != i]
+        w[:, i] = np.polynomial.polynomial.polyfromroots([m - offset for m in others])
+        w[:, i] /= np.prod([i - m for m in others])
+    return w
+
+
+# Indexed by the offset of the cell's left node in its window.
+_CELL_WEIGHTS = np.stack([_cell_weights(o) for o in range(4)])
+
+
+def cubic_cell_table(values: np.ndarray) -> np.ndarray:
+    """Per-cell monomial coefficients of the 4-node Lagrange cubics of samples.
+
+    For `values` of shape (..., n) returns (..., 4, n). Column k
+    (k = 0..n-2) holds b0..b3 with f = b0 + b1 r + b2 r^2 + b3 r^3 and
+    r = u - k, u the position in units of dx from x_min. Its cubic is
+    the one through the 4 nodes starting at max(min(k - 1, n - 4), 0),
+    so b0 is the sample at node k itself. Column n - 1 continues the
+    last cell's cubic from node n - 1, so a point at x_max (or within
+    the bounds slack past it) needs no clamp and is exact there.
+    """
+    v = np.asarray(values, dtype=float)
+    # (..., 4 samples, n - 3 windows), window i on nodes i..i+3.
+    windows = np.swapaxes(np.lib.stride_tricks.sliding_window_view(v, 4, axis=-1), -1, -2)
+    first, last = windows[..., :1], windows[..., -1:]
+    # Cell 0, cells 1..n-3 (one window each), cell n-2, node n-1.
+    parts = ((0, first), (1, windows), (2, last), (3, last))
+    return np.concatenate([np.matmul(_CELL_WEIGHTS[o], w) for o, w in parts], axis=-1)
+
+
+def cubic_cell_evaluate(grid: Grid1D, table: np.ndarray, x) -> np.ndarray:
+    """Evaluate a (4, n) `cubic_cell_table` of grid samples at points x.
+
+    Query points must lie inside [x_min, x_max], up to a slack of
+    1e-9 dx for rounding in the node positions; NaN is outside. The
+    cell index truncates toward zero, so a point within the slack below
+    x_min uses cell 0 at a small negative r: the same cubic.
+    """
+    xq = np.asarray(x, dtype=float)
+    dx = grid.dx
+    slack = 1e-9 * dx
+    if xq.size and not (xq.min() >= grid.x_min - slack and xq.max() <= grid.x_max + slack):
+        raise ValueError("interpolation point outside the grid")
+    u = (xq - grid.x_min) / dx
+    k = u.astype(np.intp)
+    r = u - k
+    b0, b1, b2, b3 = table.take(k, axis=1)
+    return b0 + r * (b1 + r * (b2 + r * b3))
+
+
 def cubic_interpolate(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
     """Evaluate grid samples at off-grid points by 4-node Lagrange cubics.
 
-    Matches the 4th-order accuracy of the stencils. Query points must
-    lie inside [x_min, x_max], up to a slack of 1e-9 dx for rounding
-    in the node positions.
+    Matches the 4th-order accuracy of the stencils. Callers that
+    evaluate the same samples repeatedly should build the
+    `cubic_cell_table` once and call `cubic_cell_evaluate`.
     """
-    xq = np.asarray(x, dtype=float)
-    scalar = xq.ndim == 0
-    xq = np.atleast_1d(xq)
-    dx = grid.dx
-    slack = 1e-9 * dx
-    if xq.size and (xq.min() < grid.x_min - slack or xq.max() > grid.x_max + slack):
-        raise ValueError("interpolation point outside the grid")
-    u = (xq - grid.x_min) / dx
-    # Left node of the 4-point window, clamped so the window fits.
-    j = np.minimum(np.maximum(np.floor(u).astype(int) - 1, 0), grid.n_points - 4)
-    s = u - j  # in [0, 3] within the window
-    v = np.asarray(values)
-    f0, f1, f2, f3 = v[j], v[j + 1], v[j + 2], v[j + 3]
-    # The same cubic in Newton form on forward differences.
-    d1 = f1 - f0
-    d2 = f2 - f1 - d1
-    d3 = f3 - 2.0 * f2 + f1 - d2
-    out = f0 + s * (d1 + (s - 1.0) * (0.5 * d2 + (s - 2.0) * (d3 / 6.0)))
-    return out[0] if scalar else out
+    return cubic_cell_evaluate(grid, cubic_cell_table(values), x)
 
 
 def trapezoid_norm(f: ComplexField) -> float:

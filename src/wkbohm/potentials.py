@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import Grid1D, cubic_interpolate, derivative_values
+from .numerics import Grid1D, cubic_cell_evaluate, cubic_cell_table, derivative_values
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,20 @@ class Potential:
 
     @staticmethod
     def tabulated(grid: Grid1D, values: np.ndarray) -> "Potential":
-        """Cubic interpolation of tabulated samples; gradient by stencil."""
+        """Cubic interpolation of tabulated samples; gradient by stencil.
+
+        The cell tables of the samples and of their gradient are built once.
+        """
         v = np.asarray(values, dtype=float)
         if v.shape != (grid.n_points,):
             raise ValueError("tabulated potential must have one value per grid node")
         if not np.all(np.isfinite(v)):
             raise ValueError("tabulated potential must be finite on the grid")
-        dv = derivative_values(v, grid.dx)
+        cells = cubic_cell_table(v)
+        grad_cells = cubic_cell_table(derivative_values(v, grid.dx))
         return Potential(
             "tabulated",
             {"grid": grid},
-            lambda x: cubic_interpolate(grid, v, x),
-            lambda x: cubic_interpolate(grid, dv, x),
+            lambda x: cubic_cell_evaluate(grid, cells, x),
+            lambda x: cubic_cell_evaluate(grid, grad_cells, x),
         )

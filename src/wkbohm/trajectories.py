@@ -25,7 +25,7 @@ from .analytic import (
     free_packet_velocity,
     ho_velocity,
 )
-from .numerics import Grid1D, RealField, cubic_interpolate, rk4_step
+from .numerics import Grid1D, RealField, cubic_cell_evaluate, cubic_cell_table, rk4_step
 from .potentials import Potential
 
 SOURCES = ("analytic-free", "analytic-ho", "hierarchy", "oracle", "classical", "series")
@@ -49,9 +49,9 @@ class Trajectory:
         object.__setattr__(self, "positions", x)
         if t.shape != x.shape or t.ndim != 1 or t.size < 1:
             raise ValueError("times and positions must be equal-length 1D arrays")
-        if not np.all(np.diff(t) > 0) and t.size > 1:
+        if not (t[1:] > t[:-1]).all():
             raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("positions must be finite")
         if x[0] != self.x0:
             raise ValueError(f"positions[0]={x[0]!r} differs from x0={self.x0!r}")
@@ -111,11 +111,20 @@ class OscillatorVelocityField:
 class GriddedVelocityField:
     """Velocity snapshots on a grid: cubic in x, linear blend in t.
 
-    The two bracketing snapshots are blended on the grid before one
-    cubic interpolation at the query points. The x window keeps two
-    nodes of margin so the cubic interpolation stencil never leans on
-    boundary values; the t window is the snapshot span, with a slack
-    of 1e-9 of that span for rounding in stage times.
+    Each snapshot's cubic is stored per cell (`cubic_cell_table`) the
+    first time a query time falls next to it, and only the two tables
+    bracketing the latest query are kept. The bracketing pair is blended
+    once per distinct query time; the last two blends are kept, which
+    covers the three distinct times of an rk4 step and the next step's
+    first one. The cubic is linear in the samples, so blending tables
+    gives the same field as blending the snapshots. Snapshots are read
+    lazily, so the array passed as `fields` must not change afterwards;
+    the provider's own view of it is read-only.
+
+    The x window keeps two nodes of margin so the cubic interpolation
+    stencil never leans on boundary values; the t window is the
+    snapshot span, with a slack of 1e-9 of that span for rounding in
+    stage times.
     """
 
     grid: Grid1D
@@ -125,13 +134,16 @@ class GriddedVelocityField:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        f = np.asarray(self.fields, dtype=float)
+        f = np.asarray(self.fields, dtype=float).view()
+        f.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "fields", f)
         if f.shape != (t.size, self.grid.n_points):
             raise ValueError("fields must be (n_times, n_points)")
         if t.size < 2 or not np.all(np.diff(t) > 0):
             raise ValueError("need at least 2 strictly increasing snapshot times")
+        object.__setattr__(self, "_snapshot_cells", {})  # snapshot index -> cell table
+        object.__setattr__(self, "_blends", {})  # query time -> blended cell table
 
     @property
     def x_window(self) -> tuple[float, float]:
@@ -143,7 +155,13 @@ class GriddedVelocityField:
         return (float(self.times[0]), float(self.times[-1]))
 
     def evaluate(self, x, t):
-        t = float(t)
+        return cubic_cell_evaluate(self.grid, self._cells_at(float(t)), x)
+
+    def _cells_at(self, t: float) -> np.ndarray:
+        blends = self._blends
+        table = blends.get(t)
+        if table is not None:
+            return table
         times = self.times
         t_first, t_last = float(times[0]), float(times[-1])
         eps = 1e-9 * (t_last - t_first)
@@ -152,10 +170,15 @@ class GriddedVelocityField:
         j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
         t0, t1 = float(times[j]), float(times[j + 1])
         w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
-        # The cubic is linear in the samples: blending the two snapshots
-        # on the grid first gives the same field with one interpolation.
-        blended = (1.0 - w) * self.fields[j] + w * self.fields[j + 1]
-        return cubic_interpolate(self.grid, blended, x)
+        kept = self._snapshot_cells
+        pair = [kept[i] if i in kept else cubic_cell_table(self.fields[i]) for i in (j, j + 1)]
+        kept.clear()
+        kept.update(zip((j, j + 1), pair))
+        table = (1.0 - w) * pair[0] + w * pair[1]
+        if len(blends) == 2:
+            del blends[next(iter(blends))]
+        blends[t] = table
+        return table
 
 
 def _inside(window: tuple[float, float], x: np.ndarray) -> np.ndarray:
@@ -193,7 +216,11 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     """rk4 positions for many starters at once.
 
     Returns (positions[n_members, n_times], n_valid[n_members]) where
-    n_valid counts the leading samples before any window exit.
+    n_valid counts the leading samples before any window exit. A member
+    dies on the step where one of its stage probes or its new position
+    leaves the x window, or its new position is not finite. Probes are
+    checked as a whole by their min and max; only a step on which that
+    check fails sorts members one by one.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or (t.size > 1 and not np.all(np.diff(t) > 0)):
@@ -210,36 +237,39 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     n = x.size
     positions = np.full((n, t.size), np.nan)
     positions[:, 0] = x
-    n_valid = np.full(n, 1, dtype=int)
-    alive = np.ones(n, dtype=bool)
+    n_valid = np.full(n, t.size, dtype=int)
+    rows = np.arange(n)  # members still alive, in order; x holds their positions
+    lo, hi = xw
 
-    def clipped_eval(xs, ts):
-        # Stages may poke slightly outside; clip the probe but kill the
-        # member if it strays beyond tolerance.
-        return provider.evaluate(np.minimum(np.maximum(xs, xw[0]), xw[1]), ts)
+    def velocity(probe, ts):
+        # (velocity, whether every probe lies in the window). A probe
+        # outside is clamped into it (NaN to the lower edge) so the
+        # provider sees only valid points; its member dies this step.
+        if lo <= probe.min() and probe.max() <= hi:
+            return provider.evaluate(probe, ts), True
+        return provider.evaluate(np.fmin(np.fmax(probe, lo), hi), ts), False
 
     for i in range(t.size - 1):
-        if not alive.any():
+        if not rows.size:
             break
         dt = t[i + 1] - t[i]
-        xi = x[alive]
-        k1 = clipped_eval(xi, t[i])
-        k2 = clipped_eval(xi + 0.5 * dt * k1, t[i] + 0.5 * dt)
-        k3 = clipped_eval(xi + 0.5 * dt * k2, t[i] + 0.5 * dt)
-        k4 = clipped_eval(xi + dt * k3, t[i] + dt)
-        stages_ok = (
-            _inside(xw, xi + 0.5 * dt * k1)
-            & _inside(xw, xi + 0.5 * dt * k2)
-            & _inside(xw, xi + dt * k3)
-        )
-        x_new = xi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ok = stages_ok & _inside(xw, x_new) & np.isfinite(x_new)
-        idx = np.flatnonzero(alive)
-        good = idx[ok]
-        positions[good, i + 1] = x_new[ok]
-        n_valid[good] = i + 2
-        x[good] = x_new[ok]
-        alive[idx[~ok]] = False
+        k1 = provider.evaluate(x, t[i])
+        p2 = x + 0.5 * dt * k1
+        k2, in2 = velocity(p2, t[i] + 0.5 * dt)
+        p3 = x + 0.5 * dt * k2
+        k3, in3 = velocity(p3, t[i] + 0.5 * dt)
+        p4 = x + dt * k3
+        k4, in4 = velocity(p4, t[i] + dt)
+        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x_lo, x_hi = x_new.min(), x_new.max()
+        if in2 and in3 and in4 and lo <= x_lo and x_hi <= hi and np.isfinite(x_lo + x_hi):
+            positions[rows, i + 1] = x_new
+            x = x_new
+            continue
+        ok = _inside(xw, p2) & _inside(xw, p3) & _inside(xw, p4) & _inside(xw, x_new) & np.isfinite(x_new)
+        positions[rows[ok], i + 1] = x_new[ok]
+        n_valid[rows[~ok]] = i + 1
+        rows, x = rows[ok], x_new[ok]
     return positions, n_valid
 
 
@@ -332,17 +362,14 @@ def check_no_crossing(ensemble: Ensemble) -> CrossingReport:
     n_times = min(m.times.size for m in members)
     times = members[0].times[:n_times]
     pos = np.stack([m.positions[:n_times] for m in members])
-    for ti in range(n_times):
-        col = pos[:, ti]
-        bad = np.flatnonzero(np.diff(col) <= 0)
-        if bad.size:
-            i = int(bad[0])
-            return CrossingReport(
-                ok=False,
-                pair=(int(order[i]), int(order[i + 1])),
-                time=float(times[ti]),
-            )
-    return CrossingReport(ok=True)
+    # Shifted views, not np.diff: no float temporary of the whole stack.
+    inverted = pos[1:] <= pos[:-1]  # (pair, time)
+    at_time = inverted.any(axis=0)
+    if not at_time.any():
+        return CrossingReport(ok=True)
+    ti = int(np.argmax(at_time))
+    i = int(np.argmax(inverted[:, ti]))
+    return CrossingReport(ok=False, pair=(int(order[i]), int(order[i + 1])), time=float(times[ti]))
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,45 @@ class TestRunOutputs:
         assert (out.out_dir / "asymptotes.csv").exists()
         assert (out.out_dir / "slopes.csv").exists()
 
+    def test_figure1_asymptotic_evaluates_each_member_once(self, tmp_path, monkeypatch):
+        from wkbohm import experiments
+
+        calls = []
+        original = experiments.free_packet_trajectory
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "free_packet_trajectory", counted)
+        out = run_cfg(tmp_path, experiment="figure1-asymptotic")
+        assert out.status == "ok"
+        assert len(calls) == out.metrics["members"] == 5
+
+    def test_runner_error_recorded_as_failed(self, tmp_path):
+        # A configured grid far from the packet: the amplitude underflows
+        # to zero there and init_hierarchy raises a ValueError.
+        out = run_cfg(tmp_path, experiment="hierarchy-convergence", grid_x_min=50, grid_x_max=60)
+        assert out.status == "failed"
+        assert out.error.startswith("ValueError: amplitude must be strictly positive")
+        manifest = json.loads(out.manifest_path.read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == out.error
+        assert manifest["finished_utc"] is not None
+
+    def test_runner_defect_recorded_then_raised(self, tmp_path, monkeypatch):
+        from wkbohm import experiments
+
+        def broken(*args):
+            raise TypeError("broken runner")
+
+        monkeypatch.setattr(experiments, "_run_figure1_short", broken)
+        with pytest.raises(TypeError, match="broken runner"):
+            run_cfg(tmp_path)
+        manifest = json.loads((tmp_path / "a" / "figure1-short" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "TypeError: broken runner"
+
 
 class TestUnitCoherence:
     def test_dimensionless_reports_invariant_under_unit_change(self, tmp_path):
@@ -325,6 +364,25 @@ class TestCli:
         )
         assert cli_main(["run", path]) == 3
         assert "abort" in capsys.readouterr().err.lower()
+
+    def test_failed_run_exits_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = self.write_cfg(
+            tmp_path,
+            {
+                "experiment": "hierarchy-convergence",
+                "model": "free",
+                "grid_x_min": 50,
+                "grid_x_max": 60,
+                "output_dir": str(out_dir),
+            },
+        )
+        assert cli_main(["validate", path]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", path]) == 3
+        assert capsys.readouterr().err.startswith("run failed: ValueError: amplitude must be strictly positive")
+        manifest = json.loads((out_dir / "hierarchy-convergence" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
 
     @pytest.mark.parametrize("model", ["free", "harmonic"])
     @pytest.mark.parametrize("experiment", EXPERIMENTS)

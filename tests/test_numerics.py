@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from references import newton_cubic
 from wkbohm.errors import NonFiniteFieldError
 from wkbohm.numerics import (
     Grid1D,
     RealField,
+    cubic_cell_evaluate,
+    cubic_cell_table,
     cubic_interpolate,
     derivative_values,
     double_factorial,
@@ -260,6 +263,51 @@ class TestCubicInterpolation:
                 cubic_interpolate(g, values, g.x_max + 1e-6 * g.dx)
             with pytest.raises(ValueError):
                 cubic_interpolate(g, values, g.x_min - 1e-6 * g.dx)
+
+
+class TestCubicCells:
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_matches_the_newton_cubic_at_any_length_scale(self, scale):
+        rng = np.random.default_rng(5)
+        for x_min, x_max, n in ((-3.0, 7.0 + 3e-7, 401), (-1.0, 1.0, 11), (2.5, 9.7, 1001), (0.0, 1.0, 8)):
+            g = Grid1D(x_min * scale, x_max * scale, n)
+            values = rng.normal(size=n) * np.cos(g.nodes / scale)
+            table = cubic_cell_table(values)
+            assert table.shape == (4, n)
+            dx, slack = g.dx, 1e-9 * g.dx
+            cells = (0, 1, n - 3, n - 2)
+            xq = np.concatenate([
+                rng.uniform(g.x_min, g.x_max, 500),
+                [g.x_min + (k + f) * dx for k in cells for f in (0.0, 0.25, 0.5, 0.999)],
+                [g.x_min, g.x_max, g.x_min - 0.5 * slack, g.x_max + 0.5 * slack],
+                g.nodes,
+            ])
+            got = cubic_cell_evaluate(g, table, xq)
+            assert np.max(np.abs(got - newton_cubic(g, values, xq))) <= 1e-13 * np.max(np.abs(values))
+            assert cubic_cell_evaluate(g, table, g.x_max) == pytest.approx(values[-1], abs=1e-13)
+            for bad in (g.x_max + 1e-6 * dx, g.x_min - 1e-6 * dx, np.nan):
+                with pytest.raises(ValueError, match="outside the grid"):
+                    cubic_cell_evaluate(g, table, np.array([0.5 * (g.x_min + g.x_max), bad]))
+
+    def test_exact_at_nodes(self):
+        # dx = 1/4: every node maps to an integral u, where the value is b0.
+        g = Grid1D(-2.0, 2.0, 17)
+        values = np.random.default_rng(3).normal(size=17)
+        table = cubic_cell_table(values)
+        assert np.array_equal(table[0], values)
+        assert np.array_equal(cubic_cell_evaluate(g, table, g.nodes), values)
+
+    def test_stack_builds_row_tables(self):
+        values = np.random.default_rng(4).normal(size=(3, 2, 20))
+        table = cubic_cell_table(values)
+        assert table.shape == (3, 2, 4, 20)
+        assert np.array_equal(table[2, 1], cubic_cell_table(values[2, 1]))
+
+    def test_scalar_query_gives_scalar(self):
+        g = Grid1D(0.0, 1.0, 11)
+        out = cubic_cell_evaluate(g, cubic_cell_table(np.sin(g.nodes)), 0.55)
+        assert np.ndim(out) == 0
+        assert out == pytest.approx(np.sin(0.55), abs=1e-5)
 
 
 class TestPotentials:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from references import first_crossing, member_loop_positions, newton_cubic
 from wkbohm.analytic import (
     GaussianPacketSpec,
     OscillatorSpec,
@@ -27,6 +28,7 @@ from wkbohm.trajectories import (
     integrate_bohmian,
     integrate_classical,
     integrate_ensemble,
+    integrate_ensemble_positions,
     ks_distance,
     sample_initial_positions,
 )
@@ -98,6 +100,29 @@ class TestGriddedProvider:
             )
             assert np.max(np.abs(provider.evaluate(x, t) - reference)) <= 1e-14
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_matches_blend_then_newton_cubic(self, scale):
+        rng = np.random.default_rng(12)
+        grid = Grid1D(-3.0 * scale, 4.0 * scale, 141)
+        times = np.cumsum(rng.uniform(0.05, 0.2, size=9))
+        fields = np.sin(grid.nodes[None, :] / scale * rng.uniform(0.5, 2.0, size=(9, 1)) + times[:, None])
+        provider = GriddedVelocityField(grid, times, fields)
+        x = np.concatenate([rng.uniform(grid.x_min, grid.x_max, 200), [grid.x_min, grid.x_max], grid.nodes])
+        # Forward, backward and repeated times: the cached tables must not leak between queries.
+        queries = np.concatenate([rng.uniform(times[0], times[-1], 30), times, times[::-1], times[:3]])
+        for t in queries:
+            j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
+            w = (t - times[j]) / (times[j + 1] - times[j])
+            blended = (1.0 - w) * fields[j] + w * fields[j + 1]
+            assert np.max(np.abs(provider.evaluate(x, t) - newton_cubic(grid, blended, x))) <= 1e-13
+            fresh = GriddedVelocityField(grid, times, fields)
+            assert np.array_equal(provider.evaluate(x, t), fresh.evaluate(x, t))
+
+    def test_fields_are_read_only(self):
+        provider = GriddedVelocityField(Grid1D(-1.0, 1.0, 21), np.array([0.0, 1.0]), np.ones((2, 21)))
+        with pytest.raises(ValueError):
+            provider.fields[0, 0] = 2.0
+
     @pytest.mark.parametrize("scale", [1e-15, 1e-6, 1.0, 1e6])
     def test_time_window_scales_with_the_snapshot_span(self, scale):
         grid = Grid1D(-1.0, 1.0, 21)
@@ -109,6 +134,83 @@ class TestGriddedProvider:
             with pytest.raises(ValueError, match="outside stored snapshot range"):
                 provider.evaluate(np.array([0.0]), t)
 
+
+class _Pointwise:
+    """Provider of a pointwise field fn(x, t) on a given x window."""
+
+    t_window = (0.0, 10.0)
+
+    def __init__(self, fn, x_window=(-2.0, 2.0)):
+        self.fn, self.x_window = fn, x_window
+
+    def evaluate(self, x, t):
+        return self.fn(np.asarray(x, dtype=float), t)
+
+
+class TestEnsembleLoop:
+    """The whole-ensemble step against the per-member reference loop."""
+
+    def check(self, provider, x0s, t):
+        got = integrate_ensemble_positions(provider, np.array(x0s), t)
+        ref = member_loop_positions(provider, x0s, t)
+        np.testing.assert_array_equal(got[0], ref[0])  # NaN counts as equal
+        np.testing.assert_array_equal(got[1], ref[1])
+        return got
+
+    def test_members_leaving_mid_run(self):
+        grid = Grid1D(-1.0, 1.0, 51)
+        times = np.linspace(0.0, 2.0, 9)
+        fields = 0.5 + 0.3 * np.sin(3.0 * grid.nodes[None, :]) + 0.2 * times[:, None]
+        provider = GriddedVelocityField(grid, times, fields)
+        x0s = np.linspace(-0.9, 0.9, 40)
+        positions, n_valid = self.check(provider, x0s, np.linspace(0.0, 2.0, 201))
+        assert 1 < n_valid.min() and n_valid.max() == 201
+        assert np.unique(n_valid).size > 5  # members die on many different steps
+
+    def test_stage_going_nan(self):
+        provider = _Pointwise(lambda x, t: np.sin(x) + 0.3 * t + np.where(x > 0.9, np.nan, 0.0))
+        positions, n_valid = self.check(provider, np.linspace(-1.5, 0.8, 25), np.linspace(0.0, 3.0, 301))
+        assert (n_valid < 301).any() and (n_valid == 301).any()
+
+    @pytest.mark.parametrize(
+        "stage, edges, speeds, starts",
+        [
+            # Piecewise-constant fields with backflow at the window's edge
+            # (x = 1). With dt = 0.05 only the named stage's probe leaves
+            # on the first step; the others and the new position stay in.
+            (2, [0.90, 0.92, 0.98], [0.0, 10.0, 0.0, -10.0], (0.90, 0.92)),
+            (3, [0.80, 0.85, 0.90, 0.95, 0.98], [0.0, 4.0, 0.0, 10.0, 0.0, -4.0], (0.80, 0.85)),
+            (4, [0.97], [2.0, -40.0], (0.92, 0.95)),
+        ],
+    )
+    def test_one_stage_probe_leaving(self, stage, edges, speeds, starts):
+        def field(x, t):
+            return np.asarray(speeds)[np.searchsorted(edges, x, side="right")]
+
+        provider = _Pointwise(field, x_window=(-1.0, 1.0))
+        positions, n_valid = self.check(provider, np.linspace(*starts, 9, endpoint=False), np.linspace(0.0, 0.5, 11))
+        assert (n_valid == 1).all()
+
+    def test_unbounded_window_and_infinite_velocity(self):
+        provider = _Pointwise(lambda x, t: np.where(x > 0.5, np.inf, 1.0), x_window=(-np.inf, np.inf))
+        positions, n_valid = self.check(provider, np.linspace(-1.0, 0.4, 8), np.linspace(0.0, 1.0, 21))
+        assert (n_valid < 21).any() and (n_valid == 21).any()
+        assert np.isfinite(positions[~np.isnan(positions)]).all()
+
+    def test_every_member_dying(self):
+        grid = Grid1D(-1.0, 1.0, 51)
+        provider = GriddedVelocityField(grid, np.array([0.0, 2.0]), np.ones((2, 51)))
+        positions, n_valid = self.check(provider, np.linspace(0.0, 0.9, 7), np.linspace(0.0, 2.0, 41))
+        assert n_valid.max() < 41
+
+    def test_unbounded_analytic_window(self):
+        spec = OscillatorSpec(params=NATURAL, omega=1.0, a=1.0)
+        self.check(OscillatorVelocityField(spec), [-1.0, 0.0, 0.5], np.linspace(0, 6, 61))
+
+    def test_no_members(self):
+        provider = FreePacketVelocityField(packet())
+        positions, n_valid = integrate_ensemble_positions(provider, np.array([]), np.linspace(0, 1, 5))
+        assert positions.shape == (0, 5) and n_valid.shape == (0,)
 
 class TestClassicalIntegration:
     def test_free_particle_is_straight(self):
@@ -210,6 +312,33 @@ class TestNoCrossing:
         assert not report.ok
         assert report.time == 2.0
         assert report.pair == (0, 1)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_time_by_time_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        n, n_t = 30, 40
+        t = np.linspace(0.0, 1.0, n_t)
+        x0s = rng.permutation(np.arange(n, dtype=float))
+        pos = x0s[:, None] + 0.01 * rng.normal(size=(n, n_t)).cumsum(axis=1)
+        pos[:, 0] = x0s
+        order = np.argsort(x0s)
+        for kind in ("tie", "swap")[: seed % 3]:
+            m = rng.integers(0, n - 1)
+            a, b = order[m], order[m + 1]  # neighbours in initial order
+            ti = rng.integers(1, n_t)
+            if kind == "tie":
+                pos[a, ti:] = pos[b, ti:]  # a tie counts as a crossing
+            else:
+                pos[[a, b], ti:] = pos[[b, a], ti:]
+        members = [Trajectory(times=t, positions=pos[i], x0=x0s[i], source="series") for i in range(n)]
+        report = check_no_crossing(Ensemble(members=members))
+        expected = first_crossing(x0s, pos, t)
+        if expected is None:
+            assert report.ok and report.pair is None
+        else:
+            assert not report.ok
+            assert (report.pair, report.time) == expected
 
 
 class TestAsymptoticFit:
