@@ -144,7 +144,16 @@ def _grid(cfg: RunConfig, model: Model, t_end: float, t_width: float, points: in
 
 
 def _comparison_window(model: Model, x: np.ndarray, t: float) -> np.ndarray:
-    return np.abs(x - model.center(t)) <= 2.0 * model.width(t)
+    """Grid nodes x within 2 packet widths of the center at t; at least one must exist."""
+    center, half = model.center(t), 2.0 * model.width(t)
+    window = np.abs(x - center) <= half
+    if not window.any():
+        raise ValueError(
+            f"the comparison window [{center - half:g}, {center + half:g}] (2 packet widths "
+            f"around the center at t={t:g}) holds no node of the grid "
+            f"[{x[0]:g}, {x[-1]:g}] ({x.size} points)"
+        )
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +243,13 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
     n_steps = max(1, int(round(t_end / dt)))
     t_end = n_steps * dt
     grid = _grid(cfg, model, t_end, 0.0, 401)
-    params = cfg.phys_params()
     x = grid.nodes
+    window = _comparison_window(model, x, t_end)
+    params = cfg.phys_params()
     psi0 = PolarFields(R=RealField(grid, model.modulus(x, 0.0)), S=RealField(grid, model.action(x, 0.0)))
 
     orders = sorted({1, cfg.order, cfg.order + 2})
     r_exact, s_exact = model.modulus(x, t_end), model.action(x, t_end)
-    window = _comparison_window(model, x, t_end)
 
     field_rows = []
     summary_rows = []
@@ -339,9 +348,10 @@ def _run_residuals(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) 
     params = cfg.phys_params()
     t_eval = cfg.t_max if cfg.t_max is not None else model.residuals_t
     grid = _grid(cfg, model, t_eval, 0.0, 401)
+    x = grid.nodes
+    window = _comparison_window(model, x, t_eval)
     delta = 1e-3 * model.time_scale
     times = t_eval + delta * np.array([-2, -1, 0, 1, 2])
-    x = grid.nodes
     # Closed-form complex action S - i hbar ln R at each instant.
     stack = [
         ComplexField(grid, model.action(x, t) - 1j * cfg.hbar * np.log(model.modulus(x, t)), t)
@@ -350,7 +360,6 @@ def _run_residuals(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) 
     qhj = qhj_residual_from_series(stack, model.potential, params, delta)
     cv = complex_velocity_residual(stack, model.potential, params, delta)
 
-    window = _comparison_window(model, x, t_eval)
     _emit(
         out, run_dir, "residuals.csv",
         [("x", "length"), ("qhj_residual", "energy"), ("velocity_residual", "acceleration")],

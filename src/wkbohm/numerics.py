@@ -263,7 +263,10 @@ def cubic_cell_evaluate(grid: Grid1D, table: np.ndarray, x) -> np.ndarray:
     xq = np.asarray(x, dtype=float)
     dx = grid.dx
     slack = 1e-9 * dx
-    if xq.size and not (xq.min() >= grid.x_min - slack and xq.max() <= grid.x_max + slack):
+    if xq.size and not (
+        np.minimum.reduce(xq, axis=None) >= grid.x_min - slack
+        and np.maximum.reduce(xq, axis=None) <= grid.x_max + slack
+    ):
         raise ValueError("interpolation point outside the grid")
     u = (xq - grid.x_min) / dx
     k = u.astype(np.intp)

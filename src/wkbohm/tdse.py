@@ -6,8 +6,12 @@ H = -hbar^2 lap / 2m + V discretized at 2nd order. The update
     (1 + i dt H / 2 hbar) psi_new = (1 - i dt H / 2 hbar) psi_old
 
 is a Cayley transform of a Hermitian tridiagonal matrix, so it is
-unconditionally stable and unitary to solver tolerance. The matrix
-is factorized once per (grid, potential, dt) and reused.
+unconditionally stable and unitary to solver tolerance. The backward
+matrix is LU-factorized once per (grid, potential, dt) by LAPACK's
+tridiagonal `zgttrf` and reused; each step forms the forward product
+from the three diagonals and makes one `zgttrs` solve. scipy is
+imported when the first solver is built, so importing the package
+loads no scipy module.
 
 The solver refuses to run once the wavefunction stops being
 negligible at the grid edges: a contaminated (reflecting) run is
@@ -21,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from .analytic import PhysParams, unwrap_phase
 from .errors import EdgeContamination, NumericalAbort
@@ -74,10 +76,14 @@ class CrankNicolsonSolver:
         main = hbar**2 / (m * dx**2) + potential.value(x)
         off = np.full(n - 1, -(hbar**2) / (2.0 * m * dx**2))
         a = 1j * dt / (2.0 * hbar)
-        forward = diags([ -a * off, 1.0 - a * main, -a * off], offsets=[-1, 0, 1], format="csc")
-        backward = diags([a * off, 1.0 + a * main, a * off], offsets=[-1, 0, 1], format="csc")
-        self._forward = forward
-        self._solve = splu(backward).solve
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
+        self._forward = (1.0 - a * main, -a * off)
+        *lu, info = zgttrf(a * off, 1.0 + a * main, a * off)
+        if info != 0:
+            raise NumericalAbort(f"Crank-Nicolson factorization failed (LAPACK info {info})")
+        self._lu = lu
+        self._zgttrs = zgttrs
 
     def step_values(self, psi: np.ndarray, time: float) -> np.ndarray:
         edge = max(abs(psi[0]), abs(psi[-1]))
@@ -86,7 +92,14 @@ class CrankNicolsonSolver:
                 f"edge amplitude {edge:.3g} >= {EDGE_AMPLITUDE_LIMIT:g} at t={time:g}; "
                 "enlarge the grid"
             )
-        return self._solve(self._forward @ psi)
+        diag, off = self._forward
+        y = diag * psi
+        y[1:] += off * psi[:-1]
+        y[:-1] += off * psi[1:]
+        psi_new, info = self._zgttrs(*self._lu, y, overwrite_b=1)
+        if info != 0:
+            raise NumericalAbort(f"Crank-Nicolson solve failed (LAPACK info {info}) at t={time:g}")
+        return psi_new
 
 
 def ensure_oracle_domain(grid: Grid1D, final_center: float, final_sigma: float) -> None:

@@ -69,10 +69,15 @@ class Ensemble:
     def __post_init__(self):
         if len(self.members) < 2:
             raise ValueError("an ensemble needs at least 2 members")
-        full = max(self.members, key=lambda m: m.times.size)
+        full = max(self.members, key=lambda m: m.times.size).times
+        # A member whose times start at the same address with the same
+        # stride is a leading view of the longest grid: equal by construction.
+        address, strides = full.__array_interface__["data"][0], full.strides
         for m in self.members:
-            k = m.times.size
-            if not np.array_equal(m.times, full.times[:k]):
+            t = m.times
+            if t.strides == strides and t.__array_interface__["data"][0] == address:
+                continue
+            if not np.array_equal(t, full[: t.size]):
                 raise ValueError("ensemble members must share one time grid")
 
     @property
@@ -104,7 +109,7 @@ class OscillatorVelocityField:
 
     def evaluate(self, x, t):
         v = ho_velocity(self.spec, t)
-        return np.broadcast_to(v, np.shape(x)).copy() if np.ndim(x) else v
+        return np.full(np.shape(x), v) if np.ndim(x) else v
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,7 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
         # (velocity, whether every probe lies in the window). A probe
         # outside is clamped into it (NaN to the lower edge) so the
         # provider sees only valid points; its member dies this step.
-        if lo <= probe.min() and probe.max() <= hi:
+        if lo <= np.minimum.reduce(probe) and np.maximum.reduce(probe) <= hi:
             return provider.evaluate(probe, ts), True
         return provider.evaluate(np.fmin(np.fmax(probe, lo), hi), ts), False
 
@@ -261,7 +266,7 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
         p4 = x + dt * k3
         k4, in4 = velocity(p4, t[i] + dt)
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x_lo, x_hi = x_new.min(), x_new.max()
+        x_lo, x_hi = np.minimum.reduce(x_new), np.maximum.reduce(x_new)
         if in2 and in3 and in4 and lo <= x_lo and x_hi <= hi and np.isfinite(x_lo + x_hi):
             positions[rows, i + 1] = x_new
             x = x_new

@@ -245,11 +245,13 @@ class TestRunOutputs:
         assert len(calls) == out.metrics["members"] == 5
 
     def test_runner_error_recorded_as_failed(self, tmp_path):
-        # A configured grid far from the packet: the amplitude underflows
-        # to zero there and init_hierarchy raises a ValueError.
+        # A configured grid far from the packet: the comparison window
+        # holds no node, and the runner raises a ValueError before any
+        # table is written.
         out = run_cfg(tmp_path, experiment="hierarchy-convergence", grid_x_min=50, grid_x_max=60)
         assert out.status == "failed"
-        assert out.error.startswith("ValueError: amplitude must be strictly positive")
+        assert out.error.startswith("ValueError: the comparison window")
+        assert out.files == {}
         manifest = json.loads(out.manifest_path.read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"] == out.error
@@ -380,9 +382,30 @@ class TestCli:
         assert cli_main(["validate", path]) == 0
         capsys.readouterr()
         assert cli_main(["run", path]) == 3
-        assert capsys.readouterr().err.startswith("run failed: ValueError: amplitude must be strictly positive")
+        assert capsys.readouterr().err.startswith("run failed: ValueError: the comparison window")
         manifest = json.loads((out_dir / "hierarchy-convergence" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
+
+    def test_empty_comparison_window_fails_before_any_table(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = self.write_cfg(
+            tmp_path,
+            {
+                "experiment": "residuals",
+                "model": "free",
+                "grid_x_min": 50,
+                "grid_x_max": 60,
+                "output_dir": str(out_dir),
+            },
+        )
+        assert cli_main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ValueError: the comparison window [")
+        assert "holds no node of the grid [50, 60] (401 points)" in err
+        run_dir = out_dir / "residuals"
+        assert not (run_dir / "residuals.csv").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
+        assert json.loads((run_dir / "manifest.json").read_text())["status"] == "failed"
 
     @pytest.mark.parametrize("model", ["free", "harmonic"])
     @pytest.mark.parametrize("experiment", EXPERIMENTS)

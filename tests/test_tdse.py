@@ -1,5 +1,13 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import wkbohm
 
 from wkbohm.analytic import (
     GaussianPacketSpec,
@@ -16,6 +24,7 @@ from wkbohm.errors import EdgeContamination
 from wkbohm.numerics import ComplexField, Grid1D, derivative_values
 from wkbohm.potentials import Potential
 from wkbohm.tdse import (
+    CrankNicolsonSolver,
     TdseState,
     ensure_oracle_domain,
     oracle_velocity,
@@ -133,6 +142,60 @@ class TestCrankNicolson:
         assert len(snaps) == 5
         assert snaps[0].time == 0.0
         assert snaps[-1].time == pytest.approx(0.1)
+
+
+class TestTridiagonalStep:
+    """The LAPACK tridiagonal step against dense linear algebra."""
+
+    @pytest.mark.parametrize("model", ["free", "harmonic"])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_step_matches_dense_solve(self, model, dt):
+        params = PhysParams(0.7, 1.3)
+        grid = Grid1D(-8.0, 8.0, 64)
+        x = grid.nodes
+        potential = Potential.free() if model == "free" else Potential.harmonic(params.mass, 1.7)
+        lap = (np.diag(np.full(63, 1.0), -1) - 2.0 * np.eye(64) + np.diag(np.full(63, 1.0), 1)) / grid.dx**2
+        h = -(params.hbar**2) / (2.0 * params.mass) * lap + np.diag(potential.value(x))
+        a = 1j * dt / (2.0 * params.hbar)
+        backward, forward = np.eye(64) + a * h, np.eye(64) - a * h
+        psi = np.exp(-((x - 0.4) ** 2) / 1.2 + 1.5j * x)
+        solver = CrankNicolsonSolver(grid, potential, params, dt)
+        for _ in range(3):
+            expected = np.linalg.solve(backward, forward @ psi)
+            got = solver.step_values(psi.copy(), 0.0)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            psi = expected
+
+    def test_step_leaves_its_input_alone(self):
+        grid = Grid1D(-8.0, 8.0, 64)
+        solver = CrankNicolsonSolver(grid, Potential.free(), NATURAL, 1e-2)
+        psi = np.exp(-(grid.nodes**2)) + 0j
+        before = psi.copy()
+        solver.step_values(psi, 0.0)
+        np.testing.assert_array_equal(psi, before)
+
+    @staticmethod
+    def _loaded_scipy_modules(code):
+        # A fresh interpreter that finds the same wkbohm this test imported.
+        script = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        source_root = str(Path(wkbohm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+        return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+    def test_package_import_loads_no_scipy(self):
+        assert self._loaded_scipy_modules("import wkbohm, wkbohm.tdse") == []
+
+    def test_solver_loads_lapack_but_not_scipy_sparse(self):
+        loaded = self._loaded_scipy_modules(
+            "from wkbohm.analytic import PhysParams\n"
+            "from wkbohm.numerics import Grid1D\n"
+            "from wkbohm.potentials import Potential\n"
+            "from wkbohm.tdse import CrankNicolsonSolver\n"
+            "CrankNicolsonSolver(Grid1D(-1.0, 1.0, 16), Potential.free(), PhysParams(1.0, 1.0), 0.1)"
+        )
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
 class TestPolarDecompose:

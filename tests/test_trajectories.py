@@ -520,6 +520,38 @@ class TestInvariantObjects:
         with pytest.raises(ValueError):
             Ensemble(members=[a, b])
 
+    @staticmethod
+    def _member(times, x0=0.0):
+        return Trajectory(times=times, positions=np.full(times.size, x0), x0=x0, source="classical")
+
+    def test_ensemble_accepts_views_and_copies_of_the_grid(self):
+        t = np.linspace(0.0, 1.0, 11)
+        members = [self._member(t), self._member(t[:11], 1.0), self._member(t[:4], 2.0),
+                   self._member(t[:7].copy(), 3.0)]
+        assert Ensemble(members=members).times is t
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda t: t[1:6],  # same array, shifted start
+            lambda t: t[::2],  # same start, other stride
+            lambda t: t[:6] * (1.0 + 1e-15),  # a separate array, one ulp off
+            lambda t: np.linspace(0.0, 2.0, 11)[:5],  # another grid
+        ],
+    )
+    def test_ensemble_rejects_a_mismatched_grid(self, other):
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match="share one time grid"):
+            Ensemble(members=[self._member(t), self._member(t[:11], 1.0), self._member(other(t), 2.0)])
+
+    def test_oscillator_field_fills_the_query_shape(self):
+        field = OscillatorVelocityField(OscillatorSpec(params=NATURAL, omega=1.3, a=0.7))
+        x = np.linspace(-1.0, 1.0, 9).reshape(3, 3)
+        v = field.evaluate(x, 0.4)
+        assert v.shape == x.shape and v.flags.writeable
+        np.testing.assert_array_equal(v, np.broadcast_to(field.evaluate(0.0, 0.4), x.shape))
+        assert np.ndim(field.evaluate(0.25, 0.4)) == 0
+
 
 class TestDivergenceOnset:
     def test_quantum_classical_gap_grows_quadratically(self):
