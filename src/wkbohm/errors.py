@@ -22,7 +22,31 @@ class NonFiniteFieldError(WkbohmError):
 
 
 class NumericalAbort(WkbohmError):
-    """A propagation was stopped before reaching its requested end time."""
+    """A propagation was stopped before reaching its requested end time.
+
+    Optional fields locate the abort: the hierarchy order and grid node
+    that failed, the node's x, the time t, and the value that crossed
+    the limit. Each is None when the guard does not know it.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        order: int | None = None,
+        node: int | None = None,
+        x: float | None = None,
+        t: float | None = None,
+        value: float | None = None,
+        limit: float | None = None,
+    ):
+        super().__init__(message)
+        self.order = order
+        self.node = node
+        self.x = x
+        self.t = t
+        self.value = value
+        self.limit = limit
 
 
 class CflViolation(NumericalAbort):

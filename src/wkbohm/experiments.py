@@ -21,6 +21,7 @@ from .analytic import free_packet_asymptotic_velocity, free_packet_trajectory
 from .config import Model, RunConfig, build_model, config_dict
 from .errors import NumericalAbort, WkbohmError
 from .hierarchy import (
+    HierarchyState,
     PolarFields,
     complex_velocity_residual,
     init_hierarchy,
@@ -251,12 +252,32 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
     orders = sorted({1, cfg.order, cfg.order + 2})
     r_exact, s_exact = model.modulus(x, t_end), model.action(x, t_end)
 
+    # The hierarchy is triangular: rows 0..n of a higher-order run are
+    # an order-n run, bit for bit. So propagate once at the top order
+    # and read each lower truncation from the leading rows. An abort at
+    # order m fails every configured order >= m at the same step; step
+    # down to the highest order below m and propagate again. Once the
+    # orders that finished are written, the abort of the lowest failed
+    # attempt is raised: of all configured orders that abort, it is the
+    # lowest one's error.
+    top, failure = orders[-1], None
+    while True:
+        try:
+            stack = propagate_hierarchy(
+                init_hierarchy(psi0, top), model.potential, dt, n_steps, params=params
+            )
+            break
+        except NumericalAbort as exc:
+            below = [o for o in orders if exc.order is not None and o < exc.order]
+            if not below:
+                raise
+            top, failure = below[-1], exc
+
     field_rows = []
     summary_rows = []
     errors = {}
-    for order in orders:
-        state = init_hierarchy(psi0, order)
-        state = propagate_hierarchy(state, model.potential, dt, n_steps, params=params)
+    for order in (o for o in orders if o <= top):
+        state = HierarchyState(grid, stack.values[: order + 1], time=stack.time)
         polar = reconstruct_polar(state, params)
         ds = polar.S.values - s_exact
         err_s = float(np.max(np.abs(ds)[window]))
@@ -286,6 +307,8 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
             ],
             summary_rows,
         )
+    if failure is not None:
+        raise failure
     out.metrics = {
         "t_end": t_end,
         "orders": orders,

@@ -53,7 +53,8 @@ class PolarFields:
     """Amplitude R > 0 and real action S of a nodeless state.
 
     `invalid_nodes` is normally None; reconstruction marks nodes whose
-    amplitude overflowed instead of silently clipping them.
+    amplitude overflowed, or underflowed to zero, instead of silently
+    clipping them.
     """
 
     R: RealField
@@ -85,7 +86,9 @@ class HierarchyState:
             raise ValueError("need at least the order-0 field")
         if not np.all(np.isfinite(v)):
             o, i = np.argwhere(~np.isfinite(v))[0]
-            raise NumericalAbort(f"non-finite hierarchy field: order {o}, node {i}")
+            raise NumericalAbort(
+                f"non-finite hierarchy field: order {o}, node {i}", order=int(o), node=int(i)
+            )
 
     @property
     def order(self) -> int:
@@ -125,11 +128,14 @@ def _rhs_values(
     laps = second_derivative_values(values[:-1], dx)
     out = np.empty_like(values)
     out[0] = -grads[0] ** 2 / (2.0 * mass) - potential_values
-    for n in range(1, values.shape[0]):
-        conv = np.zeros(values.shape[1])
-        for k in range(n + 1):
-            conv += grads[k] * grads[n - k]
-        out[n] = -(conv + laps[n - 1]) / (2.0 * mass)
+    # Row n-1 of conv is sum_k grads[k] grads[n-k], its terms added in
+    # increasing k from zero, with one array operation per k.
+    top = values.shape[0] - 1
+    conv = np.zeros((top, values.shape[1]))
+    for k in range(top + 1):
+        lo = max(1, k)
+        conv[lo - 1:] += grads[k] * grads[lo - k:top + 1 - k]
+    out[1:] = -(conv + laps) / (2.0 * mass)
     return out
 
 
@@ -145,25 +151,35 @@ def hierarchy_rhs(state: HierarchyState, potential: Potential, params: PhysParam
     return _rhs_values(state.values, grads, dx, potential.value(state.grid.nodes), mass)
 
 
-def _check_cfl(grads0: np.ndarray, dx: float, dt: float, mass: float, time: float) -> None:
+def _check_cfl(grads0: np.ndarray, grid: Grid1D, dt: float, mass: float, time: float) -> None:
     vmax = float(np.max(np.abs(grads0))) / mass
-    if vmax > 0 and dt > CFL_SAFETY * dx / vmax:
+    if not vmax > 0:
+        return
+    bound = CFL_SAFETY * grid.dx / vmax
+    if dt > bound:
+        i = int(np.argmax(np.abs(grads0)))
         raise CflViolation(
-            f"dt={dt:g} exceeds the advective bound {CFL_SAFETY * dx / vmax:g} "
-            f"(max speed {vmax:g}) at t={time:g}"
+            f"dt={dt:g} exceeds the advective bound {bound:g} (max speed {vmax:g}) at t={time:g}",
+            order=0, node=i, x=float(grid.nodes[i]), t=time, value=dt, limit=bound,
         )
 
 
-def _check_blowup(values: np.ndarray, grads: np.ndarray, time: float) -> None:
+def _check_blowup(values: np.ndarray, grads: np.ndarray, grid: Grid1D, time: float) -> None:
     """Orders in turn: finite fields, then gradients below the limit."""
     for n in range(values.shape[0]):
         if not np.all(np.isfinite(values[n])):
             i = int(np.flatnonzero(~np.isfinite(values[n]))[0])
-            raise NumericalAbort(f"non-finite order-{n} field at node {i}, t={time:g}")
+            raise NumericalAbort(
+                f"non-finite order-{n} field at node {i}, t={time:g}",
+                order=n, node=i, x=float(grid.nodes[i]), t=time,
+            )
         gmax = float(np.max(np.abs(grads[n])))
         if gmax > GRADIENT_BLOWUP_LIMIT:
+            i = int(np.argmax(np.abs(grads[n])))
             raise CausticDetected(
-                f"|grad| of order-{n} field reached {gmax:.3g} at t={time:g}; caustic suspected"
+                f"|grad| of order-{n} field reached {gmax:.3g} at t={time:g}; caustic suspected",
+                order=n, node=i, x=float(grid.nodes[i]), t=time,
+                value=gmax, limit=GRADIENT_BLOWUP_LIMIT,
             )
 
 
@@ -180,7 +196,8 @@ def propagate_hierarchy(
     against the current order-0 gradient; after each step all fields
     must stay finite with gradients below the blow-up threshold. The
     stack gradient taken for that check is the next step's CFL input
-    and its first rk4 stage.
+    and its first rk4 stage. The whole stack is tested at once; only a
+    failing test walks the orders to name the first one that failed.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -199,7 +216,7 @@ def propagate_hierarchy(
 
     grads = derivative_values(v, dx)
     for _ in range(n_steps):
-        _check_cfl(grads[0], dx, dt, mass, t)
+        _check_cfl(grads[0], grid, dt, mass, t)
         k1 = rhs(v, grads)
         k2 = rhs(v + 0.5 * dt * k1)
         k3 = rhs(v + 0.5 * dt * k2)
@@ -209,7 +226,9 @@ def propagate_hierarchy(
         # A non-finite order is reported by the check, not as a warning.
         with np.errstate(invalid="ignore", over="ignore"):
             grads = derivative_values(v, dx)
-        _check_blowup(v, grads, t)
+            healthy = np.isfinite(v).all() and np.abs(grads).max() <= GRADIENT_BLOWUP_LIMIT
+        if not healthy:
+            _check_blowup(v, grads, grid, t)
     return HierarchyState(grid, v, time=t)
 
 
@@ -234,8 +253,9 @@ def reconstruct_polar(state: HierarchyState, params: PhysParams) -> PolarFields:
 
     Odd orders build ln R with alternating hbar^2 weights, even orders
     build S. Truncation at order 1 is the plain WKB pair
-    (R = exp(s1), S = s0). Amplitude overflow is flagged per node and
-    the result marked invalid rather than silently clipped.
+    (R = exp(s1), S = s0). Amplitude overflow and underflow to zero
+    are flagged per node in `invalid_nodes`; such nodes hold the
+    largest or the smallest positive double instead of inf or 0.
     """
     if state.order < 1:
         raise ValueError("amplitude reconstruction needs order >= 1")
@@ -246,13 +266,14 @@ def reconstruct_polar(state: HierarchyState, params: PhysParams) -> PolarFields:
         s += (-1.0) ** (n // 2) * hbar**n * state.values[n]
     for n in range(1, state.order + 1, 2):
         log_r += (-1.0) ** ((n - 1) // 2) * hbar ** (n - 1) * state.values[n]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         r = np.exp(log_r)
-    bad = ~np.isfinite(r)
+    over, under = ~np.isfinite(r), r == 0.0
+    bad = over | under
     invalid = None
     if bad.any():
         invalid = np.flatnonzero(bad)
-        r = np.where(bad, np.finfo(float).max, r)
+        r = np.where(over, np.finfo(float).max, np.where(under, np.finfo(float).tiny, r))
     return PolarFields(
         R=RealField(state.grid, r, state.time),
         S=RealField(state.grid, s, state.time),

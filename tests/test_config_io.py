@@ -271,6 +271,122 @@ class TestRunOutputs:
         assert manifest["error"] == "TypeError: broken runner"
 
 
+def fields_by_order(run_dir):
+    """{order: (S_reconstructed, R_reconstructed)} parsed from fields.csv."""
+    lines = (run_dir / "fields.csv").read_text().splitlines()[1:]
+    rows = np.array([[float(c) for c in line.split(",")] for line in lines])
+    return {
+        int(o): (rows[rows[:, 0] == o, 2], rows[rows[:, 0] == o, 4])
+        for o in np.unique(rows[:, 0])
+    }
+
+
+class TestHierarchyConvergence:
+    """One propagation at the top order serves every lower truncation."""
+
+    @staticmethod
+    def run_counted(tmp_path, monkeypatch, doc):
+        from wkbohm import experiments
+
+        calls = []
+        original = experiments.propagate_hierarchy
+
+        def counted(state, potential, dt, n_steps, params=None):
+            calls.append((state, potential, dt, n_steps, params))
+            return original(state, potential, dt, n_steps, params=params)
+
+        monkeypatch.setattr(experiments, "propagate_hierarchy", counted)
+        cfg = parse_config(json.dumps({"experiment": "hierarchy-convergence", **doc}))
+        return cfg, run_experiment(cfg, out_dir=str(tmp_path)), calls
+
+    @staticmethod
+    def standalone(cfg, call, order):
+        """reconstruct_polar(propagate_hierarchy(init_hierarchy(psi0, order), ...))."""
+        from wkbohm.config import build_model
+        from wkbohm.hierarchy import (
+            PolarFields, init_hierarchy, propagate_hierarchy, reconstruct_polar,
+        )
+        from wkbohm.numerics import RealField
+
+        state, potential, dt, n_steps, params = call
+        model = build_model(cfg)
+        grid = state.grid
+        x = grid.nodes
+        psi0 = PolarFields(
+            R=RealField(grid, model.modulus(x, 0.0)), S=RealField(grid, model.action(x, 0.0))
+        )
+        stack = propagate_hierarchy(
+            init_hierarchy(psi0, order), potential, dt, n_steps, params=params
+        )
+        return reconstruct_polar(stack, params)
+
+    @pytest.mark.parametrize(
+        "doc, n_calls, error, orders",
+        [
+            ({"model": "free"}, 1, None, [1, 3, 5]),
+            ({"model": "harmonic"}, 1, None, [1, 3, 5]),
+            # Order 5 aborts; the order-3 rerun serves orders 1 and 3.
+            ({"model": "harmonic", "t_max": 1.1, "order": 3}, 2,
+             "CausticDetected: |grad| of order-5 field reached 1e+06 at t=1.02; "
+             "caustic suspected", [1, 3]),
+        ],
+    )
+    def test_lower_orders_are_the_leading_rows_of_one_run(
+        self, tmp_path, monkeypatch, doc, n_calls, error, orders
+    ):
+        cfg, out, calls = self.run_counted(tmp_path, monkeypatch, doc)
+        assert out.status == ("ok" if error is None else "aborted")
+        assert out.error == error
+        assert len(calls) == n_calls
+        assert [c[0].order for c in calls] == [5, 3][:n_calls]
+        written = fields_by_order(out.out_dir)
+        assert sorted(written) == orders
+        summary = (out.out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in summary] == orders
+        for order in orders:
+            polar = self.standalone(cfg, calls[0], order)
+            assert np.array_equal(written[order][0], polar.S.values)
+            assert np.array_equal(written[order][1], polar.R.values)
+
+    def test_abort_below_every_order_raises_the_order_1_error(self, tmp_path, monkeypatch):
+        # The order-5 run hits a caustic, the order-3 rerun a CFL
+        # violation at order 0: nothing is written, and the error is the
+        # one a standalone order-1 run raises.
+        from wkbohm.errors import CflViolation
+
+        cfg, out, calls = self.run_counted(
+            tmp_path, monkeypatch, {"model": "harmonic", "t_max": 1.56, "order": 3}
+        )
+        assert out.status == "aborted"
+        assert [c[0].order for c in calls] == [5, 3]
+        with pytest.raises(CflViolation) as abort:
+            self.standalone(cfg, calls[0], 1)
+        assert out.error == f"CflViolation: {abort.value}"
+        assert out.files == {}
+        assert sorted(p.name for p in out.out_dir.iterdir()) == ["manifest.json"]
+
+    def test_underflowed_amplitude_is_written_not_failed(self, tmp_path):
+        # The order-3 log R reaches about -884 at t = 1.15, below the
+        # double range of exp; the run keeps orders 1 and 3 and then
+        # aborts at order 5.
+        out_dir = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"experiment": "hierarchy-convergence", "model": "harmonic", "t_max": 1.15,
+             "order": 3, "output_dir": str(out_dir)}
+        ))
+        assert cli_main(["run", str(path)]) == 3
+        run_dir = out_dir / "hierarchy-convergence"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "aborted"
+        assert manifest["error"].startswith("CausticDetected: |grad| of order-5 field")
+        summary = (run_dir / "summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in summary] == ["1", "3"]
+        written = fields_by_order(run_dir)
+        assert sorted(written) == [1, 3]
+        assert all(np.all(r > 0) for _, r in written.values())
+
+
 class TestUnitCoherence:
     def test_dimensionless_reports_invariant_under_unit_change(self, tmp_path):
         # Same physics in natural and in SI-like units: u values, KS

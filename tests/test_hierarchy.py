@@ -4,6 +4,7 @@ import pytest
 from wkbohm.analytic import PhysParams, free_packet_wavefunction, GaussianPacketSpec
 from wkbohm.errors import CausticDetected, CflViolation, NumericalAbort
 from wkbohm.hierarchy import (
+    GRADIENT_BLOWUP_LIMIT,
     HierarchyState,
     PolarFields,
     complex_action,
@@ -19,7 +20,13 @@ from wkbohm.hierarchy import (
     reconstruct_polar,
     truncated_velocity_field,
 )
-from wkbohm.numerics import ComplexField, Grid1D, RealField
+from wkbohm.numerics import (
+    ComplexField,
+    Grid1D,
+    RealField,
+    derivative_values,
+    second_derivative_values,
+)
 from wkbohm.potentials import Potential
 
 NATURAL = PhysParams(1.0, 1.0)
@@ -100,6 +107,27 @@ class TestInit:
 
 
 class TestRhs:
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_matches_the_row_by_row_sum_bitwise(self, order):
+        # Each row's convolution adds its terms in increasing k from zero.
+        grid = Grid1D(-6, 6, 97)
+        x = grid.nodes
+        values = np.array([np.sin((n + 1) * x) + 0.1 * n * x**2 for n in range(order + 1)])
+        state = HierarchyState(grid, values)
+        potential = Potential.harmonic(1.3, 0.7)
+        mass = 1.3
+        grads = derivative_values(values, grid.dx)
+        laps = second_derivative_values(values, grid.dx)
+        expected = np.empty_like(values)
+        expected[0] = -grads[0] ** 2 / (2.0 * mass) - potential.value(x)
+        for n in range(1, order + 1):
+            conv = np.zeros(x.size)
+            for k in range(n + 1):
+                conv += grads[k] * grads[n - k]
+            expected[n] = -(conv + laps[n - 1]) / (2.0 * mass)
+        rhs = hierarchy_rhs(state, potential, PhysParams(1.0, mass))
+        assert np.array_equal(rhs, expected)
+
     def test_free_gaussian_hand_values(self):
         # Hand substitution into the hierarchy equations with
         # s0 = p0 x and s1 = -x^2/4s0^2 + const:
@@ -284,6 +312,18 @@ class TestPropagation:
         with pytest.raises(error) as abort:
             propagate_hierarchy(before, potential, dt, 1, params=NATURAL)
         assert str(abort.value) == message
+        order, t = {"harmonic-2": (0, 1.28), "harmonic-5": (5, 1.207), "focusing": (0, 1.2)}[case]
+        assert abort.value.order == order
+        assert abort.value.t == pytest.approx(t, rel=1e-12)
+        node = abort.value.node
+        assert abort.value.x == grid.nodes[node]
+        if error is CflViolation:
+            # The bound is crossed where the order-0 speed peaks.
+            speed = np.abs(derivative_values(before.values[0], grid.dx))
+            assert speed[node] == speed.max()
+            assert abort.value.value == dt > abort.value.limit
+        else:
+            assert abort.value.value > abort.value.limit == GRADIENT_BLOWUP_LIMIT
 
     def test_cfl_violation_rejected_before_stepping(self):
         grid = Grid1D(-5, 5, 101)
@@ -301,6 +341,23 @@ class TestPropagation:
         with pytest.raises(CausticDetected):
             propagate_hierarchy(state, Potential.free(), 1e-9, 1, params=NATURAL)
 
+    def test_blowup_names_the_lowest_failing_order(self):
+        # The stack is tested as a whole; the abort still names the
+        # first order, in increasing order, that broke the limit. The
+        # top order stays below it.
+        grid = Grid1D(-5, 5, 101)
+        values = np.zeros((5, grid.n_points))
+        values[4] = 5e5 * grid.nodes
+        values[3] = 5e6 * grid.nodes
+        values[2] = 2e6 * np.sin(grid.nodes)
+        state = HierarchyState(grid, values)
+        with pytest.raises(CausticDetected) as abort:
+            propagate_hierarchy(state, Potential.free(), 1e-9, 1, params=NATURAL)
+        assert str(abort.value).startswith("|grad| of order-2 field reached 2e+06")
+        assert abort.value.order == 2
+        assert abort.value.node == 50
+        assert abort.value.limit == GRADIENT_BLOWUP_LIMIT
+
     def test_order_zero_decoupled_bitwise(self):
         grid = Grid1D(-8, 8, 161)
         base = init_hierarchy(gaussian_polar(grid), 4)
@@ -313,14 +370,18 @@ class TestPropagation:
         assert not np.array_equal(out_a.values[2], out_b.values[2])
 
     def test_truncation_is_self_consistent_bitwise(self):
-        # Orders 0..3 of an order-5 run equal an order-3 run exactly:
+        # Orders 0..n of a higher-order run equal an order-n run exactly:
         # no feedback from the discarded orders.
         grid = Grid1D(-8, 8, 161)
-        low = init_hierarchy(gaussian_polar(grid), 3)
-        high = init_hierarchy(gaussian_polar(grid), 5)
-        out_low = propagate_hierarchy(low, Potential.free(), 1e-3, 80, params=NATURAL)
-        out_high = propagate_hierarchy(high, Potential.free(), 1e-3, 80, params=NATURAL)
-        assert np.array_equal(out_low.values, out_high.values[:4])
+        for potential in (Potential.free(), Potential.harmonic(1.0, 1.0)):
+            for low_order, high_order in ((3, 5), (1, 7)):
+                low = init_hierarchy(gaussian_polar(grid), low_order)
+                high = init_hierarchy(gaussian_polar(grid), high_order)
+                out_low = propagate_hierarchy(low, potential, 1e-3, 80, params=NATURAL)
+                out_high = propagate_hierarchy(high, potential, 1e-3, 80, params=NATURAL)
+                assert np.array_equal(out_low.values, out_high.values[: low_order + 1]), (
+                    potential.kind, low_order, high_order,
+                )
 
 
 class TestReconstruction:
@@ -338,6 +399,17 @@ class TestReconstruction:
         polar = reconstruct_polar(HierarchyState(grid, values), NATURAL)
         assert polar.invalid_nodes is not None
         assert 20 in polar.invalid_nodes
+
+    def test_underflow_flagged_per_node(self):
+        grid = Grid1D(-5, 5, 64)
+        values = np.zeros((2, grid.n_points))
+        values[1, [0, 20]] = -900.0  # exp underflows to zero
+        values[1, 30] = 800.0
+        polar = reconstruct_polar(HierarchyState(grid, values), NATURAL)
+        assert polar.invalid_nodes.tolist() == [0, 20, 30]
+        assert polar.R.values[0] == polar.R.values[20] == np.finfo(float).tiny
+        assert polar.R.values[30] == np.finfo(float).max
+        assert np.all(polar.R.values > 0)
 
     def test_modulus_error_scales_with_hbar_squared(self):
         # Order-1 reconstruction freezes the amplitude; the gap to the
