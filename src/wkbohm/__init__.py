@@ -2,9 +2,10 @@
 
 The package propagates the coupled hierarchy of real action fields
 whose order-0 member is the classical action, reconstructs amplitude
-and phase at any hbar, and integrates Bohmian and classical
-trajectories through analytic, hierarchy-built, or grid-Schrodinger
-velocity fields. Closed-form benchmarks (spreading free packet,
+and phase at any hbar, and integrates Bohmian trajectories through
+analytic, hierarchy-built, or grid-Schrodinger velocity fields. The
+potential is V = k x^2 / 2: the free particle at k = 0, the harmonic
+oscillator at k = m omega^2. Closed-form benchmarks (spreading free packet,
 coherent oscillator packet) and a Crank-Nicolson oracle cross-check
 every layer.
 """
@@ -43,7 +44,6 @@ from .hierarchy import (
     HierarchyState,
     PolarFields,
     complex_action,
-    complex_action_from_wavefunction,
     complex_velocity_residual,
     hierarchy_rhs,
     hierarchy_wavefunction,
@@ -62,14 +62,12 @@ from .numerics import (
     cubic_cell_table,
     cubic_interpolate,
     double_factorial,
-    rk4_step,
 )
 from .potentials import Potential
 from .tdse import (
     CrankNicolsonSolver,
     TdseState,
     oracle_velocity,
-    polar_decompose,
     tdse_propagate,
     tdse_propagate_collecting,
 )
@@ -85,7 +83,6 @@ from .trajectories import (
     equivariance_check,
     fit_asymptotic_velocity,
     integrate_bohmian,
-    integrate_classical,
     integrate_ensemble,
     ks_distance,
     sample_initial_positions,

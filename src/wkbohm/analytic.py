@@ -282,12 +282,3 @@ def ho_velocity(spec: OscillatorSpec, t):
 def ho_trajectory(spec: OscillatorSpec, x0: float, t):
     """x(t) = (x0 - a) + a cos(omega t): all trajectories stay parallel."""
     return (x0 - spec.a) + spec.a * np.cos(spec.omega * np.asarray(t, dtype=float))
-
-
-def unwrap_phase(values: np.ndarray) -> np.ndarray:
-    """Left-to-right 1D phase unwrap of complex samples.
-
-    Adds multiples of 2 pi whenever consecutive node phases jump by
-    more than pi; adequate for the nodeless states used here.
-    """
-    return np.unwrap(np.angle(np.asarray(values)))

@@ -6,8 +6,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical abort
 ("numerical abort: ...") or failed run ("run failed: ...", for example
-a configured grid that misses the packet). On exit 3 the manifest
-records status "aborted" or "failed" and the error's type and message.
+a configured grid that misses the packet, or a run directory that
+cannot be created). On exit 3 the manifest records status "aborted" or
+"failed" and the error's type and message; a run directory that cannot
+be created gets no manifest.
 The WKBOHM_OUTPUT_DIR environment variable overrides the config's
 output directory; the --output-dir flag overrides both.
 """
@@ -19,7 +21,7 @@ import os
 import sys
 
 from .config import EXPERIMENTS, load_config, serialize_config
-from .errors import ConfigError, NumericalAbort
+from .errors import ConfigError, WkbohmError
 from .experiments import run_experiment
 
 OUTPUT_DIR_ENV = "WKBOHM_OUTPUT_DIR"
@@ -65,8 +67,8 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or None
     try:
         result = run_experiment(cfg, out_dir=out_dir)
-    except NumericalAbort as exc:  # defensive; run_experiment normally records aborts
-        print(f"numerical abort: {exc}", file=sys.stderr)
+    except WkbohmError as exc:  # the run directory could not be created
+        print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"wrote {result.manifest_path}")
     if result.status == "aborted":

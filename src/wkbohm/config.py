@@ -272,7 +272,16 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("key 'output_dir' must be a non-empty string")
         out["output_dir"] = raw["output_dir"]
 
-    return RunConfig(**out)
+    cfg = RunConfig(**out)
+    # The model's derived scales (sigma0^2, m omega^2, ...) can overflow
+    # for finite keys; such a config is invalid, not a failed run.
+    try:
+        build_model(cfg)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(
+            f"model {cfg.model!r} cannot be built from this config: {type(exc).__name__}: {exc}"
+        ) from exc
+    return cfg
 
 
 def load_config(path) -> RunConfig:

@@ -61,22 +61,27 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     """Execute the configured experiment under its output directory.
 
     Numerical aborts (caustic, CFL, window exits) are recorded in the
-    manifest as status "aborted", and any other package error or
-    ValueError from the runner (for example a grid that misses the
-    packet) as status "failed", with its type and message; partial
-    outputs are retained and neither raises. Any other exception (a
-    defect, or an interrupt) is recorded as "failed" too and re-raised,
-    so the manifest never stays at "running".
+    manifest as status "aborted", and any other package error,
+    ValueError or ArithmeticError from the runner (for example a grid
+    that misses the packet, or a float overflow) as status "failed",
+    with its type and message; partial outputs are retained and neither
+    raises. Any other exception (a defect, or an interrupt) is recorded
+    as "failed" too and re-raised, so the manifest never stays at
+    "running". A run directory that cannot be created, or whose first
+    manifest cannot be written, raises `WkbohmError` naming the path.
     """
     base = Path(out_dir if out_dir is not None else cfg.output_dir)
     run_dir = base / cfg.experiment
-    run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
     out = RunOutput(out_dir=run_dir, manifest_path=manifest_path)
 
     model = build_model(cfg)
     started = _utc_now()
-    _write_manifest(manifest_path, cfg, model, started, None, out, status="running")
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_manifest(manifest_path, cfg, model, started, None, out, status="running")
+    except OSError as exc:
+        raise WkbohmError(f"cannot create run directory {str(run_dir)!r}: {exc}") from exc
 
     runner = {
         "figure1-short": _run_figure1_short,
@@ -90,7 +95,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     except BaseException as exc:
         out.status = "aborted" if isinstance(exc, NumericalAbort) else "failed"
         out.error = f"{type(exc).__name__}: {exc}"
-        if not isinstance(exc, (WkbohmError, ValueError)):
+        if not isinstance(exc, (WkbohmError, ValueError, ArithmeticError)):
             _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)
             raise
     _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)

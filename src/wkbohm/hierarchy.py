@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import PhysParams, unwrap_phase
+from .analytic import PhysParams
 from .errors import CausticDetected, CflViolation, NumericalAbort
 from .numerics import (
     ComplexField,
@@ -290,34 +290,10 @@ def complex_action(state: HierarchyState, params: PhysParams) -> ComplexField:
     return ComplexField(state.grid, values, state.time)
 
 
-def complex_action_rate(
-    state: HierarchyState, potential: Potential, params: PhysParams
-) -> ComplexField:
-    """Time derivative of the complex action, assembled from the hierarchy."""
-    rates = hierarchy_rhs(state, potential, params)
-    weights = (params.hbar / 1j) ** np.arange(state.order + 1)
-    return ComplexField(state.grid, np.tensordot(weights, rates, axes=(0, 0)), state.time)
-
-
 def hierarchy_wavefunction(state: HierarchyState, params: PhysParams) -> ComplexField:
     """psi = exp(i S / hbar) from the recombined complex action."""
     sbar = complex_action(state, params)
     return ComplexField(state.grid, np.exp(1j * sbar.values / params.hbar), state.time)
-
-
-def complex_action_from_wavefunction(psi: ComplexField, params: PhysParams) -> ComplexField:
-    """Invert psi = exp(i S / hbar) by modulus and unwrapped phase.
-
-    Defined modulo a space-independent real constant (the overall
-    phase of psi), which is exactly the freedom the ansatz leaves.
-    """
-    modulus = np.abs(psi.values)
-    if np.any(modulus <= 0):
-        bad = int(np.flatnonzero(modulus <= 0)[0])
-        raise ValueError(f"wavefunction modulus vanishes at node {bad}")
-    phase = unwrap_phase(psi.values)
-    values = params.hbar * phase - 1j * params.hbar * np.log(modulus)
-    return ComplexField(psi.grid, values, psi.time)
 
 
 def truncated_velocity_field(
@@ -357,7 +333,7 @@ def _middle(fields: list[ComplexField]) -> ComplexField:
 
 def qhj_residual(
     sbar: ComplexField,
-    sbar_rate: ComplexField | np.ndarray,
+    sbar_rate: np.ndarray,
     potential: Potential,
     params: PhysParams,
 ) -> RealField:
@@ -367,7 +343,7 @@ def qhj_residual(
     the supplied time derivative. Vanishes for exact solutions up to
     stencil and time-difference error.
     """
-    rate = sbar_rate.values if isinstance(sbar_rate, ComplexField) else np.asarray(sbar_rate)
+    rate = np.asarray(sbar_rate)
     dx = sbar.grid.dx
     g = derivative_values(sbar.values, dx)
     lap = second_derivative_values(sbar.values, dx)

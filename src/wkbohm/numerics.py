@@ -1,4 +1,4 @@
-"""Uniform 1D grids, 4th-order difference stencils, and ODE stepping.
+"""Uniform 1D grids, 4th-order difference stencils, and cubic interpolation.
 
 Everything here is a pure function of its inputs. Fields are thin
 wrappers around numpy arrays bound to a grid and a time stamp; the
@@ -122,25 +122,36 @@ def _edge_apply(weights: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.matmul(diffs[..., None, :], weights[..., None])[..., 0, 0]
 
 
+def _stencil(values, center: np.ndarray, edges: np.ndarray, mirror: np.ufunc) -> np.ndarray:
+    """Undivided stencil sum along the last axis, one-sided at the edges.
+
+    The right edge applies the `edges` rows mirrored, then `mirror`:
+    `np.negative` for odd derivatives, `np.positive` for even ones. A
+    sign flip, unlike a product with -1.0, keeps the signed zeros and
+    infinities of complex values.
+    """
+    v = np.asarray(values)
+    g = np.empty_like(v)
+    mid = v[..., 2:-2]
+    g[..., 2:-2] = (
+        center[0] * (v[..., :-4] - mid)
+        + center[1] * (v[..., 1:-3] - mid)
+        + center[3] * (v[..., 3:-1] - mid)
+        + center[4] * (v[..., 4:] - mid)
+    )
+    width = edges.shape[1]
+    g[..., :2] = _edge_apply(edges, v[..., :width])
+    g[..., :-3:-1] = mirror(_edge_apply(edges, v[..., : -width - 1 : -1]))
+    return g
+
+
 def derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
     """First derivative along the last axis, 4th order, one-sided at the edges.
 
     Accepts any (..., n) real or complex array; each row along the
     last axis is differentiated independently.
     """
-    v = np.asarray(values)
-    g = np.empty_like(v)
-    center = v[..., 2:-2]
-    g[..., 2:-2] = (
-        _D1_CENTER[0] * (v[..., :-4] - center)
-        + _D1_CENTER[1] * (v[..., 1:-3] - center)
-        + _D1_CENTER[3] * (v[..., 3:-1] - center)
-        + _D1_CENTER[4] * (v[..., 4:] - center)
-    )
-    g[..., :2] = _edge_apply(_D1_EDGES, v[..., :5])
-    # Mirrored one-sided stencils; first derivative flips sign.
-    g[..., :-3:-1] = -_edge_apply(_D1_EDGES, v[..., :-6:-1])
-    return g / dx
+    return _stencil(values, _D1_CENTER, _D1_EDGES, np.negative) / dx
 
 
 def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
@@ -148,41 +159,7 @@ def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
 
     Accepts any (..., n) real or complex array, like `derivative_values`.
     """
-    v = np.asarray(values)
-    g = np.empty_like(v)
-    center = v[..., 2:-2]
-    g[..., 2:-2] = (
-        _D2_CENTER[0] * (v[..., :-4] - center)
-        + _D2_CENTER[1] * (v[..., 1:-3] - center)
-        + _D2_CENTER[3] * (v[..., 3:-1] - center)
-        + _D2_CENTER[4] * (v[..., 4:] - center)
-    )
-    g[..., :2] = _edge_apply(_D2_EDGES, v[..., :6])
-    g[..., :-3:-1] = _edge_apply(_D2_EDGES, v[..., :-7:-1])
-    return g / dx**2
-
-
-def rk4_step(state, rhs, t: float, dt: float):
-    """One classical Runge-Kutta step of ds/dt = rhs(state, t).
-
-    Works on scalars and numpy arrays alike. Local error is O(dt^5)
-    for smooth right-hand sides. A non-finite stage derivative aborts
-    with the step context in the message.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    s = np.asarray(state, dtype=np.result_type(state, float))
-    stages = []
-    for c, base in ((0.0, None), (0.5, 0), (0.5, 1), (1.0, 2)):
-        probe = s if base is None else s + (c * dt) * stages[base]
-        k = np.asarray(rhs(probe, t + c * dt))
-        if not np.all(np.isfinite(k)):
-            raise NonFiniteFieldError(
-                f"rhs returned a non-finite value at t={t + c * dt!r} (stage {len(stages) + 1})"
-            )
-        stages.append(k)
-    out = s + (dt / 6.0) * (stages[0] + 2.0 * stages[1] + 2.0 * stages[2] + stages[3])
-    return out if out.shape else out[()]
+    return _stencil(values, _D2_CENTER, _D2_EDGES, np.positive) / dx**2
 
 
 def collect_snapshots(state, advance, n_steps: int, every: int) -> list:

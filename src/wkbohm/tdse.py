@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import PhysParams, unwrap_phase
+from .analytic import PhysParams
 from .errors import EdgeContamination, NumericalAbort
-from .hierarchy import PolarFields
 from .numerics import (
     ComplexField,
     Grid1D,
@@ -162,29 +161,6 @@ def _reject_nodes_in_window(modulus: np.ndarray, mask: np.ndarray, what: str) ->
             f"modulus {modulus[bad]:.3g} at node {bad} is too close to a "
             f"wavefunction node for {what}"
         )
-
-
-def polar_decompose(
-    psi: ComplexField, params: PhysParams, x_window: tuple[float, float] | None = None
-) -> PolarFields:
-    """R = |psi| and S = hbar * unwrapped phase.
-
-    S is defined modulo a space-independent constant. The modulus must
-    stay above 1e-12 on the requested window (default: whole grid);
-    phase unwrapping through a node is meaningless. Values outside the
-    window are computed best-effort, with non-positive amplitudes
-    flagged per node.
-    """
-    modulus = np.abs(psi.values)
-    mask = _window_mask(psi, x_window)
-    _reject_nodes_in_window(modulus, mask, "a polar split")
-    s = params.hbar * unwrap_phase(psi.values)
-    bad = np.flatnonzero(modulus <= 0.0)
-    return PolarFields(
-        R=RealField(psi.grid, np.where(modulus > 0.0, modulus, np.finfo(float).tiny), psi.time),
-        S=RealField(psi.grid, s, psi.time),
-        invalid_nodes=bad if bad.size else None,
-    )
 
 
 def oracle_velocity(

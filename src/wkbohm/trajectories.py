@@ -25,8 +25,7 @@ from .analytic import (
     free_packet_velocity,
     ho_velocity,
 )
-from .numerics import Grid1D, RealField, cubic_cell_evaluate, cubic_cell_table, rk4_step
-from .potentials import Potential
+from .numerics import Grid1D, RealField, cubic_cell_evaluate, cubic_cell_table
 
 SOURCES = ("analytic-free", "analytic-ho", "hierarchy", "oracle", "classical", "series")
 SAMPLING_MODES = ("quantile", "uniform", "random")
@@ -276,31 +275,6 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
         n_valid[rows[~ok]] = i + 1
         rows, x = rows[ok], x_new[ok]
     return positions, n_valid
-
-
-def integrate_classical(
-    potential: Potential,
-    x0: float,
-    v0: float,
-    t_grid,
-    mass: float = 1.0,
-    source: str = "classical",
-) -> Trajectory:
-    """Newtonian trajectory: rk4 on (x, v) with acceleration -grad(V)/m."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or (t.size > 1 and not np.all(np.diff(t) > 0)):
-        raise ValueError("t_grid must be 1D and strictly increasing")
-    xs = np.empty(t.size)
-    xs[0] = x0
-    state = np.array([x0, v0], dtype=float)
-
-    def rhs(s, _):
-        return np.array([s[1], -float(potential.gradient(s[0])) / mass])
-
-    for i in range(t.size - 1):
-        state = rk4_step(state, rhs, t[i], t[i + 1] - t[i])
-        xs[i + 1] = state[0]
-    return Trajectory(times=t, positions=xs, x0=float(x0), source=source)
 
 
 def density_cdf(density: RealField) -> tuple[np.ndarray, np.ndarray]:

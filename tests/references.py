@@ -7,6 +7,8 @@ arithmetic is unchanged.
 
 import numpy as np
 
+from wkbohm.numerics import _D1_CENTER, _D1_EDGES, _D2_CENTER, _D2_EDGES, _edge_apply
+
 
 def _inside(window, x):
     return (x >= window[0]) & (x <= window[1])
@@ -75,3 +77,43 @@ def first_crossing(x0s, positions, times):
             i = int(bad[0])
             return (int(order[i]), int(order[i + 1])), float(times[ti])
     return None
+
+
+def derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
+    """First derivative along the last axis, 4th order, one-sided at the edges.
+
+    Accepts any (..., n) real or complex array; each row along the
+    last axis is differentiated independently.
+    """
+    v = np.asarray(values)
+    g = np.empty_like(v)
+    center = v[..., 2:-2]
+    g[..., 2:-2] = (
+        _D1_CENTER[0] * (v[..., :-4] - center)
+        + _D1_CENTER[1] * (v[..., 1:-3] - center)
+        + _D1_CENTER[3] * (v[..., 3:-1] - center)
+        + _D1_CENTER[4] * (v[..., 4:] - center)
+    )
+    g[..., :2] = _edge_apply(_D1_EDGES, v[..., :5])
+    # Mirrored one-sided stencils; first derivative flips sign.
+    g[..., :-3:-1] = -_edge_apply(_D1_EDGES, v[..., :-6:-1])
+    return g / dx
+
+
+def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
+    """Second derivative along the last axis, 4th order, one-sided at the edges.
+
+    Accepts any (..., n) real or complex array, like `derivative_values`.
+    """
+    v = np.asarray(values)
+    g = np.empty_like(v)
+    center = v[..., 2:-2]
+    g[..., 2:-2] = (
+        _D2_CENTER[0] * (v[..., :-4] - center)
+        + _D2_CENTER[1] * (v[..., 1:-3] - center)
+        + _D2_CENTER[3] * (v[..., 3:-1] - center)
+        + _D2_CENTER[4] * (v[..., 4:] - center)
+    )
+    g[..., :2] = _edge_apply(_D2_EDGES, v[..., :6])
+    g[..., :-3:-1] = _edge_apply(_D2_EDGES, v[..., :-7:-1])
+    return g / dx**2

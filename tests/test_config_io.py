@@ -523,6 +523,56 @@ class TestCli:
         assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
         assert json.loads((run_dir / "manifest.json").read_text())["status"] == "failed"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"experiment": "residuals", "model": "free", "sigma0": 1e200},
+            {"experiment": "residuals", "model": "harmonic", "omega": 1e300},
+        ],
+    )
+    def test_model_scales_that_overflow_exit_2(self, tmp_path, capsys, doc):
+        # Finite keys whose derived scales (sigma0^2, m omega^2) overflow.
+        out_dir = tmp_path / "out"
+        path = self.write_cfg(tmp_path, {**doc, "output_dir": str(out_dir)})
+        with pytest.raises(ConfigError, match=f"model {doc['model']!r} cannot be built"):
+            parse_config(json.dumps(doc))
+        assert cli_main(["validate", path]) == 2
+        assert cli_main(["run", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: model")
+        assert not out_dir.exists()
+
+    def test_overflow_in_the_runner_fails_with_exit_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = self.write_cfg(
+            tmp_path,
+            {"experiment": "hierarchy-convergence", "model": "free", "hbar": 1e300,
+             "output_dir": str(out_dir)},
+        )
+        assert cli_main(["validate", path]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", path]) == 3
+        assert capsys.readouterr().err.startswith("run failed: OverflowError")
+        manifest = json.loads((out_dir / "hierarchy-convergence" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("OverflowError")
+
+    def test_run_directory_that_cannot_be_created_exits_3(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out_dir = tmp_path / "afile" / "sub"
+        path = self.write_cfg(
+            tmp_path, {"experiment": "residuals", "model": "free", "output_dir": str(out_dir)}
+        )
+        assert cli_main(["validate", path]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: cannot create run directory")
+        assert str(out_dir / "residuals") in err
+        assert (tmp_path / "afile").is_file()
+        with pytest.raises(WkbohmError, match="cannot create run directory"):
+            run_experiment(parse_config(json.dumps({"experiment": "residuals", "model": "free"})),
+                           out_dir=str(out_dir))
+
     @pytest.mark.parametrize("model", ["free", "harmonic"])
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_every_pair_runs_or_is_rejected_at_parse_time(self, tmp_path, capsys, experiment, model):

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from wkbohm.analytic import free_packet_wavefunction, ho_wavefunction, spreading, unwrap_phase
+from wkbohm.analytic import free_packet_wavefunction, ho_wavefunction, spreading
 from wkbohm.config import build_model, parse_config
 from wkbohm.experiments import _comparison_window, _grid
 from wkbohm.numerics import Grid1D
@@ -43,7 +43,7 @@ def test_modulus_and_action_match_the_wavefunction(name, extra):
         psi = WAVEFUNCTION[name](model.spec, x, t)
         assert np.max(np.abs(model.modulus(x, t) - np.abs(psi))) <= 1e-12
         # S is fixed only up to a space-independent constant.
-        ds = model.action(x, t) - cfg.hbar * unwrap_phase(psi)
+        ds = model.action(x, t) - cfg.hbar * np.unwrap(np.angle(psi))
         assert np.ptp(ds) <= 1e-12
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import references
 from references import newton_cubic
 from wkbohm.errors import NonFiniteFieldError
 from wkbohm.numerics import (
@@ -13,9 +14,9 @@ from wkbohm.numerics import (
     cubic_interpolate,
     derivative_values,
     double_factorial,
-    rk4_step,
     second_derivative_values,
 )
+from wkbohm.potentials import Potential
 
 
 def d1(grid, fn):
@@ -163,61 +164,6 @@ class TestStackedStencils:
         assert np.max(np.abs(second_derivative_values(c, grid.dx) - d2 * (1.0 - 2.0j))) <= 1e-11
 
 
-class TestRk4:
-    def test_zero_rhs(self):
-        out = rk4_step(1.0, lambda s, t: 0.0, 0.0, 0.1)
-        assert out == 1.0
-
-    def test_exponential_one_step(self):
-        # Single-step value is the degree-4 Taylor polynomial of e^0.1:
-        # 1.1051708333..., within 1e-7 of the true 1.10517091808...
-        out = rk4_step(1.0, lambda s, t: s, 0.0, 0.1)
-        assert out == pytest.approx(1.1051708333333332, abs=1e-15)
-        assert abs(out - np.exp(0.1)) <= 1e-7
-
-    def test_harmonic_orbit_closes(self):
-        state = np.array([1.0, 0.0])
-        dt = 2 * np.pi / 1000
-
-        def rhs(s, t):
-            return np.array([s[1], -s[0]])
-
-        t = 0.0
-        for _ in range(1000):
-            state = rk4_step(state, rhs, t, dt)
-            t += dt
-        assert np.max(np.abs(state - [1.0, 0.0])) <= 1e-8
-
-    def test_orbit_error_fourth_order(self):
-        def run(n_steps):
-            state = np.array([1.0, 0.0])
-            dt = 2 * np.pi / n_steps
-            t = 0.0
-            for _ in range(n_steps):
-                state = rk4_step(state, rhs, t, dt)
-                t += dt
-            return np.max(np.abs(state - [1.0, 0.0]))
-
-        def rhs(s, t):
-            return np.array([s[1], -s[0]])
-
-        errs = [run(n) for n in (200, 400, 800)]
-        for coarse, fine in zip(errs, errs[1:]):
-            assert 8.0 <= coarse / fine <= 32.0
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            rk4_step(1.0, lambda s, t: s, 0.0, 0.0)
-
-    def test_nonfinite_rhs_aborts_with_context(self):
-        def rhs(s, t):
-            return np.nan
-
-        with pytest.raises(NonFiniteFieldError) as exc:
-            rk4_step(1.0, rhs, 2.5, 0.1)
-        assert "2.5" in str(exc.value)
-
-
 class TestDoubleFactorial:
     @pytest.mark.parametrize("n,expected", [(-1, 1), (0, 1), (1, 1), (5, 15), (7, 105)])
     def test_values(self, n, expected):
@@ -310,27 +256,64 @@ class TestCubicCells:
         assert out == pytest.approx(np.sin(0.55), abs=1e-5)
 
 
-class TestPotentials:
-    def test_tabulated_matches_harmonic(self):
-        from wkbohm.potentials import Potential
+class TestStencilBody:
+    """Both stencils equal the two separate bodies they replaced, bit for bit."""
 
-        g = Grid1D(-3.0, 3.0, 121)
-        harmonic = Potential.harmonic(2.0, 1.5)
-        tab = Potential.tabulated(g, harmonic.value(g.nodes))
-        xq = np.linspace(-2.5, 2.5, 57)
-        np.testing.assert_allclose(tab.value(xq), harmonic.value(xq), atol=1e-10)
-        np.testing.assert_allclose(tab.gradient(xq), harmonic.gradient(xq), atol=1e-8)
-        assert tab.kind == "tabulated"
+    PAIRS = (
+        (derivative_values, references.derivative_values),
+        (second_derivative_values, references.second_derivative_values),
+    )
+
+    @pytest.mark.parametrize("n", [8, 9, 401])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_random_stacks(self, n, shape):
+        rng = np.random.default_rng(n + len(shape))
+        real = rng.normal(size=shape + (n,)) * 10.0 ** rng.integers(-3, 4, size=shape + (n,))
+        cplx = real + 1j * rng.normal(size=shape + (n,))
+        for values in (real, cplx):
+            for new, old in self.PAIRS:
+                a, b = new(values, 0.037), old(values, 0.037)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
+
+    def test_signed_zeros_of_constant_fields_kept(self):
+        # A constant field differences to signed zeros; the right-edge
+        # sign flip must leave them as the old bodies did.
+        for values in (np.full((2, 9), 1.5), np.full(9, 0.5 - 2.0j), np.full(9, -1.0j)):
+            for new, old in self.PAIRS:
+                assert new(values, 0.1).tobytes() == old(values, 0.1).tobytes()
+
+
+class TestPotentials:
+    def test_record_is_hashable_and_pickles(self):
+        import pickle
+
+        pots = [Potential.free(), Potential.harmonic(2.0, 1.5), Potential(0.25)]
+        assert len({*pots, Potential(0.0), Potential(4.5)}) == 3
+        for p in pots:
+            assert pickle.loads(pickle.dumps(p)) == p
+        assert Potential.free() == Potential(0.0) == Potential()
+
+    def test_harmonic_is_quadratic_in_the_stiffness(self):
+        mass, omega = 1.3, 0.7
+        pot = Potential.harmonic(mass, omega)
+        k = mass * omega**2
+        assert pot.stiffness == k
+        x = np.random.default_rng(5).normal(size=50) * 3.0
+        assert np.array_equal(pot.value(x), 0.5 * k * x**2)
+        assert np.array_equal(pot.gradient(x), k * x)
+
+    @pytest.mark.parametrize("k", [-1e-300, -2.0, np.inf, -np.inf, np.nan])
+    def test_bad_stiffness_rejected(self, k):
+        with pytest.raises(ValueError, match="stiffness"):
+            Potential(k)
 
     def test_free_potential_vanishes(self):
-        from wkbohm.potentials import Potential
-
         v = Potential.free()
         assert v.value(np.array([0.0, 2.0])).tolist() == [0.0, 0.0]
         assert v.gradient(1.3) == 0.0
 
     def test_harmonic_rejects_bad_parameters(self):
-        from wkbohm.potentials import Potential
-
         with pytest.raises(ValueError):
             Potential.harmonic(0.0, 1.0)

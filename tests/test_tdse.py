@@ -28,7 +28,6 @@ from wkbohm.tdse import (
     TdseState,
     ensure_oracle_domain,
     oracle_velocity,
-    polar_decompose,
     tdse_propagate,
     tdse_propagate_collecting,
 )
@@ -198,41 +197,6 @@ class TestTridiagonalStep:
         assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
-class TestPolarDecompose:
-    def test_real_gaussian_has_zero_phase(self):
-        _, state = free_state(half_width=10.0, n=501)
-        polar = polar_decompose(state.psi, NATURAL)
-        assert np.max(np.abs(polar.S.values)) == 0.0
-        np.testing.assert_allclose(polar.R.values, np.abs(state.psi.values), rtol=1e-15)
-
-    def test_action_of_spread_packet(self):
-        spec = GaussianPacketSpec(params=NATURAL, sigma0=1.0, p0=0.0)
-        t = 1.0  # u = 0.5
-        s = spreading(spec, t)
-        grid = Grid1D(-10, 10, 1001)
-        psi = ComplexField(grid, free_packet_wavefunction(spec, grid.nodes, t), t)
-        polar = polar_decompose(psi, NATURAL)
-        diff = polar.S.values - free_packet_action(spec, grid.nodes, t)
-        window = np.abs(grid.nodes) <= 2 * s.sigma_t
-        spread = np.max(diff[window]) - np.min(diff[window])
-        assert spread <= 1e-6 * NATURAL.hbar
-
-    def test_plane_wave_phase_gradient(self):
-        grid = Grid1D(-10, 10, 1001)
-        p0 = 1.3
-        psi = ComplexField(grid, np.exp(1j * p0 * grid.nodes))
-        polar = polar_decompose(psi, NATURAL)
-        diff = polar.S.values - p0 * grid.nodes
-        assert np.max(diff) - np.min(diff) <= 1e-9
-
-    def test_node_rejected(self):
-        grid = Grid1D(-1, 1, 101)
-        values = grid.nodes.astype(complex)  # zero at the middle node
-        psi = ComplexField(grid, values + 1e-300)
-        with pytest.raises(ValueError):
-            polar_decompose(psi, NATURAL)
-
-
 class TestOracleVelocity:
     def test_real_wavefunction_is_at_rest(self):
         _, state = free_state(half_width=10.0, n=501)
@@ -275,8 +239,8 @@ class TestOracleVelocity:
         s = spreading(spec, t)
         span = (spec.v0 * t - 2 * s.sigma_t, spec.v0 * t + 2 * s.sigma_t)
         v = oracle_velocity(psi, NATURAL, x_window=span)
-        polar = polar_decompose(psi, NATURAL, x_window=span)
-        v_from_s = derivative_values(polar.S.values, grid.dx) / NATURAL.mass
+        action = free_packet_action(spec, grid.nodes, t)
+        v_from_s = derivative_values(action, grid.dx) / NATURAL.mass
         window = np.abs(grid.nodes - spec.v0 * t) <= 2 * s.sigma_t
         # Both routes are 4th-order stencil estimates; dx^4 ~ 1.6e-7.
         assert np.max(np.abs(v.values - v_from_s)[window]) <= 1e-7

@@ -26,7 +26,6 @@ from wkbohm.trajectories import (
     equivariance_check,
     fit_asymptotic_velocity,
     integrate_bohmian,
-    integrate_classical,
     integrate_ensemble,
     integrate_ensemble_positions,
     ks_distance,
@@ -211,36 +210,6 @@ class TestEnsembleLoop:
         provider = FreePacketVelocityField(packet())
         positions, n_valid = integrate_ensemble_positions(provider, np.array([]), np.linspace(0, 1, 5))
         assert positions.shape == (0, 5) and n_valid.shape == (0,)
-
-class TestClassicalIntegration:
-    def test_free_particle_is_straight(self):
-        t = np.linspace(0, 5, 101)
-        traj = integrate_classical(Potential.free(), 1.0, 2.0, t)
-        np.testing.assert_allclose(traj.positions, 1.0 + 2.0 * t, atol=1e-12)
-        assert traj.source == "classical"
-
-    def test_harmonic_closed_orbit(self):
-        omega = 1.0
-        period = 2 * np.pi / omega
-        t = np.linspace(0, period, 1001)
-        traj = integrate_classical(Potential.harmonic(1.0, omega), 1.0, 0.0, t)
-        np.testing.assert_allclose(traj.positions, np.cos(omega * t), atol=1e-8)
-
-    def test_energy_conserved(self):
-        omega, x0 = 1.0, 1.0
-        period = 2 * np.pi / omega
-        t = np.linspace(0, period, 1001)
-        pot = Potential.harmonic(1.0, omega)
-        traj = integrate_classical(pot, x0, 0.0, t)
-        # Velocity by central differences on the dense output.
-        v = np.gradient(traj.positions, t)
-        energy = 0.5 * v**2 + pot.value(traj.positions)
-        # Endpoint derivative estimates are one-sided; check the interior.
-        drift = np.abs(energy[2:-2] - energy[0])
-        assert np.max(drift) <= 1e-4  # limited by np.gradient, not rk4
-        x_exact = x0 * np.cos(omega * t)
-        assert np.max(np.abs(traj.positions - x_exact)) <= 1e-10
-
 
 class TestSampling:
     def test_quantile_median_at_center(self):
