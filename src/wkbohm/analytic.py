@@ -19,6 +19,7 @@ Conventions worth knowing:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,11 +173,19 @@ def free_packet_modulus(spec: GaussianPacketSpec, x, t: float):
 
 
 def free_packet_velocity(spec: GaussianPacketSpec, x, t: float):
-    """Bohmian velocity field grad(S)/m of the free packet."""
-    s = spreading(spec, t)
+    """Bohmian velocity field grad(S)/m of the free packet.
+
+    The width sigma_t is formed as in `spreading`, without the record
+    and its complex width: the field is evaluated at every rk4 stage.
+    """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     p = spec.params
-    xr = np.asarray(x, dtype=float) - spec.v0 * t
-    return spec.v0 + p.hbar**2 * t / (4.0 * p.mass**2 * spec.sigma0**2 * s.sigma_t**2) * xr
+    u = p.hbar * float(t) / (2.0 * p.mass * spec.sigma0**2)
+    sigma_t = spec.sigma0 * math.sqrt(1.0 + u * u)
+    v0 = spec.v0
+    xr = np.asarray(x, dtype=float) - v0 * t
+    return v0 + p.hbar**2 * t / (4.0 * p.mass**2 * spec.sigma0**2 * sigma_t**2) * xr
 
 
 def free_packet_trajectory(spec: GaussianPacketSpec, x0: float, t):

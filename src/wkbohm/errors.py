@@ -25,8 +25,9 @@ class NumericalAbort(WkbohmError):
     """A propagation was stopped before reaching its requested end time.
 
     Optional fields locate the abort: the hierarchy order and grid node
-    that failed, the node's x, the time t, and the value that crossed
-    the limit. Each is None when the guard does not know it.
+    that failed (for an ensemble, the member that left), the node's x,
+    the time t, and the value that crossed the limit. Each is None when
+    the guard does not know it.
     """
 
     def __init__(

@@ -55,13 +55,16 @@ class RunOutput:
     metrics: dict = dc_field(default_factory=dict)
     status: str = "ok"
     error: str | None = None
+    abort: dict | None = None
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     """Execute the configured experiment under its output directory.
 
     Numerical aborts (caustic, CFL, window exits) are recorded in the
-    manifest as status "aborted", and any other package error,
+    manifest as status "aborted", with the abort's known location
+    (order, node, x, t, value, limit) in its `abort` block; any other
+    package error,
     ValueError or ArithmeticError from the runner (for example a grid
     that misses the packet, or a float overflow) as status "failed",
     with its type and message; partial outputs are retained and neither
@@ -95,11 +98,23 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     except BaseException as exc:
         out.status = "aborted" if isinstance(exc, NumericalAbort) else "failed"
         out.error = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, NumericalAbort):
+            out.abort = _abort_fields(exc)
         if not isinstance(exc, (WkbohmError, ValueError, ArithmeticError)):
             _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)
             raise
     _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)
     return out
+
+
+def _abort_fields(exc: NumericalAbort) -> dict:
+    """The abort's location fields that its guard set, as JSON numbers."""
+    kinds = {"order": int, "node": int, "x": float, "t": float, "value": float, "limit": float}
+    return {
+        name: kind(getattr(exc, name))
+        for name, kind in kinds.items()
+        if getattr(exc, name) is not None
+    }
 
 
 def _utc_now() -> str:
@@ -125,6 +140,7 @@ def _write_manifest(path, cfg, model, started, finished, out: RunOutput, status:
         "finished_utc": finished,
         "status": status,
         "error": out.error,
+        "abort": out.abort,
         "units": _unit_note(cfg, model),
         "config": config_dict(cfg),
         "files": files,
@@ -292,26 +308,27 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
         err_r = float(np.max(np.abs(polar.R.values - r_exact)[window]))
         summary_rows.append([order, err_s, err_s_offset_free, err_r])
         errors[str(order)] = {"S": err_s, "S_offset_free": err_s_offset_free, "R": err_r}
-        for xi, sv, se, rv, re_ in zip(x, polar.S.values, s_exact, polar.R.values, r_exact):
-            field_rows.append([order, float(xi), float(sv), float(se), float(rv), float(re_)])
-        # Partial outputs survive an abort at a later (higher) order.
-        _emit(
-            out, run_dir, "fields.csv",
-            [
-                ("order", "1"), ("x", "length"), ("S_reconstructed", "action"),
-                ("S_exact", "action"), ("R_reconstructed", "1/sqrt(length)"),
-                ("R_exact", "1/sqrt(length)"),
-            ],
-            field_rows,
-        )
-        _emit(
-            out, run_dir, "summary.csv",
-            [
-                ("order", "1"), ("max_err_S", "action"),
-                ("max_err_S_offset_free", "action"), ("max_err_R", "1/sqrt(length)"),
-            ],
-            summary_rows,
-        )
+        columns = zip(x.tolist(), polar.S.values.tolist(), s_exact.tolist(),
+                      polar.R.values.tolist(), r_exact.tolist())
+        field_rows.extend([order, *cells] for cells in columns)
+    # Every order that finished is written, also when a higher one aborted.
+    _emit(
+        out, run_dir, "fields.csv",
+        [
+            ("order", "1"), ("x", "length"), ("S_reconstructed", "action"),
+            ("S_exact", "action"), ("R_reconstructed", "1/sqrt(length)"),
+            ("R_exact", "1/sqrt(length)"),
+        ],
+        field_rows,
+    )
+    _emit(
+        out, run_dir, "summary.csv",
+        [
+            ("order", "1"), ("max_err_S", "action"),
+            ("max_err_S_offset_free", "action"), ("max_err_R", "1/sqrt(length)"),
+        ],
+        summary_rows,
+    )
     if failure is not None:
         raise failure
     out.metrics = {
@@ -338,7 +355,13 @@ def _run_equivariance(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutpu
     t_grid = np.linspace(0.0, t_end, n_steps + 1)
     positions, n_valid = integrate_ensemble_positions(model.provider, x0s, t_grid)
     if int(n_valid.min()) < t_grid.size:
-        raise NumericalAbort("an ensemble member left the velocity-field window")
+        # Named: the first member to leave, at its last valid sample.
+        member = int(np.argmin(n_valid))
+        last = int(n_valid[member]) - 1
+        raise NumericalAbort(
+            "an ensemble member left the velocity-field window",
+            node=member, x=float(positions[member, last]), t=float(t_grid[last]),
+        )
 
     checkpoints = [0.25, 0.5, 0.75, 1.0]
     ks_rows = []

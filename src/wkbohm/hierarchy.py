@@ -39,8 +39,8 @@ from .numerics import (
     Grid1D,
     RealField,
     collect_snapshots,
+    derivative_pair,
     derivative_values,
-    second_derivative_values,
 )
 from .potentials import Potential
 
@@ -118,14 +118,14 @@ def init_hierarchy(psi0: PolarFields, order: int) -> HierarchyState:
 
 
 def _rhs_values(
-    values: np.ndarray, grads: np.ndarray, dx: float, potential_values: np.ndarray, mass: float
+    values: np.ndarray, grads: np.ndarray, laps: np.ndarray, potential_values: np.ndarray, mass: float
 ) -> np.ndarray:
-    """Time derivative of the whole stack from its gradients.
+    """Time derivative of the whole stack from its derivatives.
 
-    Order n reads orders <= n only; `grads` is the stack gradient of
-    `values` and `potential_values` is V at the grid nodes.
+    Order n reads orders <= n only; `grads` and `laps` are the stack's
+    first and second derivatives (the top order's Laplacian is not
+    read) and `potential_values` is V at the grid nodes.
     """
-    laps = second_derivative_values(values[:-1], dx)
     out = np.empty_like(values)
     out[0] = -grads[0] ** 2 / (2.0 * mass) - potential_values
     # Row n-1 of conv is sum_k grads[k] grads[n-k], its terms added in
@@ -135,7 +135,7 @@ def _rhs_values(
     for k in range(top + 1):
         lo = max(1, k)
         conv[lo - 1:] += grads[k] * grads[lo - k:top + 1 - k]
-    out[1:] = -(conv + laps) / (2.0 * mass)
+    out[1:] = -(conv + laps[:-1]) / (2.0 * mass)
     return out
 
 
@@ -146,9 +146,8 @@ def hierarchy_rhs(state: HierarchyState, potential: Potential, params: PhysParam
     hbar; mass enters the kinetic terms only.
     """
     mass = params.mass if params is not None else 1.0
-    dx = state.grid.dx
-    grads = derivative_values(state.values, dx)
-    return _rhs_values(state.values, grads, dx, potential.value(state.grid.nodes), mass)
+    grads, laps = derivative_pair(state.values, state.grid.dx)
+    return _rhs_values(state.values, grads, laps, potential.value(state.grid.nodes), mass)
 
 
 def _check_cfl(grads0: np.ndarray, grid: Grid1D, dt: float, mass: float, time: float) -> None:
@@ -194,10 +193,12 @@ def propagate_hierarchy(
 
     Before each step the advective CFL bound (safety 0.5) is checked
     against the current order-0 gradient; after each step all fields
-    must stay finite with gradients below the blow-up threshold. The
-    stack gradient taken for that check is the next step's CFL input
-    and its first rk4 stage. The whole stack is tested at once; only a
-    failing test walks the orders to name the first one that failed.
+    must stay finite with gradients below the blow-up threshold. Each
+    rk4 stage takes the stack's first and second derivatives from one
+    `derivative_pair` call; the post-step pair is the blow-up check's
+    gradient, the next step's CFL input and its first stage, so a step
+    makes 4 calls. The whole stack is tested at once; only a failing
+    test walks the orders to name the first one that failed.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -209,15 +210,13 @@ def propagate_hierarchy(
     v = state.values.copy()
     t = state.time
 
-    def rhs(vals, grads=None):
-        if grads is None:
-            grads = derivative_values(vals, dx)
-        return _rhs_values(vals, grads, dx, potential_values, mass)
+    def rhs(vals):
+        return _rhs_values(vals, *derivative_pair(vals, dx), potential_values, mass)
 
-    grads = derivative_values(v, dx)
+    grads, laps = derivative_pair(v, dx)
     for _ in range(n_steps):
         _check_cfl(grads[0], grid, dt, mass, t)
-        k1 = rhs(v, grads)
+        k1 = _rhs_values(v, grads, laps, potential_values, mass)
         k2 = rhs(v + 0.5 * dt * k1)
         k3 = rhs(v + 0.5 * dt * k2)
         k4 = rhs(v + dt * k3)
@@ -225,7 +224,7 @@ def propagate_hierarchy(
         t += dt
         # A non-finite order is reported by the check, not as a warning.
         with np.errstate(invalid="ignore", over="ignore"):
-            grads = derivative_values(v, dx)
+            grads, laps = derivative_pair(v, dx)
             healthy = np.isfinite(v).all() and np.abs(grads).max() <= GRADIENT_BLOWUP_LIMIT
         if not healthy:
             _check_blowup(v, grads, grid, t)
@@ -311,10 +310,10 @@ def truncated_velocity_field(
             f"max_pair_index {max_pair_index} needs order >= {2 * max_pair_index}, "
             f"state has {state.order}"
         )
-    dx = state.grid.dx
-    v = derivative_values(state.values[0], dx)
+    grads = derivative_values(state.values[: 2 * max_pair_index + 1 : 2], state.grid.dx)
+    v = grads[0]
     for n in range(1, max_pair_index + 1):
-        v = v + (-1.0) ** n * params.hbar ** (2 * n) * derivative_values(state.values[2 * n], dx)
+        v = v + (-1.0) ** n * params.hbar ** (2 * n) * grads[n]
     return RealField(state.grid, v / params.mass, state.time)
 
 
@@ -344,9 +343,7 @@ def qhj_residual(
     stencil and time-difference error.
     """
     rate = np.asarray(sbar_rate)
-    dx = sbar.grid.dx
-    g = derivative_values(sbar.values, dx)
-    lap = second_derivative_values(sbar.values, dx)
+    g, lap = derivative_pair(sbar.values, sbar.grid.dx)
     x = sbar.grid.nodes
     res = rate + g**2 / (2.0 * params.mass) + potential.value(x) - (
         1j * params.hbar / (2.0 * params.mass)
@@ -373,14 +370,15 @@ def complex_velocity_residual(
     """
     mid = _middle(sbars)
     dx = mid.grid.dx
-    vels = [derivative_values(f.values, dx) / params.mass for f in sbars]
+    vels = list(derivative_values(np.stack([f.values for f in sbars]), dx) / params.mass)
     dv_dt = _time_derivative(vels, dt)
     v = vels[len(vels) // 2]
+    grad_v, lap_v = derivative_pair(v, dx)
     x = mid.grid.nodes
     res = (
         dv_dt
-        + v * derivative_values(v, dx)
+        + v * grad_v
         + potential.gradient(x) / params.mass
-        - (1j * params.hbar / (2.0 * params.mass)) * second_derivative_values(v, dx)
+        - (1j * params.hbar / (2.0 * params.mass)) * lap_v
     )
     return RealField(mid.grid, np.abs(res), mid.time)

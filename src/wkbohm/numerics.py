@@ -35,6 +35,12 @@ _D2_EDGES = np.array([
 ])
 _D2_CENTER = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
 
+# Both derivatives' edge rows as (derivative, edge row, node, 1), the
+# first derivative's zero-padded to the 6-node width, and the window
+# each end reads: nodes 0..5, and n-1..n-6 for the mirrored right end.
+_EDGE_WEIGHTS = np.stack([np.pad(_D1_EDGES, ((0, 0), (0, 1))), _D2_EDGES])[..., None]
+_EDGE_NODES = np.array([np.arange(6), -1 - np.arange(6)])
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -110,56 +116,72 @@ class ComplexField:
         _check_finite(values, "complex field")
 
 
-def _edge_apply(weights: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Row r of `weights` applied at node r of each trailing window.
+def derivative_pair(values, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives along the last axis in one pass.
 
-    `window` is (..., w) and `weights` (rows, w); returns (..., rows).
-    Weight sums vanish, so applying them to differences from the
-    evaluation node is algebraically identical but keeps a constant
-    field at exactly zero and shrinks cancellation error.
-    """
-    diffs = window[..., None, :] - window[..., : weights.shape[0], None]
-    return np.matmul(diffs[..., None, :], weights[..., None])[..., 0, 0]
+    Accepts any (..., n) real or complex array, computed in at least
+    float64 or complex128; each row along the last axis is
+    differentiated independently, 4th order, one-sided at the edges.
 
-
-def _stencil(values, center: np.ndarray, edges: np.ndarray, mirror: np.ufunc) -> np.ndarray:
-    """Undivided stencil sum along the last axis, one-sided at the edges.
-
-    The right edge applies the `edges` rows mirrored, then `mirror`:
-    `np.negative` for odd derivatives, `np.positive` for even ones. A
-    sign flip, unlike a product with -1.0, keeps the signed zeros and
-    infinities of complex values.
+    The stack is read flat, in C order, and the four shifted differences
+    from each node are taken once for both interiors. A difference that
+    reaches across a row boundary lands only on the two nodes at each end
+    of a row, and the one-sided rows overwrite those. The edge rows of
+    both derivatives at both ends come from one matmul: the first
+    derivative's 5-node rows are padded with a zero weight to the 6-node
+    width, which adds an exact zero to each sum of finite terms. Weight
+    sums vanish, so the weights act on differences from the evaluation
+    node, which keeps a constant field at exactly zero. The right end
+    applies the rows mirrored; the first derivative flips sign by
+    `np.negative`, which, unlike a product with -1.0, keeps the signed
+    zeros of complex values.
     """
     v = np.asarray(values)
-    g = np.empty_like(v)
-    mid = v[..., 2:-2]
-    g[..., 2:-2] = (
-        center[0] * (v[..., :-4] - mid)
-        + center[1] * (v[..., 1:-3] - mid)
-        + center[3] * (v[..., 3:-1] - mid)
-        + center[4] * (v[..., 4:] - mid)
-    )
-    width = edges.shape[1]
-    g[..., :2] = _edge_apply(edges, v[..., :width])
-    g[..., :-3:-1] = mirror(_edge_apply(edges, v[..., : -width - 1 : -1]))
-    return g
+    v = np.ascontiguousarray(v, dtype=np.promote_types(v.dtype, np.float64))
+    flat = v.reshape(-1)
+    mid = flat[2:-2]
+    left2, left1 = flat[:-4] - mid, flat[1:-3] - mid
+    right1, right2 = flat[3:-1] - mid, flat[4:] - mid
+    d1 = np.empty_like(v)
+    d2 = np.empty_like(v)
+    for out, center in ((d1, _D1_CENTER), (d2, _D2_CENTER)):
+        # Added in place in the order c0 l2 + c1 l1 + c3 r1 + c4 r2.
+        acc = np.multiply(center[0], left2, out=out.reshape(-1)[2:-2])
+        acc += center[1] * left1
+        acc += center[3] * right1
+        acc += center[4] * right2
+    # (..., end, node). `take` copies C-contiguous, so every edge sum is
+    # a unit-stride (1, 6) @ (6, 1) dot: its rounding depends on the stride.
+    window = v.take(_EDGE_NODES, axis=-1)
+    diffs = window[..., None, :] - window[..., :2, None]  # (..., end, edge row, node)
+    # (..., end, derivative, edge row)
+    edges = np.matmul(diffs[..., None, :, None, :], _EDGE_WEIGHTS)[..., 0, 0]
+    d1[..., :2] = edges[..., 0, 0, :]
+    np.negative(edges[..., 1, 0, :], out=d1[..., :-3:-1])
+    d2[..., :2] = edges[..., 0, 1, :]
+    d2[..., :-3:-1] = edges[..., 1, 1, :]
+    d1 /= dx
+    d2 /= dx**2
+    return d1, d2
 
 
 def derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
     """First derivative along the last axis, 4th order, one-sided at the edges.
 
     Accepts any (..., n) real or complex array; each row along the
-    last axis is differentiated independently.
+    last axis is differentiated independently. The first half of
+    `derivative_pair`.
     """
-    return _stencil(values, _D1_CENTER, _D1_EDGES, np.negative) / dx
+    return derivative_pair(values, dx)[0]
 
 
 def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
     """Second derivative along the last axis, 4th order, one-sided at the edges.
 
     Accepts any (..., n) real or complex array, like `derivative_values`.
+    The second half of `derivative_pair`.
     """
-    return _stencil(values, _D2_CENTER, _D2_EDGES, np.positive) / dx**2
+    return derivative_pair(values, dx)[1]
 
 
 def collect_snapshots(state, advance, n_steps: int, every: int) -> list:

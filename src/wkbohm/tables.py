@@ -17,6 +17,8 @@ DELIMITER = ","
 
 
 def format_value(value) -> str:
+    if type(value) is float:  # the common cell, tested first
+        return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -45,7 +47,7 @@ def emit_table(path, columns: list[tuple[str, str]], rows) -> Path:
     for row in rows:
         if len(row) != len(columns):
             raise WkbohmError(f"row has {len(row)} cells for {len(columns)} columns")
-        lines.append(DELIMITER.join(format_value(v) for v in row))
+        lines.append(DELIMITER.join(map(format_value, row)))
     text = "\n".join(lines) + "\n"
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:

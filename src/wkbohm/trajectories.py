@@ -108,7 +108,12 @@ class OscillatorVelocityField:
 
     def evaluate(self, x, t):
         v = ho_velocity(self.spec, t)
-        return np.full(np.shape(x), v) if np.ndim(x) else v
+        x = np.asarray(x)
+        if not x.ndim:
+            return v
+        out = np.empty(x.shape)
+        out.fill(v)
+        return out
 
 
 @dataclass(frozen=True)
@@ -243,37 +248,46 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     positions[:, 0] = x
     n_valid = np.full(n, t.size, dtype=int)
     rows = np.arange(n)  # members still alive, in order; x holds their positions
+    everyone = True  # whether rows is still every member
     lo, hi = xw
+    evaluate = provider.evaluate
+    minimum, maximum = np.minimum.reduce, np.maximum.reduce
 
     def velocity(probe, ts):
         # (velocity, whether every probe lies in the window). A probe
         # outside is clamped into it (NaN to the lower edge) so the
         # provider sees only valid points; its member dies this step.
-        if lo <= np.minimum.reduce(probe) and np.maximum.reduce(probe) <= hi:
-            return provider.evaluate(probe, ts), True
-        return provider.evaluate(np.fmin(np.fmax(probe, lo), hi), ts), False
+        if lo <= minimum(probe) and maximum(probe) <= hi:
+            return evaluate(probe, ts), True
+        return evaluate(np.fmin(np.fmax(probe, lo), hi), ts), False
 
+    times = t.tolist()
     for i in range(t.size - 1):
         if not rows.size:
             break
-        dt = t[i + 1] - t[i]
-        k1 = provider.evaluate(x, t[i])
+        t_i = times[i]
+        dt = times[i + 1] - t_i
+        k1 = evaluate(x, t_i)
         p2 = x + 0.5 * dt * k1
-        k2, in2 = velocity(p2, t[i] + 0.5 * dt)
+        k2, in2 = velocity(p2, t_i + 0.5 * dt)
         p3 = x + 0.5 * dt * k2
-        k3, in3 = velocity(p3, t[i] + 0.5 * dt)
+        k3, in3 = velocity(p3, t_i + 0.5 * dt)
         p4 = x + dt * k3
-        k4, in4 = velocity(p4, t[i] + dt)
+        k4, in4 = velocity(p4, t_i + dt)
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x_lo, x_hi = np.minimum.reduce(x_new), np.maximum.reduce(x_new)
+        x_lo, x_hi = minimum(x_new), maximum(x_new)
         if in2 and in3 and in4 and lo <= x_lo and x_hi <= hi and np.isfinite(x_lo + x_hi):
-            positions[rows, i + 1] = x_new
+            if everyone:
+                positions[:, i + 1] = x_new
+            else:
+                positions[rows, i + 1] = x_new
             x = x_new
             continue
         ok = _inside(xw, p2) & _inside(xw, p3) & _inside(xw, p4) & _inside(xw, x_new) & np.isfinite(x_new)
         positions[rows[ok], i + 1] = x_new[ok]
         n_valid[rows[~ok]] = i + 1
         rows, x = rows[ok], x_new[ok]
+        everyone = rows.size == n
     return positions, n_valid
 
 

@@ -257,6 +257,42 @@ class TestRunOutputs:
         assert manifest["error"] == out.error
         assert manifest["finished_utc"] is not None
 
+    def test_finished_run_has_no_abort_block(self, tmp_path):
+        out = run_cfg(tmp_path)
+        assert out.status == "ok" and out.abort is None
+        assert json.loads(out.manifest_path.read_text())["abort"] is None
+
+    def test_equivariance_window_exit_names_the_first_lost_member(self, tmp_path, monkeypatch):
+        from wkbohm import experiments
+        from wkbohm.trajectories import integrate_ensemble_positions
+
+        class Windowed:
+            """The model's field, valid only left of x = 2.5."""
+
+            x_window = (-np.inf, 2.5)
+
+            def __init__(self, provider):
+                self.evaluate, self.t_window = provider.evaluate, provider.t_window
+
+        seen = []
+
+        def windowed(provider, x0s, t_grid):
+            seen.append((integrate_ensemble_positions(Windowed(provider), x0s, t_grid), t_grid))
+            return seen[-1][0]
+
+        monkeypatch.setattr(experiments, "integrate_ensemble_positions", windowed)
+        out = run_cfg(tmp_path, experiment="equivariance", p0=1.0)
+        assert out.status == "aborted"
+        assert out.error == "NumericalAbort: an ensemble member left the velocity-field window"
+        (positions, n_valid), t_grid = seen[0]
+        # The drifting packet's rightmost member leaves first.
+        member = int(np.argmin(n_valid))
+        assert member == positions.shape[0] - 1 and n_valid[member] < n_valid[:-1].min()
+        last = int(n_valid[member]) - 1
+        abort = json.loads(out.manifest_path.read_text())["abort"]
+        assert abort == out.abort == {"node": member, "x": positions[member, last], "t": t_grid[last]}
+        assert abort["x"] <= 2.5
+
     def test_runner_defect_recorded_then_raised(self, tmp_path, monkeypatch):
         from wkbohm import experiments
 
@@ -364,6 +400,41 @@ class TestHierarchyConvergence:
         assert out.error == f"CflViolation: {abort.value}"
         assert out.files == {}
         assert sorted(p.name for p in out.out_dir.iterdir()) == ["manifest.json"]
+
+    def test_abort_block_locates_the_caustic(self, tmp_path, monkeypatch):
+        # The order-5 run aborts; the manifest's abort block holds that
+        # abort's fields, and the error string is unchanged.
+        from wkbohm.errors import CausticDetected
+        from wkbohm.hierarchy import GRADIENT_BLOWUP_LIMIT, propagate_hierarchy
+
+        cfg, out, calls = self.run_counted(
+            tmp_path, monkeypatch, {"model": "harmonic", "t_max": 1.15, "order": 3}
+        )
+        state, potential, dt, n_steps, params = calls[0]
+        with pytest.raises(CausticDetected) as abort:
+            propagate_hierarchy(state, potential, dt, n_steps, params=params)
+        assert out.error == f"CausticDetected: {abort.value}"
+        manifest = json.loads(out.manifest_path.read_text())
+        assert manifest["error"] == out.error
+        assert manifest["abort"] == out.abort == vars(abort.value)
+        assert sorted(manifest["abort"]) == ["limit", "node", "order", "t", "value", "x"]
+        assert manifest["abort"]["order"] == 5
+        assert manifest["abort"]["value"] > manifest["abort"]["limit"] == GRADIENT_BLOWUP_LIMIT
+
+    @pytest.mark.parametrize("doc", [{"model": "free"}, {"model": "harmonic", "t_max": 1.1, "order": 3}])
+    def test_each_table_written_once(self, tmp_path, monkeypatch, doc):
+        from wkbohm import experiments
+
+        written = []
+        original = experiments.emit_table
+
+        def counted(path, columns, rows):
+            written.append(Path(path).name)
+            return original(path, columns, rows)
+
+        monkeypatch.setattr(experiments, "emit_table", counted)
+        self.run_counted(tmp_path, monkeypatch, doc)
+        assert written == ["fields.csv", "summary.csv"]
 
     def test_underflowed_amplitude_is_written_not_failed(self, tmp_path):
         # The order-3 log R reaches about -884 at t = 1.15, below the

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import references
 from wkbohm.analytic import PhysParams, free_packet_wavefunction, GaussianPacketSpec
 from wkbohm.errors import CausticDetected, CflViolation, NumericalAbort
 from wkbohm.hierarchy import (
@@ -322,6 +323,13 @@ class TestPropagation:
             assert abort.value.value == dt > abort.value.limit
         else:
             assert abort.value.value > abort.value.limit == GRADIENT_BLOWUP_LIMIT
+        # The two-body reference stepper reaches the same stack and abort.
+        ref = references.propagate_hierarchy(state, potential, dt, steps_ok, params=NATURAL)
+        assert ref.values.tobytes() == before.values.tobytes()
+        with pytest.raises(error) as ref_abort:
+            references.propagate_hierarchy(ref, potential, dt, 1, params=NATURAL)
+        assert str(ref_abort.value) == message
+        assert vars(ref_abort.value) == vars(abort.value)
 
     def test_cfl_violation_rejected_before_stepping(self):
         grid = Grid1D(-5, 5, 101)
@@ -600,3 +608,82 @@ class TestTruncatedVelocity:
             errs.append(np.max(np.abs(v.values - target)[window]))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] <= 1e-4
+
+
+class TestStencilPairCalls:
+    """Propagation, velocity and residuals on the one-pass stencil pair.
+
+    Each must equal the same computation on the two separate stencil
+    bodies it replaced (`references`), bit for bit.
+    """
+
+    @pytest.mark.parametrize("model", ["free", "harmonic"])
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_propagation_matches_the_reference_stepper(self, model, order):
+        grid = Grid1D(-10, 10, 201)
+        if model == "free":
+            psi0, potential = gaussian_polar(grid, p0=0.5), Potential.free()
+        else:
+            psi0 = gaussian_polar(grid, sigma0=np.sqrt(0.5), center=1.0)
+            potential = Potential.harmonic(1.0, 1.0)
+        state = init_hierarchy(psi0, order)
+        got = propagate_hierarchy(state, potential, 1e-3, 500, params=NATURAL)
+        ref = references.propagate_hierarchy(state, potential, 1e-3, 500, params=NATURAL)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.time == ref.time
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 7])
+    def test_one_pair_call_per_rk4_stage(self, monkeypatch, n_steps):
+        # Stages 2-4 make one call each; the post-step call serves the
+        # blow-up check and the next step's CFL check and first stage.
+        # With the call before the loop that is 4 n_steps + 1, and the
+        # separate d1 and d2 bodies are not called at all.
+        from wkbohm import hierarchy, numerics
+
+        calls = []
+
+        def counted(values, dx):
+            calls.append(values.shape)
+            return numerics.derivative_pair(values, dx)
+
+        def refused(values, dx):
+            raise AssertionError("propagation called a single-derivative wrapper")
+
+        monkeypatch.setattr(hierarchy, "derivative_pair", counted)
+        monkeypatch.setattr(hierarchy, "derivative_values", refused)
+        monkeypatch.setattr(numerics, "derivative_values", refused)
+        monkeypatch.setattr(numerics, "second_derivative_values", refused)
+        state = init_hierarchy(gaussian_polar(Grid1D(-8, 8, 101)), 4)
+        propagate_hierarchy(state, Potential.free(), 1e-3, n_steps, params=NATURAL)
+        assert calls == [(5, 101)] * (4 * n_steps + 1)
+
+    def test_truncated_velocity_matches_per_order_calls(self):
+        grid = Grid1D(-8, 8, 161)
+        state = propagate_hierarchy(
+            init_hierarchy(gaussian_polar(grid, p0=0.3), 5), Potential.free(), 1e-3, 50, params=NATURAL
+        )
+        params = PhysParams(0.7, 1.3)
+        for m in (0, 1, 2):
+            v = references.derivative_values(state.values[0], grid.dx)
+            for n in range(1, m + 1):
+                v = v + (-1.0) ** n * params.hbar ** (2 * n) * references.derivative_values(
+                    state.values[2 * n], grid.dx
+                )
+            got = truncated_velocity_field(state, params, m).values
+            assert got.tobytes() == (v / params.mass).tobytes()
+
+    @pytest.mark.parametrize("n_snapshots", [3, 5])
+    def test_residuals_match_separate_calls(self, n_snapshots):
+        grid = Grid1D(-8, 8, 401)
+        delta = 1e-3
+        offsets = np.arange(n_snapshots) - n_snapshots // 2
+        stack = analytic_sbar_stack(grid, 1.0 + delta * offsets)
+        params = PhysParams(1.0, 1.0)
+        for potential in (Potential.free(), Potential.harmonic(1.0, 0.5)):
+            mid = stack[n_snapshots // 2]
+            rate = np.linspace(-1.0, 1.0, grid.n_points) + 0.5j
+            got = qhj_residual(mid, rate, potential, params).values
+            assert got.tobytes() == references.qhj_residual(mid, rate, potential, params).tobytes()
+            got = complex_velocity_residual(stack, potential, params, delta).values
+            ref = references.complex_velocity_residual(stack, potential, params, delta)
+            assert got.tobytes() == ref.tobytes()

@@ -12,6 +12,7 @@ from wkbohm.numerics import (
     cubic_cell_evaluate,
     cubic_cell_table,
     cubic_interpolate,
+    derivative_pair,
     derivative_values,
     double_factorial,
     second_derivative_values,
@@ -257,12 +258,18 @@ class TestCubicCells:
 
 
 class TestStencilBody:
-    """Both stencils equal the two separate bodies they replaced, bit for bit."""
+    """The one-pass stencil pair equals the two separate bodies it replaced, bit for bit."""
 
-    PAIRS = (
-        (derivative_values, references.derivative_values),
-        (second_derivative_values, references.second_derivative_values),
-    )
+    @staticmethod
+    def assert_pair_matches_references(values, dx):
+        expected = (references.derivative_values(values, dx),
+                    references.second_derivative_values(values, dx))
+        got = derivative_pair(values, dx)
+        for wrapper, a, b in zip((derivative_values, second_derivative_values), got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+            assert wrapper(values, dx).tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("n", [8, 9, 401])
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
@@ -271,18 +278,36 @@ class TestStencilBody:
         real = rng.normal(size=shape + (n,)) * 10.0 ** rng.integers(-3, 4, size=shape + (n,))
         cplx = real + 1j * rng.normal(size=shape + (n,))
         for values in (real, cplx):
-            for new, old in self.PAIRS:
-                a, b = new(values, 0.037), old(values, 0.037)
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert np.array_equal(a, b)
-                assert a.tobytes() == b.tobytes()
+            self.assert_pair_matches_references(values, 0.037)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_contiguous_input(self, dtype):
+        # Column-sliced and row-strided views: each row keeps its own bits.
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(6, 430))
+        if dtype is complex:
+            base = base + 1j * rng.normal(size=base.shape)
+        for values in (base[:, 17:418], base[::2], base[1::2, ::-1][:, :401], base.T[:9].T):
+            assert not values.flags.c_contiguous
+            self.assert_pair_matches_references(values, 0.05)
 
     def test_signed_zeros_of_constant_fields_kept(self):
         # A constant field differences to signed zeros; the right-edge
         # sign flip must leave them as the old bodies did.
-        for values in (np.full((2, 9), 1.5), np.full(9, 0.5 - 2.0j), np.full(9, -1.0j)):
-            for new, old in self.PAIRS:
-                assert new(values, 0.1).tobytes() == old(values, 0.1).tobytes()
+        for values in (
+            np.full((2, 9), 1.5), np.full(9, 0.5 - 2.0j), np.full(9, -1.0j),
+            np.full((3, 401), -2.25), np.zeros((2, 3, 8)), np.full((2, 8), -0.0),
+        ):
+            self.assert_pair_matches_references(values, 0.1)
+
+    def test_rows_do_not_leak_into_each_other(self):
+        # Differences across a row boundary land on edge nodes only.
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(4, 12)) * np.array([[1e-8], [1e8], [1.0], [-1e3]])
+        d1, d2 = derivative_pair(stack, 0.2)
+        for row, r1, r2 in zip(stack, d1, d2):
+            alone = derivative_pair(row, 0.2)
+            assert r1.tobytes() == alone[0].tobytes() and r2.tobytes() == alone[1].tobytes()
 
 
 class TestPotentials:

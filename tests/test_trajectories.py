@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import references
 from references import first_crossing, member_loop_positions, newton_cubic
 from wkbohm.analytic import (
     GaussianPacketSpec,
@@ -154,6 +155,7 @@ class TestEnsembleLoop:
         ref = member_loop_positions(provider, x0s, t)
         np.testing.assert_array_equal(got[0], ref[0])  # NaN counts as equal
         np.testing.assert_array_equal(got[1], ref[1])
+        assert got[0].shape == (len(x0s), len(t)) and got[0].flags.c_contiguous
         return got
 
     def test_members_leaving_mid_run(self):
@@ -520,6 +522,42 @@ class TestInvariantObjects:
         assert v.shape == x.shape and v.flags.writeable
         np.testing.assert_array_equal(v, np.broadcast_to(field.evaluate(0.0, 0.4), x.shape))
         assert np.ndim(field.evaluate(0.25, 0.4)) == 0
+
+
+class TestClosedFormProviders:
+    """The closed-form providers, bitwise against their former formulas."""
+
+    XS = (0.7, np.float64(-1.25), np.array(2.5), np.array(-0.5), np.linspace(-3.0, 3.0, 13),
+          np.linspace(-1.0, 1.0, 6).reshape(2, 3), np.array([]))
+    TS = (0.0, -0.0, 0.37, -0.37, 12.5, -3.1e-7, np.float64(2.25), np.float64(-2.25))
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert type(got) is type(ref)
+        assert np.shape(got) == np.shape(ref) and np.asarray(got).dtype == np.asarray(ref).dtype
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    @pytest.mark.parametrize("params", [NATURAL, PhysParams(0.7, 1.3)])
+    @pytest.mark.parametrize("sigma0, p0", [(1.0, 0.0), (0.9, 0.4), (2.5, -1.5)])
+    def test_free_packet_velocity(self, params, sigma0, p0):
+        spec = GaussianPacketSpec(params=params, sigma0=sigma0, p0=p0)
+        field = FreePacketVelocityField(spec)
+        for x in self.XS:
+            for t in self.TS:
+                self.assert_same(field.evaluate(x, t), references.free_packet_velocity(spec, x, t))
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_free_packet_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            FreePacketVelocityField(packet()).evaluate(np.zeros(3), t)
+
+    @pytest.mark.parametrize("omega, a", [(1.0, 1.0), (1.3, 0.7), (2.0, -0.3)])
+    def test_oscillator_velocity(self, omega, a):
+        spec = OscillatorSpec(params=PhysParams(0.7, 1.3), omega=omega, a=a)
+        field = OscillatorVelocityField(spec)
+        for x in self.XS:
+            for t in self.TS:
+                self.assert_same(field.evaluate(x, t), references.oscillator_velocity(spec, x, t))
 
 
 class TestDivergenceOnset:
