@@ -284,8 +284,12 @@ def ho_action(spec: OscillatorSpec, x, t: float):
 
 
 def ho_velocity(spec: OscillatorSpec, t):
-    """grad(S)/m = -omega a sin(omega t); independent of x."""
-    return -spec.omega * spec.a * np.sin(spec.omega * np.asarray(t, dtype=float))
+    """grad(S)/m = -omega a sin(omega t); independent of x.
+
+    `np.float64(t)` gives a scalar t the dtype `np.asarray` would, with
+    no 0-d array: the field is evaluated at every rk4 stage.
+    """
+    return -spec.omega * spec.a * np.sin(spec.omega * np.float64(t))
 
 
 def ho_trajectory(spec: OscillatorSpec, x0: float, t):

@@ -99,6 +99,13 @@ class Model:
     plane_wave_p0: float         # momentum of the order-0 plane-wave check
     natural_scale: tuple[str, float]
 
+    def __post_init__(self):
+        # Every experiment's time axis is in units of this scale; one
+        # that underflows to 0 (sigma0^2) or overflows (1/omega) would
+        # turn each table into NaNs or divisions by zero.
+        if not (0.0 < self.time_scale < np.inf):
+            raise ValueError(f"time scale {self.time_scale!r} must be positive and finite")
+
     def density(self, x, t):
         return self.modulus(x, t) ** 2
 
@@ -273,8 +280,9 @@ def parse_config(text: str) -> RunConfig:
         out["output_dir"] = raw["output_dir"]
 
     cfg = RunConfig(**out)
-    # The model's derived scales (sigma0^2, m omega^2, ...) can overflow
-    # for finite keys; such a config is invalid, not a failed run.
+    # The model's derived scales (sigma0^2, m omega^2, ...) can overflow,
+    # and its time scale underflow, for finite keys; such a config is
+    # invalid, not a failed run.
     try:
         build_model(cfg)
     except (ValueError, ArithmeticError) as exc:

@@ -65,8 +65,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     manifest as status "aborted", with the abort's known location
     (order, node, x, t, value, limit) in its `abort` block; any other
     package error,
-    ValueError or ArithmeticError from the runner (for example a grid
-    that misses the packet, or a float overflow) as status "failed",
+    ValueError, ArithmeticError or MemoryError from the runner (for
+    example a grid that misses the packet, a float overflow, or a time
+    grid too long to allocate) as status "failed",
     with its type and message; partial outputs are retained and neither
     raises. Any other exception (a defect, or an interrupt) is recorded
     as "failed" too and re-raised, so the manifest never stays at
@@ -100,7 +101,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
         out.error = f"{type(exc).__name__}: {exc}"
         if isinstance(exc, NumericalAbort):
             out.abort = _abort_fields(exc)
-        if not isinstance(exc, (WkbohmError, ValueError, ArithmeticError)):
+        if not isinstance(exc, (WkbohmError, ValueError, ArithmeticError, MemoryError)):
             _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)
             raise
     _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)

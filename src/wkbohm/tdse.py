@@ -87,9 +87,12 @@ class CrankNicolsonSolver:
     def step_values(self, psi: np.ndarray, time: float) -> np.ndarray:
         edge = max(abs(psi[0]), abs(psi[-1]))
         if edge >= EDGE_AMPLITUDE_LIMIT:
+            node = 0 if abs(psi[0]) >= abs(psi[-1]) else psi.size - 1
             raise EdgeContamination(
                 f"edge amplitude {edge:.3g} >= {EDGE_AMPLITUDE_LIMIT:g} at t={time:g}; "
-                "enlarge the grid"
+                "enlarge the grid",
+                node=node, x=float(self.grid.nodes[node]), t=float(time), value=float(edge),
+                limit=EDGE_AMPLITUDE_LIMIT,
             )
         diag, off = self._forward
         y = diag * psi
@@ -139,9 +142,11 @@ def _advance(state: TdseState, solver: CrankNicolsonSolver, n_steps: int) -> Tds
         psi = solver.step_values(psi, t)
         t += solver.dt
     field = ComplexField(state.psi.grid, psi, time=t)
-    if abs(trapezoid_norm(field) - norm0) > NORM_DRIFT_LIMIT:
+    drift = trapezoid_norm(field) - norm0
+    if abs(drift) > NORM_DRIFT_LIMIT:
         raise NumericalAbort(
-            f"norm drifted by {trapezoid_norm(field) - norm0:.3g} after {n_steps} steps"
+            f"norm drifted by {drift:.3g} after {n_steps} steps",
+            t=float(t), value=float(drift), limit=NORM_DRIFT_LIMIT,
         )
     return TdseState(psi=field, potential=state.potential, params=state.params)
 

@@ -227,9 +227,12 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     Returns (positions[n_members, n_times], n_valid[n_members]) where
     n_valid counts the leading samples before any window exit. A member
     dies on the step where one of its stage probes or its new position
-    leaves the x window, or its new position is not finite. Probes are
-    checked as a whole by their min and max; only a step on which that
-    check fails sorts members one by one.
+    leaves the x window, or its new position is not finite. The new
+    positions, and on a bounded window the stage probes, are checked as
+    a whole by their min and max; only a step that fails a check sorts
+    members one by one. On the window (-inf, inf) probes go to the
+    provider unchecked: only a NaN probe lies outside, and it makes its
+    member's new position non-finite, which fails the check all the same.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or (t.size > 1 and not np.all(np.diff(t) > 0)):
@@ -252,14 +255,23 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     lo, hi = xw
     evaluate = provider.evaluate
     minimum, maximum = np.minimum.reduce, np.maximum.reduce
+    inf = np.inf
 
-    def velocity(probe, ts):
-        # (velocity, whether every probe lies in the window). A probe
-        # outside is clamped into it (NaN to the lower edge) so the
-        # provider sees only valid points; its member dies this step.
-        if lo <= minimum(probe) and maximum(probe) <= hi:
+    # (velocity, whether every probe lies in the window).
+    if lo == -inf and hi == inf:  # a NaN bound counts as bounded
+
+        def velocity(probe, ts):
             return evaluate(probe, ts), True
-        return evaluate(np.fmin(np.fmax(probe, lo), hi), ts), False
+
+    else:
+
+        def velocity(probe, ts):
+            # A probe outside is clamped into the window (NaN to the lower
+            # edge) so the provider sees only valid points; its member
+            # dies this step.
+            if lo <= minimum(probe) and maximum(probe) <= hi:
+                return evaluate(probe, ts), True
+            return evaluate(np.fmin(np.fmax(probe, lo), hi), ts), False
 
     times = t.tolist()
     for i in range(t.size - 1):
@@ -276,7 +288,7 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
         k4, in4 = velocity(p4, t_i + dt)
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x_lo, x_hi = minimum(x_new), maximum(x_new)
-        if in2 and in3 and in4 and lo <= x_lo and x_hi <= hi and np.isfinite(x_lo + x_hi):
+        if in2 and in3 and in4 and lo <= x_lo and x_hi <= hi and -inf < x_lo and x_hi < inf:
             if everyone:
                 positions[:, i + 1] = x_new
             else:

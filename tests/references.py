@@ -191,10 +191,13 @@ def free_packet_velocity(spec, x, t):
     return spec.v0 + p.hbar**2 * t / (4.0 * p.mass**2 * spec.sigma0**2 * s.sigma_t**2) * xr
 
 
+def ho_velocity(spec, t):
+    """-omega a sin(omega t), with t taken through `np.asarray`."""
+    return -spec.omega * spec.a * np.sin(spec.omega * np.asarray(t, dtype=float))
+
+
 def oscillator_velocity(spec, x, t):
     """The uniform oscillator field filled by `np.full` into the query's shape."""
-    from wkbohm.analytic import ho_velocity
-
     v = ho_velocity(spec, t)
     return np.full(np.shape(x), v) if np.ndim(x) else v
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import references
 from wkbohm.analytic import (
     GaussianPacketSpec,
     OscillatorSpec,
@@ -278,6 +279,22 @@ class TestOscillator:
             phase = NATURAL.hbar * np.unwrap(np.angle(ho_wavefunction(self.spec, x, t)))
             diff = phase - ho_action(self.spec, x, t)
             assert np.max(diff) - np.min(diff) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.linspace(-7.0, 7.0, 29),
+            np.random.default_rng(5).uniform(-50.0, 50.0, 1000),
+            np.linspace(0.0, 1.0, 6, dtype=np.float32).reshape(2, 3),
+            [0.0, -0.0, 0.37, 3, -12.5],
+        ],
+    )
+    def test_velocity_matches_the_asarray_form(self, t):
+        spec = OscillatorSpec(params=PhysParams(0.7, 1.3), omega=1.3, a=-0.7)
+        got, ref = ho_velocity(spec, t), references.ho_velocity(spec, t)
+        assert type(got) is type(ref) is np.ndarray
+        assert got.shape == ref.shape == np.shape(t) and got.dtype == ref.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
 
     def test_trajectory_from_center_oscillates(self):
         t = np.linspace(0, 10, 201)

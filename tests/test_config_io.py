@@ -612,6 +612,49 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: model")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "doc, scale",
+        [
+            ({"experiment": "figure1-short", "model": "free", "sigma0": 1e-200}, "0.0"),
+            ({"experiment": "equivariance", "model": "free", "sigma0": 1e-200}, "0.0"),
+            ({"experiment": "residuals", "model": "harmonic", "omega": 1e-320}, "inf"),
+        ],
+    )
+    def test_time_scale_that_underflows_or_overflows_exits_2(self, tmp_path, capsys, doc, scale):
+        # sigma0^2 underflows to 0 (u = 0/0 in every table); 1/omega overflows.
+        out_dir = tmp_path / "out"
+        path = self.write_cfg(tmp_path, {**doc, "output_dir": str(out_dir)})
+        message = f"time scale {scale} must be positive and finite"
+        with pytest.raises(ConfigError, match=f"model {doc['model']!r} cannot be built.*{message}"):
+            parse_config(json.dumps(doc))
+        assert cli_main(["validate", path]) == 2
+        assert cli_main(["run", path]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: model {doc['model']!r} cannot be built from this config: "
+            f"ValueError: {message}\n"
+        ) * 2
+        assert not out_dir.exists()
+
+    def test_run_that_cannot_allocate_fails_with_exit_3(self, tmp_path, capsys, monkeypatch):
+        # Stands in for a config such as dt = 1e-12 (6.3e12 steps), which
+        # validates but whose arrays cannot be allocated.
+        from wkbohm import experiments
+
+        def exhausted(provider, x0s, t_grid):
+            raise MemoryError("Unable to allocate 45.6 TiB for an array")
+
+        monkeypatch.setattr(experiments, "integrate_ensemble_positions", exhausted)
+        out_dir = tmp_path / "out"
+        path = self.write_cfg(
+            tmp_path, {"experiment": "equivariance", "model": "harmonic", "output_dir": str(out_dir)}
+        )
+        assert cli_main(["run", path]) == 3
+        assert capsys.readouterr().err == "run failed: MemoryError: Unable to allocate 45.6 TiB for an array\n"
+        manifest = json.loads((out_dir / "equivariance" / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["abort"] is None
+        assert manifest["error"] == "MemoryError: Unable to allocate 45.6 TiB for an array"
+        assert manifest["finished_utc"] is not None
+
     def test_overflow_in_the_runner_fails_with_exit_3(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         path = self.write_cfg(

@@ -20,10 +20,12 @@ from wkbohm.analytic import (
     ho_wavefunction,
     spreading,
 )
-from wkbohm.errors import EdgeContamination
-from wkbohm.numerics import ComplexField, Grid1D, derivative_values
+from wkbohm.errors import EdgeContamination, NumericalAbort
+from wkbohm.numerics import ComplexField, Grid1D, derivative_values, trapezoid_norm
 from wkbohm.potentials import Potential
 from wkbohm.tdse import (
+    EDGE_AMPLITUDE_LIMIT,
+    NORM_DRIFT_LIMIT,
     CrankNicolsonSolver,
     TdseState,
     ensure_oracle_domain,
@@ -134,6 +136,40 @@ class TestCrankNicolson:
         state = TdseState(psi=psi, potential=Potential.free(), params=NATURAL)
         with pytest.raises(EdgeContamination):
             tdse_propagate(state, 1e-3, 1)
+
+    @pytest.mark.parametrize("shift, node", [(-1.0, 0), (1.0, 300)])
+    def test_edge_contamination_names_the_larger_edge(self, shift, node):
+        grid = Grid1D(-4.0, 4.0, 301)
+        psi = np.exp(-((grid.nodes - shift) ** 2) / 4.0) + 0j
+        state = TdseState(psi=ComplexField(grid, psi, time=0.25), potential=Potential.free(), params=NATURAL)
+        with pytest.raises(EdgeContamination) as info:
+            tdse_propagate(state, 1e-3, 1)
+        exc, edge = info.value, abs(psi[node])
+        assert edge > abs(psi[300 - node])
+        assert str(exc) == f"edge amplitude {edge:.3g} >= 1e-12 at t=0.25; enlarge the grid"
+        assert (exc.order, exc.node, exc.x, exc.t) == (None, node, grid.nodes[node], 0.25)
+        assert exc.value == edge and exc.limit == EDGE_AMPLITUDE_LIMIT
+
+    def test_norm_drift_abort_names_time_value_and_limit(self):
+        # Scaled by 1e8 the norm is 1e16, where one ulp is 2: the
+        # solver's round-off alone moves it past the absolute limit.
+        _, state = free_state(half_width=15.0, n=151)
+        scaled = ComplexField(state.psi.grid, 1e8 * state.psi.values)
+        state = TdseState(psi=scaled, potential=state.potential, params=state.params)
+        dt, n_steps = 1e-2, 20
+        with pytest.raises(NumericalAbort) as info:
+            tdse_propagate(state, dt, n_steps)
+        exc = info.value
+        solver = CrankNicolsonSolver(scaled.grid, state.potential, state.params, dt)
+        psi, t = scaled.values.copy(), 0.0
+        for _ in range(n_steps):
+            psi, t = solver.step_values(psi, t), t + dt
+        drift = trapezoid_norm(ComplexField(scaled.grid, psi, time=t)) - trapezoid_norm(scaled)
+        assert abs(drift) > NORM_DRIFT_LIMIT
+        assert type(exc) is NumericalAbort
+        assert str(exc) == f"norm drifted by {drift:.3g} after {n_steps} steps"
+        assert (exc.order, exc.node, exc.x) == (None, None, None)
+        assert exc.t == t and exc.value == drift and exc.limit == NORM_DRIFT_LIMIT
 
     def test_collecting_returns_snapshots(self):
         _, state = free_state(half_width=15.0, n=751)

@@ -168,10 +168,24 @@ class TestEnsembleLoop:
         assert 1 < n_valid.min() and n_valid.max() == 201
         assert np.unique(n_valid).size > 5  # members die on many different steps
 
-    def test_stage_going_nan(self):
-        provider = _Pointwise(lambda x, t: np.sin(x) + 0.3 * t + np.where(x > 0.9, np.nan, 0.0))
-        positions, n_valid = self.check(provider, np.linspace(-1.5, 0.8, 25), np.linspace(0.0, 3.0, 301))
+    @pytest.mark.parametrize("x_window", [(-2.0, 2.0), (-np.inf, np.inf)], ids=["bounded", "unbounded"])
+    def test_stage_going_nan(self, x_window):
+        # On (-inf, inf) the NaN probes reach the provider unchecked, as
+        # they reach it through the reference's np.minimum/np.maximum.
+        seen = []
+
+        def field(x, t):
+            seen.append(x)
+            return np.sin(x) + 0.3 * t + np.where(x > 0.9, np.nan, 0.0)
+
+        provider, x0s, t = _Pointwise(field, x_window), np.linspace(-1.5, 0.8, 25), np.linspace(0.0, 3.0, 301)
+        positions, n_valid = self.check(provider, x0s, t)
         assert (n_valid < 301).any() and (n_valid == 301).any()
+        seen.clear()
+        integrate_ensemble_positions(provider, x0s, t)
+        probes = np.concatenate(seen)
+        assert np.isnan(probes).any() == np.isinf(x_window[1])  # a bounded window clamps NaN
+        assert not np.isinf(probes).any()
 
     @pytest.mark.parametrize(
         "stage, edges, speeds, starts",
@@ -529,7 +543,7 @@ class TestClosedFormProviders:
 
     XS = (0.7, np.float64(-1.25), np.array(2.5), np.array(-0.5), np.linspace(-3.0, 3.0, 13),
           np.linspace(-1.0, 1.0, 6).reshape(2, 3), np.array([]))
-    TS = (0.0, -0.0, 0.37, -0.37, 12.5, -3.1e-7, np.float64(2.25), np.float64(-2.25))
+    TS = (0.0, -0.0, 0.37, -0.37, 12.5, -3.1e-7, np.float64(2.25), np.float64(-2.25), 3, np.array(-1.75))
 
     @staticmethod
     def assert_same(got, ref):
