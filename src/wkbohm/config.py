@@ -1,16 +1,16 @@
 """Run configuration: strict flat key-value parsing with derived fields.
 
 Configs are flat JSON objects (string/number/boolean values, plus one
-list-valued key for the trajectory fan). Unknown keys are rejected so
-a typo in a physics parameter can never silently fall back to a
-default. All numeric invariants are checked here, naming the key and
-the violated constraint.
+list-valued key for the trajectory fan). Unknown keys, and keys of the
+other model in `MODELS`, are rejected so a typo in a physics parameter
+can never silently fall back to a default. Each numeric key has one
+rule in `_NUMBERS`; every error names the key and the violated rule.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Callable
 
 import numpy as np
@@ -48,10 +48,10 @@ class RunConfig:
     model: str
     hbar: float = 1.0
     mass: float = 1.0
-    sigma0: float = 1.0          # derived for the harmonic model
-    p0: float = 0.0              # free model only
-    omega: float = 1.0           # harmonic model only
-    a: float = 1.0               # harmonic model only
+    sigma0: float = 1.0          # MODELS names the keys each model reads;
+    p0: float = 0.0              # the harmonic sigma0 is derived from
+    omega: float = 1.0           # hbar, mass and omega
+    a: float = 1.0
     x0_fan: tuple = ()           # () means the default fan of the experiment
     grid_x_min: float | None = None
     grid_x_max: float | None = None
@@ -72,9 +72,6 @@ class RunConfig:
             return self.x0_fan
         s = self.sigma0
         return tuple(k * s for k in (-2.0, -1.0, 0.0, 1.0, 2.0))
-
-
-_FIELD_TYPES = {f.name: f for f in dc_fields(RunConfig)}
 
 
 @dataclass(frozen=True)
@@ -105,6 +102,10 @@ class Model:
         # turn each table into NaNs or divisions by zero.
         if not (0.0 < self.time_scale < np.inf):
             raise ValueError(f"time scale {self.time_scale!r} must be positive and finite")
+        # The same holds for the initial width (derived for the oscillator).
+        width = self.width(0.0)
+        if not (0.0 < width < np.inf):
+            raise ValueError(f"width {width!r} must be positive and finite")
 
     def density(self, x, t):
         return self.modulus(x, t) ** 2
@@ -148,167 +149,147 @@ def _harmonic_model(cfg: RunConfig) -> Model:
     )
 
 
-# Each model name maps to its builder and the experiments defined for it.
+# Each model name maps to its builder, the experiments defined for it
+# and the physical keys it reads.
 MODELS = {
-    "free": (_free_model, EXPERIMENTS),
-    "harmonic": (_harmonic_model, ("hierarchy-convergence", "equivariance", "residuals")),
+    "free": (_free_model, EXPERIMENTS, ("sigma0", "p0")),
+    "harmonic": (
+        _harmonic_model,
+        ("hierarchy-convergence", "equivariance", "residuals"),
+        ("omega", "a", "sigma0"),
+    ),
 }
+_MODEL_KEYS = {key for _, _, keys in MODELS.values() for key in keys}
 
 
 def build_model(cfg: RunConfig) -> Model:
     return MODELS[cfg.model][0](cfg)
 
 
-def _require_number(key: str, value, *, integer: bool = False, positive: bool = False,
-                    nonneg: bool = False):
+# Each numeric key's rule: "real", "positive", or, for an integer key,
+# the smallest value it may take.
+_NUMBERS = {
+    "hbar": "positive", "mass": "positive", "sigma0": "positive", "p0": "real",
+    "omega": "positive", "a": "real", "grid_x_min": "real", "grid_x_max": "real",
+    "grid_points": 8, "order": 1, "t_max": "positive", "dt": "positive",
+    "ensemble_n": 2, "seed": 0,
+}
+
+
+def _number(key: str, value, rule):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key {key!r} must be a number, got {value!r}")
-    if integer and not float(value).is_integer():
-        raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
-    if not np.isfinite(value):
+    if isinstance(rule, int):
+        # Integers stay exact: a seed may exceed 2**64.
+        if isinstance(value, float):
+            if not value.is_integer():
+                raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
+            value = int(value)
+        if value < rule:
+            raise ConfigError(f"key {key!r} must be >= {rule}, got {value!r}")
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = np.inf
+    if not np.isfinite(number):
         raise ConfigError(f"key {key!r} must be finite, got {value!r}")
-    if positive and not value > 0:
+    if rule == "positive" and not number > 0:
         raise ConfigError(f"key {key!r} must be > 0, got {value!r}")
-    if nonneg and value < 0:
-        raise ConfigError(f"key {key!r} must be >= 0, got {value!r}")
-    return int(value) if integer else float(value)
+    return number
+
+
+def _choice(key: str, value, options) -> str:
+    if not isinstance(value, str) or value not in options:
+        raise ConfigError(f"key {key!r} must be one of {', '.join(options)}; got {value!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat JSON config document."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
 
-    unknown = sorted(set(raw) - set(_FIELD_TYPES))
+    unknown = sorted(set(raw) - {f.name for f in dc_fields(RunConfig)})
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     for key in ("experiment", "model"):
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
-
-    out: dict = {}
-    if raw["experiment"] not in EXPERIMENTS:
+    experiment = _choice("experiment", raw["experiment"], EXPERIMENTS)
+    model = _choice("model", raw["model"], MODELS)
+    _, defined, keys = MODELS[model]
+    if experiment not in defined:
         raise ConfigError(
-            f"key 'experiment' must be one of {', '.join(EXPERIMENTS)}; got {raw['experiment']!r}"
-        )
-    if not isinstance(raw["model"], str) or raw["model"] not in MODELS:
-        raise ConfigError(f"key 'model' must be one of {', '.join(MODELS)}; got {raw['model']!r}")
-    defined = MODELS[raw["model"]][1]
-    if raw["experiment"] not in defined:
-        raise ConfigError(
-            f"experiment {raw['experiment']!r} is not defined for model {raw['model']!r}; "
+            f"experiment {experiment!r} is not defined for model {model!r}; "
             f"pick one of {', '.join(defined)}"
         )
-    out["experiment"] = raw["experiment"]
-    out["model"] = raw["model"]
+    foreign = sorted(set(raw) & (_MODEL_KEYS - set(keys)))
+    if foreign:
+        raise ConfigError(
+            f"model {model!r} does not read key(s) {', '.join(foreign)}; "
+            f"its keys are {', '.join(keys)}"
+        )
 
-    for key, kw in (
-        ("hbar", dict(positive=True)),
-        ("mass", dict(positive=True)),
-        ("p0", dict()),
-        ("omega", dict(positive=True)),
-        ("a", dict()),
-    ):
-        if key in raw:
-            out[key] = _require_number(key, raw[key], **kw)
-
-    hbar = out.get("hbar", 1.0)
-    mass = out.get("mass", 1.0)
-    omega = out.get("omega", 1.0)
-
-    if out["model"] == "harmonic":
-        coherent = float(np.sqrt(hbar / (2.0 * mass * omega)))
-        if "sigma0" in raw:
-            given = _require_number("sigma0", raw["sigma0"], positive=True)
-            if abs(given - coherent) > _COHERENT_WIDTH_RTOL * coherent:
-                raise ConfigError(
-                    f"key 'sigma0'={given!r} violates the coherent-width constraint "
-                    f"sigma0 = sqrt(hbar/(2 mass omega)) = {coherent!r}"
-                )
-        out["sigma0"] = coherent
-    elif "sigma0" in raw:
-        out["sigma0"] = _require_number("sigma0", raw["sigma0"], positive=True)
-
+    out = {key: _number(key, raw[key], rule) for key, rule in _NUMBERS.items() if key in raw}
+    out.update(experiment=experiment, model=model)
     if "x0_fan" in raw:
         fan = raw["x0_fan"]
         if not isinstance(fan, list) or not fan:
             raise ConfigError("key 'x0_fan' must be a non-empty list of numbers")
-        out["x0_fan"] = tuple(
-            _require_number(f"x0_fan[{i}]", v) for i, v in enumerate(fan)
-        )
-
-    for key in ("grid_x_min", "grid_x_max"):
-        if key in raw:
-            out[key] = _require_number(key, raw[key])
-    if "grid_points" in raw:
-        out["grid_points"] = _require_number("grid_points", raw["grid_points"], integer=True)
-        if out["grid_points"] < 8:
-            raise ConfigError(f"key 'grid_points' must be >= 8, got {out['grid_points']}")
-    if (out.get("grid_x_min") is not None) != (out.get("grid_x_max") is not None):
-        raise ConfigError("keys 'grid_x_min' and 'grid_x_max' must be given together")
-    if out.get("grid_x_min") is not None and not out["grid_x_min"] < out["grid_x_max"]:
-        raise ConfigError("key 'grid_x_min' must be < 'grid_x_max'")
-
-    if "order" in raw:
-        out["order"] = _require_number("order", raw["order"], integer=True)
-        if out["order"] < 1:
-            raise ConfigError(f"key 'order' must be >= 1, got {out['order']}")
-    if "t_max" in raw:
-        out["t_max"] = _require_number("t_max", raw["t_max"], positive=True)
-    if "dt" in raw:
-        out["dt"] = _require_number("dt", raw["dt"], positive=True)
-    if "ensemble_n" in raw:
-        out["ensemble_n"] = _require_number("ensemble_n", raw["ensemble_n"], integer=True)
-        if out["ensemble_n"] < 2:
-            raise ConfigError(f"key 'ensemble_n' must be >= 2, got {out['ensemble_n']}")
+        out["x0_fan"] = tuple(_number(f"x0_fan[{i}]", v, "real") for i, v in enumerate(fan))
     if "ensemble_mode" in raw:
-        if raw["ensemble_mode"] not in SAMPLING_MODES:
-            raise ConfigError(
-                f"key 'ensemble_mode' must be one of {', '.join(SAMPLING_MODES)}; "
-                f"got {raw['ensemble_mode']!r}"
-            )
-        out["ensemble_mode"] = raw["ensemble_mode"]
-    if "seed" in raw:
-        out["seed"] = _require_number("seed", raw["seed"], integer=True, nonneg=True)
+        out["ensemble_mode"] = _choice("ensemble_mode", raw["ensemble_mode"], SAMPLING_MODES)
     if "output_dir" in raw:
         if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
             raise ConfigError("key 'output_dir' must be a non-empty string")
         out["output_dir"] = raw["output_dir"]
+    if ("grid_x_min" in out) != ("grid_x_max" in out):
+        raise ConfigError("keys 'grid_x_min' and 'grid_x_max' must be given together")
+    if "grid_x_min" in out and not out["grid_x_min"] < out["grid_x_max"]:
+        raise ConfigError("key 'grid_x_min' must be < 'grid_x_max'")
 
     cfg = RunConfig(**out)
-    # The model's derived scales (sigma0^2, m omega^2, ...) can overflow,
-    # and its time scale underflow, for finite keys; such a config is
-    # invalid, not a failed run.
+    # The model's derived scales (sigma0^2, m omega^2, the coherent
+    # width, ...) can overflow or underflow for finite keys; such a
+    # config is invalid, not a failed run.
     try:
-        build_model(cfg)
+        spec = build_model(cfg).spec
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(
-            f"model {cfg.model!r} cannot be built from this config: {type(exc).__name__}: {exc}"
+            f"model {model!r} cannot be built from this config: {type(exc).__name__}: {exc}"
         ) from exc
-    return cfg
+    # The harmonic spec derives its width; the free spec holds the key's.
+    if "sigma0" in raw and abs(cfg.sigma0 - spec.sigma0) > _COHERENT_WIDTH_RTOL * spec.sigma0:
+        raise ConfigError(
+            f"key 'sigma0'={cfg.sigma0!r} violates the coherent-width constraint "
+            f"sigma0 = sqrt(hbar/(2 mass omega)) = {spec.sigma0!r}"
+        )
+    return replace(cfg, sigma0=spec.sigma0)
 
 
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
 
 
 def config_dict(cfg: RunConfig) -> dict:
-    """Flat dict of all resolved fields, JSON-ready."""
+    """Flat dict of the resolved fields that the config's model reads, JSON-ready."""
+    skip = _MODEL_KEYS - set(MODELS[cfg.model][2])
     out = {}
     for f in dc_fields(RunConfig):
+        if f.name in skip:
+            continue
         value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
+        out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 

@@ -258,13 +258,8 @@ def reconstruct_polar(state: HierarchyState, params: PhysParams) -> PolarFields:
     """
     if state.order < 1:
         raise ValueError("amplitude reconstruction needs order >= 1")
-    hbar = params.hbar
-    log_r = np.zeros(state.grid.n_points)
-    s = np.zeros(state.grid.n_points)
-    for n in range(0, state.order + 1, 2):
-        s += (-1.0) ** (n // 2) * hbar**n * state.values[n]
-    for n in range(1, state.order + 1, 2):
-        log_r += (-1.0) ** ((n - 1) // 2) * hbar ** (n - 1) * state.values[n]
+    s = _hbar_series(state.values[0::2], params.hbar)
+    log_r = _hbar_series(state.values[1::2], params.hbar)
     with np.errstate(over="ignore", under="ignore"):
         r = np.exp(log_r)
     over, under = ~np.isfinite(r), r == 0.0
@@ -281,12 +276,12 @@ def reconstruct_polar(state: HierarchyState, params: PhysParams) -> PolarFields:
 
 
 def complex_action(state: HierarchyState, params: PhysParams) -> ComplexField:
-    """Recombine the stack into the complex action sum (hbar/i)^n sn."""
+    """Complex action sum (hbar/i)^n sn = even-row series - i hbar * odd-row series."""
     if state.order < 1:
         raise ValueError("complex action needs order >= 1")
-    weights = (params.hbar / 1j) ** np.arange(state.order + 1)
-    values = np.tensordot(weights, state.values, axes=(0, 0))
-    return ComplexField(state.grid, values, state.time)
+    even = _hbar_series(state.values[0::2], params.hbar)
+    odd = _hbar_series(state.values[1::2], params.hbar)
+    return ComplexField(state.grid, even - 1j * params.hbar * odd, state.time)
 
 
 def hierarchy_wavefunction(state: HierarchyState, params: PhysParams) -> ComplexField:
@@ -311,10 +306,16 @@ def truncated_velocity_field(
             f"state has {state.order}"
         )
     grads = derivative_values(state.values[: 2 * max_pair_index + 1 : 2], state.grid.dx)
-    v = grads[0]
-    for n in range(1, max_pair_index + 1):
-        v = v + (-1.0) ** n * params.hbar ** (2 * n) * grads[n]
+    v = _hbar_series(grads, params.hbar)
     return RealField(state.grid, v / params.mass, state.time)
+
+
+def _hbar_series(rows: np.ndarray, hbar: float) -> np.ndarray:
+    """sum_p (-hbar^2)^p rows[p], added in increasing p from zero."""
+    out = np.zeros(rows.shape[1:])
+    for p, row in enumerate(rows):
+        out += (-1.0) ** p * hbar ** (2 * p) * row
+    return out
 
 
 def _time_derivative(stack: list[np.ndarray], dt: float) -> np.ndarray:

@@ -143,10 +143,12 @@ def _advance(state: TdseState, solver: CrankNicolsonSolver, n_steps: int) -> Tds
         t += solver.dt
     field = ComplexField(state.psi.grid, psi, time=t)
     drift = trapezoid_norm(field) - norm0
-    if abs(drift) > NORM_DRIFT_LIMIT:
+    # Relative to the initial norm, so the state's scale cannot trip it.
+    if abs(drift) > NORM_DRIFT_LIMIT * norm0:
+        relative = float(drift / norm0)
         raise NumericalAbort(
-            f"norm drifted by {drift:.3g} after {n_steps} steps",
-            t=float(t), value=float(drift), limit=NORM_DRIFT_LIMIT,
+            f"norm drifted by {relative:.3g} of its initial value after {n_steps} steps",
+            t=float(t), value=relative, limit=NORM_DRIFT_LIMIT,
         )
     return TdseState(psi=field, potential=state.potential, params=state.params)
 

@@ -1,17 +1,31 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wkbohm.cli import main as cli_main
-from wkbohm.config import EXPERIMENTS, parse_config, serialize_config
+from wkbohm.config import (
+    EXPERIMENTS,
+    MODELS,
+    RunConfig,
+    config_dict,
+    parse_config,
+    serialize_config,
+)
 from wkbohm.errors import ConfigError, WkbohmError
 from wkbohm.experiments import run_experiment
 from wkbohm.tables import emit_table, format_value, sha256_of
 
+# The non-default units of the reference runs in tools/table_digests.py.
+UNITS = {
+    "free": {"hbar": 0.7, "mass": 1.3, "sigma0": 0.9, "p0": 0.4},
+    "harmonic": {"hbar": 0.7, "mass": 1.3, "omega": 2.0, "a": 0.3},
+}
 MINIMAL_FREE = json.dumps(
     {"experiment": "figure1-short", "model": "free", "x0_fan": [-2, -1, 0, 1, 2], "t_max": 3.0}
 )
@@ -89,6 +103,78 @@ class TestParsing:
     def test_not_json_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("experiment = residuals")
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000], ids=["long-integer", "deep-nesting"])
+    def test_json_beyond_the_decoder_limits_rejected(self, text):
+        # An integer literal of more than 4300 digits, and nesting deeper
+        # than the recursion limit.
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key", ["seed", "order", "grid_points", "ensemble_n"])
+    def test_integer_keys_stay_exact(self, key):
+        big = 2**64 + 1
+        cfg = parse_config(json.dumps({"experiment": "residuals", "model": "free", key: big}))
+        assert type(getattr(cfg, key)) is int and getattr(cfg, key) == big
+
+    @pytest.mark.parametrize("model, keys", [("free", {"sigma0", "p0"}),
+                                             ("harmonic", {"omega", "a", "sigma0"})])
+    def test_config_dict_lists_only_the_models_keys(self, model, keys):
+        listed = set(config_dict(parse_config(json.dumps({"experiment": "residuals", "model": model}))))
+        assert listed & {"sigma0", "p0", "omega", "a"} == keys
+        assert listed | {"sigma0", "p0", "omega", "a"} == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("units", [False, True])
+    @pytest.mark.parametrize(
+        "experiment, model", [(e, m) for m, (_, defined, _) in MODELS.items() for e in defined]
+    )
+    def test_echo_validates_again_to_the_same_bytes(self, experiment, model, units):
+        doc = {"experiment": experiment, "model": model}
+        if units:
+            doc.update(UNITS[model])
+        echo = serialize_config(parse_config(json.dumps(doc)))
+        assert serialize_config(parse_config(echo)) == echo
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in a config echo")
+
+
+_SCALARS = st.one_of(
+    st.floats(min_value=0.5, max_value=20.0),  # values a key often accepts
+    st.integers(min_value=0, max_value=40),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+_OTHER_KEYS = sorted({f.name for f in fields(RunConfig)} - {"experiment", "model"})
+_DOCS = st.builds(
+    lambda names, rest: {**rest, **names},
+    st.fixed_dictionaries({
+        "experiment": st.sampled_from(EXPERIMENTS + ("figure2",)),
+        "model": st.sampled_from(("free", "harmonic", "anharmonic")),
+    }),
+    st.dictionaries(st.sampled_from(_OTHER_KEYS), _SCALARS | st.lists(_SCALARS, max_size=3), max_size=5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCS)
+@example({"experiment": "equivariance", "model": "free", "seed": 2**64})
+@example({"experiment": "residuals", "model": "free", "hbar": 10**400})
+@example({"experiment": "residuals", "model": "harmonic", "mass": 1e-200, "omega": 1e-200})
+@example({"experiment": "residuals", "model": "harmonic", "hbar": 1e300, "mass": 1e-10, "omega": 1e-10})
+def test_parse_returns_a_config_that_echoes_as_strict_json_or_raises_config_error(doc):
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    echo = serialize_config(cfg)
+    json.loads(echo, parse_constant=_reject_constant)
+    assert parse_config(echo) == cfg
 
 
 class TestTables:
@@ -523,6 +609,12 @@ class TestCli:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 2
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"experiment": "residuals", "model": "free", "output_dir": "\xe9"}'.encode("latin-1"))
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {str(path)!r}")
+
     def test_run_ok_and_env_override(self, tmp_path, capsys, monkeypatch):
         path = self.write_cfg(
             tmp_path,
@@ -634,6 +726,45 @@ class TestCli:
             f"ValueError: {message}\n"
         ) * 2
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"experiment": "residuals", "model": "free", "p0": -(10**400)},
+             f"key 'p0' must be finite, got {-(10**400)!r}"),
+            ({"experiment": "residuals", "model": "harmonic", "mass": 1e-200, "omega": 1e-200},
+             "model 'harmonic' cannot be built from this config: "
+             "ZeroDivisionError: float division by zero"),
+            ({"experiment": "residuals", "model": "harmonic", "hbar": 1e300, "mass": 1e-10,
+              "omega": 1e-10},
+             "model 'harmonic' cannot be built from this config: "
+             "ValueError: width inf must be positive and finite"),
+            ({"experiment": "residuals", "model": "harmonic", "p0": 5},
+             "model 'harmonic' does not read key(s) p0; its keys are omega, a, sigma0"),
+            ({"experiment": "residuals", "model": "free", "omega": 3, "a": 7},
+             "model 'free' does not read key(s) a, omega; its keys are sigma0, p0"),
+        ],
+        ids=["real-beyond-float-range", "coherent-width-divides-by-zero",
+             "coherent-width-overflows", "harmonic-p0", "free-omega-a"],
+    )
+    def test_config_error_exits_2_before_any_output(self, tmp_path, capsys, doc, message):
+        out_dir = tmp_path / "out"
+        path = self.write_cfg(tmp_path, {**doc, "output_dir": str(out_dir)})
+        assert cli_main(["validate", path]) == 2
+        assert cli_main(["run", path]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n" * 2
+        assert not out_dir.exists()
+
+    def test_seed_beyond_64_bits_validates_and_runs(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        doc = {"experiment": "equivariance", "model": "free", "ensemble_mode": "random",
+               "seed": 2**64, "output_dir": str(out_dir)}
+        path = self.write_cfg(tmp_path, doc)
+        assert cli_main(["validate", path]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**64
+        assert cli_main(["run", path]) == 0
+        manifest = json.loads((out_dir / "equivariance" / "manifest.json").read_text())
+        assert manifest["status"] == "ok" and manifest["config"]["seed"] == 2**64
 
     def test_run_that_cannot_allocate_fails_with_exit_3(self, tmp_path, capsys, monkeypatch):
         # Stands in for a config such as dt = 1e-12 (6.3e12 steps), which

@@ -448,6 +448,21 @@ class TestReconstruction:
             tail = np.max(np.abs(hbar**6 * rest_field_exact(6, x, t_end / 2))[window])
             assert err <= 2.0 * tail
 
+    def test_series_are_the_alternating_hbar_sums_bitwise(self):
+        grid = Grid1D(-8, 8, 161)
+        state = propagate_hierarchy(
+            init_hierarchy(gaussian_polar(grid, p0=0.3), 5), Potential.free(), 1e-3, 50, params=NATURAL
+        )
+        hbar = 0.7
+        s, log_r = np.zeros(grid.n_points), np.zeros(grid.n_points)
+        for n in range(0, 6, 2):
+            s += (-1.0) ** (n // 2) * hbar**n * state.values[n]
+            log_r += (-1.0) ** (n // 2) * hbar**n * state.values[n + 1]
+        polar = reconstruct_polar(state, PhysParams(hbar, 1.3))
+        assert polar.S.values.tobytes() == s.tobytes()
+        assert polar.R.values.tobytes() == np.exp(log_r).tobytes()
+
+
 
 class TestComplexAction:
     def test_modulus_identity_with_polar(self):
@@ -457,6 +472,15 @@ class TestComplexAction:
         psi = hierarchy_wavefunction(state, NATURAL)
         polar = reconstruct_polar(state, NATURAL)
         assert np.max(np.abs(np.abs(psi.values) - polar.R.values)) <= 1e-12
+
+    def test_equals_the_sum_over_powers_of_hbar_over_i(self):
+        grid = Grid1D(-6, 6, 201)
+        state = propagate_hierarchy(
+            init_hierarchy(gaussian_polar(grid, p0=0.3), 5), Potential.free(), 1e-3, 50, params=NATURAL
+        )
+        params = PhysParams(0.7, 1.0)
+        expected = sum((params.hbar / 1j) ** n * state.values[n] for n in range(6))
+        np.testing.assert_allclose(complex_action(state, params).values, expected, rtol=1e-14, atol=1e-14)
 
     def test_matches_packet_at_t0_up_to_global_phase(self):
         grid = Grid1D(-8, 8, 321)

@@ -9,6 +9,7 @@ import pytest
 
 import wkbohm
 
+from wkbohm import tdse
 from wkbohm.analytic import (
     GaussianPacketSpec,
     OscillatorSpec,
@@ -150,26 +151,37 @@ class TestCrankNicolson:
         assert (exc.order, exc.node, exc.x, exc.t) == (None, node, grid.nodes[node], 0.25)
         assert exc.value == edge and exc.limit == EDGE_AMPLITUDE_LIMIT
 
-    def test_norm_drift_abort_names_time_value_and_limit(self):
-        # Scaled by 1e8 the norm is 1e16, where one ulp is 2: the
-        # solver's round-off alone moves it past the absolute limit.
-        _, state = free_state(half_width=15.0, n=151)
-        scaled = ComplexField(state.psi.grid, 1e8 * state.psi.values)
-        state = TdseState(psi=scaled, potential=state.potential, params=state.params)
+    def test_norm_drift_abort_names_time_value_and_limit(self, monkeypatch):
+        # A unit state drifts by round-off only (3e-15 here); a limit
+        # below that round-off stands in for a real drift.
+        _, state = free_state(half_width=15.0, n=201)
         dt, n_steps = 1e-2, 20
+        solver = CrankNicolsonSolver(state.psi.grid, state.potential, state.params, dt)
+        psi, t = state.psi.values.copy(), 0.0
+        for _ in range(n_steps):
+            psi, t = solver.step_values(psi, t), t + dt
+        norm0 = trapezoid_norm(state.psi)
+        drift = float((trapezoid_norm(ComplexField(state.psi.grid, psi, time=t)) - norm0) / norm0)
+        assert drift != 0.0
+        limit = abs(drift) / 2
+        monkeypatch.setattr(tdse, "NORM_DRIFT_LIMIT", limit)
         with pytest.raises(NumericalAbort) as info:
             tdse_propagate(state, dt, n_steps)
         exc = info.value
-        solver = CrankNicolsonSolver(scaled.grid, state.potential, state.params, dt)
-        psi, t = scaled.values.copy(), 0.0
-        for _ in range(n_steps):
-            psi, t = solver.step_values(psi, t), t + dt
-        drift = trapezoid_norm(ComplexField(scaled.grid, psi, time=t)) - trapezoid_norm(scaled)
-        assert abs(drift) > NORM_DRIFT_LIMIT
         assert type(exc) is NumericalAbort
-        assert str(exc) == f"norm drifted by {drift:.3g} after {n_steps} steps"
+        assert str(exc) == f"norm drifted by {drift:.3g} of its initial value after {n_steps} steps"
         assert (exc.order, exc.node, exc.x) == (None, None, None)
-        assert exc.t == t and exc.value == drift and exc.limit == NORM_DRIFT_LIMIT
+        assert exc.t == t and exc.value == drift and exc.limit == limit
+
+    def test_norm_drift_limit_is_relative_to_the_initial_norm(self):
+        # Scaled by 1e8 the norm is 1e16, where one ulp is 2: round-off
+        # alone moves it by more than an absolute 1e-8.
+        _, state = free_state(half_width=15.0, n=151)
+        scaled = ComplexField(state.psi.grid, 1e8 * state.psi.values)
+        state = TdseState(psi=scaled, potential=state.potential, params=state.params)
+        out = tdse_propagate(state, 1e-2, 20)
+        assert out.psi.time == pytest.approx(0.2)
+        assert trapezoid_norm(out.psi) == pytest.approx(trapezoid_norm(scaled), rel=NORM_DRIFT_LIMIT)
 
     def test_collecting_returns_snapshots(self):
         _, state = free_state(half_width=15.0, n=751)
