@@ -54,6 +54,14 @@ class GaussianPacketSpec:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if not np.isfinite(self.p0):
             raise ValueError("p0 must be finite")
+        # Every closed form of the packet moves with v0 and phases with E.
+        try:
+            finite = np.isfinite(self.v0) and np.isfinite(self.energy)
+        except OverflowError:  # p0**2 of a Python float
+            finite = False
+        if not finite:
+            raise ValueError(f"p0={self.p0} and mass={self.params.mass} give a velocity p0/mass or "
+                             "an energy p0^2/mass that is not finite")
 
     @property
     def v0(self) -> float:

@@ -94,9 +94,6 @@ class HierarchyState:
     def order(self) -> int:
         return self.values.shape[0] - 1
 
-    def field(self, n: int) -> RealField:
-        return RealField(self.grid, self.values[n].copy(), self.time)
-
 
 def init_hierarchy(psi0: PolarFields, order: int) -> HierarchyState:
     """Seed the hierarchy from polar data at t = 0.

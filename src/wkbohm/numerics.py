@@ -73,47 +73,37 @@ class Grid1D:
         return x
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        node = int(np.flatnonzero(bad)[0])
-        raise NonFiniteFieldError(f"{what} has a non-finite value at node {node}", node=node)
+@dataclass(frozen=True)
+class _GridField:
+    """Samples of a function on a grid at one instant, as a `_DTYPE` array."""
+
+    grid: Grid1D
+    values: np.ndarray
+    time: float = 0.0
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=self._DTYPE)
+        object.__setattr__(self, "values", values)
+        if values.shape != (self.grid.n_points,):
+            raise ValueError(f"field has {values.shape} values for a {self.grid.n_points}-node grid")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            node = int(np.flatnonzero(bad)[0])
+            raise NonFiniteFieldError(f"{self._KIND} has a non-finite value at node {node}", node=node)
 
 
 @dataclass(frozen=True)
-class RealField:
+class RealField(_GridField):
     """Real-valued samples of a function on a grid at one instant."""
 
-    grid: Grid1D
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"field has {values.shape} values for a {self.grid.n_points}-node grid"
-            )
-        _check_finite(values, "real field")
+    _DTYPE, _KIND = float, "real field"
 
 
 @dataclass(frozen=True)
-class ComplexField:
+class ComplexField(_GridField):
     """Complex-valued samples of a function on a grid at one instant."""
 
-    grid: Grid1D
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"field has {values.shape} values for a {self.grid.n_points}-node grid"
-            )
-        _check_finite(values, "complex field")
+    _DTYPE, _KIND = complex, "complex field"
 
 
 def derivative_pair(values, dx: float) -> tuple[np.ndarray, np.ndarray]:

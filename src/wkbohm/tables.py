@@ -39,7 +39,9 @@ def emit_table(path, columns: list[tuple[str, str]], rows) -> Path:
     """Write rows under a `name [unit]` header; returns the path.
 
     `columns` is a list of (name, unit) pairs; every row must have one
-    cell per column. An empty row list yields a header-only file.
+    cell per column. An empty row list yields a header-only file. A cell
+    reading nan, inf or -inf is refused: nothing is written, and the
+    `WkbohmError` names the file, the row (from 0) and the column.
     """
     out = Path(path)
     header = DELIMITER.join(f"{name} [{unit}]" for name, unit in columns)
@@ -49,6 +51,11 @@ def emit_table(path, columns: list[tuple[str, str]], rows) -> Path:
             raise WkbohmError(f"row has {len(row)} cells for {len(columns)} columns")
         lines.append(DELIMITER.join(map(format_value, row)))
     text = "\n".join(lines) + "\n"
+    if text.find("nan", len(header)) >= 0 or text.find("inf", len(header)) >= 0:
+        for i, line in enumerate(lines[1:]):
+            for (name, _), cell in zip(columns, line.split(DELIMITER)):
+                if cell in ("nan", "inf", "-inf"):  # a float that is not finite
+                    raise WkbohmError(f"non-finite cell in {out}: row {i}, column {name!r}: {cell}")
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -55,10 +55,6 @@ class TdseState:
     def time(self) -> float:
         return self.psi.time
 
-    @property
-    def norm(self) -> float:
-        return trapezoid_norm(self.psi)
-
 
 class CrankNicolsonSolver:
     """Factorized Crank-Nicolson stepper for one (grid, V, dt) triple."""

@@ -1,15 +1,19 @@
 """Trajectory integration, ensembles, sampling, and trajectory-level checks.
 
-A velocity-field provider is anything with `evaluate(x, t)` (vectorized
-over x) plus rectangular validity windows in x and t. Analytic
-providers wrap closed forms and are valid everywhere; gridded
-providers interpolate stored field snapshots (cubic in x, linear in t)
-and are valid strictly inside their grid and time range.
+A velocity-field provider must define `evaluate(x, t)` (vectorized
+over x), the validity windows `x_window` and `t_window` as (lo, hi)
+pairs, and `source`, its trajectories' tag in `SOURCES`. Analytic
+providers wrap closed forms and are valid everywhere; gridded providers
+interpolate stored field snapshots (cubic in x, linear in t) inside
+their grid and time range. The time rule: t lies in a t window when
+lo <= t <= hi up to 1e-9 of the span hi - lo, wherever t = 0 sits. The
+integrator checks its first and last stage times by it before the
+first step, the gridded provider each query.
 
-Integration is rk4 on dx/dt = v(x, t) over the caller's time grid,
-one step per interval. Leaving the validity window truncates the
-trajectory and flags it; extrapolating a Bohmian field beyond where
-the amplitude lives would be meaningless.
+Integration is rk4 on dx/dt = v(x, t) over the caller's time grid, one
+step per interval. Leaving the x window truncates the trajectory and
+flags it; extrapolating a Bohmian field beyond where the amplitude
+lives would be meaningless.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .numerics import Grid1D, RealField, cubic_cell_evaluate, cubic_cell_table
 
 SOURCES = ("analytic-free", "analytic-ho", "hierarchy", "oracle", "classical", "series")
 SAMPLING_MODES = ("quantile", "uniform", "random")
+LATE_TIME_U = 10.0  # earliest dimensionless time of an asymptotic-velocity fit
 
 
 @dataclass(frozen=True)
@@ -79,18 +84,13 @@ class Ensemble:
             if not np.array_equal(t, full[: t.size]):
                 raise ValueError("ensemble members must share one time grid")
 
-    @property
-    def times(self) -> np.ndarray:
-        return max(self.members, key=lambda m: m.times.size).times
-
 
 @dataclass(frozen=True)
 class FreePacketVelocityField:
     """Closed-form Bohmian field of the spreading free packet."""
 
     spec: GaussianPacketSpec
-    x_window: tuple[float, float] = (-np.inf, np.inf)
-    t_window: tuple[float, float] = (-np.inf, np.inf)
+    x_window = t_window = (-np.inf, np.inf)
     source = "analytic-free"
 
     def evaluate(self, x, t):
@@ -102,8 +102,7 @@ class OscillatorVelocityField:
     """Closed-form Bohmian field of the coherent oscillator packet."""
 
     spec: OscillatorSpec
-    x_window: tuple[float, float] = (-np.inf, np.inf)
-    t_window: tuple[float, float] = (-np.inf, np.inf)
+    x_window = t_window = (-np.inf, np.inf)
     source = "analytic-ho"
 
     def evaluate(self, x, t):
@@ -123,17 +122,15 @@ class GriddedVelocityField:
     Each snapshot's cubic is stored per cell (`cubic_cell_table`) the
     first time a query time falls next to it, and only the two tables
     bracketing the latest query are kept. The bracketing pair is blended
-    once per distinct query time; the last two blends are kept, which
-    covers the three distinct times of an rk4 step and the next step's
-    first one. The cubic is linear in the samples, so blending tables
-    gives the same field as blending the snapshots. Snapshots are read
-    lazily, so the array passed as `fields` must not change afterwards;
-    the provider's own view of it is read-only.
-
-    The x window keeps two nodes of margin so the cubic interpolation
-    stencil never leans on boundary values; the t window is the
-    snapshot span, with a slack of 1e-9 of that span for rounding in
-    stage times.
+    once per distinct query time, and only the latest blend is kept: an
+    rk4 step queries t, t + dt/2 twice and t + dt, and the next step
+    starts at that same t + dt, so no query asks for an older blend.
+    The cubic is linear in the samples, so blending tables gives the
+    same field as blending the snapshots. Snapshots are read lazily, so
+    the array passed as `fields` must not change afterwards; the
+    provider's own view of it is read-only. The x window keeps two nodes
+    of margin so the cubic stencil never leans on boundary values; the
+    t window is the snapshot span.
     """
 
     grid: Grid1D
@@ -152,7 +149,7 @@ class GriddedVelocityField:
         if t.size < 2 or not np.all(np.diff(t) > 0):
             raise ValueError("need at least 2 strictly increasing snapshot times")
         object.__setattr__(self, "_snapshot_cells", {})  # snapshot index -> cell table
-        object.__setattr__(self, "_blends", {})  # query time -> blended cell table
+        object.__setattr__(self, "_blend", (np.nan, None))  # (query time, blended cell table)
 
     @property
     def x_window(self) -> tuple[float, float]:
@@ -167,15 +164,13 @@ class GriddedVelocityField:
         return cubic_cell_evaluate(self.grid, self._cells_at(float(t)), x)
 
     def _cells_at(self, t: float) -> np.ndarray:
-        blends = self._blends
-        table = blends.get(t)
-        if table is not None:
+        t_blend, table = self._blend
+        if t == t_blend:
             return table
+        window = self.t_window
+        if not _covers(window, t):
+            raise ValueError(f"t={t} outside stored snapshot range [{window[0]}, {window[1]}]")
         times = self.times
-        t_first, t_last = float(times[0]), float(times[-1])
-        eps = 1e-9 * (t_last - t_first)
-        if t < t_first - eps or t > t_last + eps:
-            raise ValueError(f"t={t} outside stored snapshot range")
         j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
         t0, t1 = float(times[j]), float(times[j + 1])
         w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
@@ -184,10 +179,15 @@ class GriddedVelocityField:
         kept.clear()
         kept.update(zip((j, j + 1), pair))
         table = (1.0 - w) * pair[0] + w * pair[1]
-        if len(blends) == 2:
-            del blends[next(iter(blends))]
-        blends[t] = table
+        object.__setattr__(self, "_blend", (t, table))
         return table
+
+
+def _covers(window: tuple[float, float], t: float) -> bool:
+    """Whether t lies in a time window, up to 1e-9 of its span; NaN never does."""
+    lo, hi = window
+    slack = 1e-9 * (hi - lo)
+    return lo - slack <= t <= hi + slack
 
 
 def _inside(window: tuple[float, float], x: np.ndarray) -> np.ndarray:
@@ -213,10 +213,9 @@ def _integrate_members(provider, x0s, t_grid) -> list[Trajectory]:
     x0s = np.asarray(x0s, dtype=float)
     positions, n_valid = integrate_ensemble_positions(provider, x0s, t_grid)
     t = np.asarray(t_grid, dtype=float)
-    source = getattr(provider, "source", "hierarchy")
     return [
-        Trajectory(times=t[:k], positions=positions[i, :k], x0=float(x0s[i]), source=source,
-                   truncated=k < t.size)
+        Trajectory(times=t[:k], positions=positions[i, :k], x0=float(x0s[i]),
+                   source=provider.source, truncated=k < t.size)
         for i, k in enumerate(n_valid.tolist())
     ]
 
@@ -238,13 +237,18 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     if t.ndim != 1 or t.size < 1 or (t.size > 1 and not np.all(np.diff(t) > 0)):
         raise ValueError("t_grid must be 1D and strictly increasing")
     x = np.array(x0s, dtype=float)
-    xw = getattr(provider, "x_window", (-np.inf, np.inf))
-    tw = getattr(provider, "t_window", (-np.inf, np.inf))
-    t_tol = 1e-9 * max(abs(t[0]), abs(t[-1]), t[-1] - t[0])
-    if t[0] < tw[0] - t_tol or t[-1] > tw[1] + t_tol:
-        raise ValueError("t_grid extends outside the provider's time window")
-    if not np.all(_inside(xw, x)):
-        raise ValueError("an initial position lies outside the provider's x window")
+    xw, tw = provider.x_window, provider.t_window
+    times = t.tolist()
+    # rk4 queries t_0 first and t_{n-2} + dt last; check both as the loop forms them.
+    last = times[-2] + (times[-1] - times[-2]) if t.size > 1 else times[0]
+    if not (_covers(tw, times[0]) and _covers(tw, last)):
+        raise ValueError(f"t_grid extends outside the provider's time window: "
+                         f"grid [{times[0]}, {times[-1]}], window [{tw[0]}, {tw[1]}]")
+    outside = np.flatnonzero(~_inside(xw, x))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"an initial position lies outside the provider's x window: "
+                         f"member {i} at x={x[i]}, window [{xw[0]}, {xw[1]}]")
 
     n = x.size
     positions = np.full((n, t.size), np.nan)
@@ -273,7 +277,6 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
                 return evaluate(probe, ts), True
             return evaluate(np.fmin(np.fmax(probe, lo), hi), ts), False
 
-    times = t.tolist()
     for i in range(t.size - 1):
         if not rows.size:
             break
@@ -319,10 +322,6 @@ def density_cdf(density: RealField) -> tuple[np.ndarray, np.ndarray]:
     return density.grid.nodes, cdf / total
 
 
-def _inverse_cdf(x: np.ndarray, cdf: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.interp(q, cdf, x)
-
-
 def sample_initial_positions(
     density: RealField, n: int, mode: str = "quantile", seed: int | None = None
 ) -> np.ndarray:
@@ -337,14 +336,14 @@ def sample_initial_positions(
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}; pick from {SAMPLING_MODES}")
     x, cdf = density_cdf(density)
+    if mode == "uniform":
+        lo, hi = np.interp([0.5 / n, 1.0 - 0.5 / n], cdf, x)
+        return np.linspace(lo, hi, n)
     if mode == "quantile":
         q = (np.arange(n) + 0.5) / n
-        return _inverse_cdf(x, cdf, q)
-    if mode == "uniform":
-        lo, hi = _inverse_cdf(x, cdf, np.array([0.5 / n, 1.0 - 0.5 / n]))
-        return np.linspace(lo, hi, n)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return _inverse_cdf(x, cdf, rng.uniform(0.0, 1.0, size=n))
+    else:
+        q = np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 1.0, size=n)
+    return np.interp(q, cdf, x)
 
 
 @dataclass(frozen=True)
@@ -391,19 +390,18 @@ def fit_asymptotic_velocity(
     trajectory: Trajectory,
     t_window: tuple[float, float],
     packet: GaussianPacketSpec | None = None,
-    min_u: float = 10.0,
 ) -> AsymptoticFit:
     """Fit x = v t + b over [t0, t1]; the slope is the asymptotic velocity.
 
     Needs at least 10 samples in the window. When a packet spec is
-    given, the window start must lie in the late-time regime
-    (dimensionless time >= min_u).
+    given, the window start must lie in the late-time regime, u >=
+    `LATE_TIME_U`, where the width grows linearly to within 0.5%.
     """
     t0, t1 = t_window
-    if packet is not None and dimensionless_time(packet, t0) < min_u:
+    if packet is not None and dimensionless_time(packet, t0) < LATE_TIME_U:
         raise ValueError(
             f"window start u={float(dimensionless_time(packet, t0)):.3g} is below "
-            f"the late-time threshold {min_u}"
+            f"the late-time threshold {LATE_TIME_U}"
         )
     sel = (trajectory.times >= t0) & (trajectory.times <= t1)
     if int(sel.sum()) < 10:

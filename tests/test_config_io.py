@@ -210,6 +210,20 @@ class TestTables:
         with pytest.raises(WkbohmError):
             emit_table(tmp_path / "w.csv", [("a", "1")], [[1, 2]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)], ids=str)
+    def test_non_finite_cell_refused_before_writing(self, tmp_path, bad):
+        target = tmp_path / "t.csv"
+        cols = [("t", "time"), ("x", "length"), ("source", "-")]
+        rows = [[0.0, 1.0, "info"], [0.5, bad, "nan-free"]]
+        with pytest.raises(WkbohmError) as exc:
+            emit_table(target, cols, rows)
+        assert str(exc.value) == f"non-finite cell in {target}: row 1, column 'x': {format_value(bad)}"
+        assert not target.exists()
+
+    def test_string_cells_spelling_nan_or_inf_inside_are_kept(self, tmp_path):
+        path = emit_table(tmp_path / "s.csv", [("name", "-"), ("x", "1")], [["info", 1.0], ["nano", 2.0]])
+        assert path.read_text() == "name [-],x [1]\ninfo,1\nnano,2\n"
+
 
 def run_cfg(tmp_path, name="a", **overrides):
     doc = {"experiment": "figure1-short", "model": "free"}
@@ -754,6 +768,41 @@ class TestCli:
         assert cli_main(["run", path]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n" * 2
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, keys, message",
+        [
+            (experiment, {"p0": 1e300, "mass": 1e-10}, "p0=1e+300 and mass=1e-10")
+            for experiment in ("figure1-short", "residuals", "equivariance")
+        ]
+        + [("figure1-short", {"p0": -1e200}, "p0=-1e+200 and mass=1.0")],
+    )
+    def test_packet_whose_velocity_or_energy_overflows_exits_2(
+        self, tmp_path, capsys, experiment, keys, message
+    ):
+        out_dir = tmp_path / "out"
+        doc = {"experiment": experiment, "model": "free", **keys, "output_dir": str(out_dir)}
+        path = self.write_cfg(tmp_path, doc)
+        assert cli_main(["validate", path]) == 2
+        assert cli_main(["run", path]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: model 'free' cannot be built from this config: ValueError: {message} "
+            "give a velocity p0/mass or an energy p0^2/mass that is not finite\n"
+        ) * 2
+        assert not out_dir.exists()
+
+    def test_run_whose_table_would_hold_inf_fails_with_exit_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        doc = {"experiment": "figure1-short", "model": "free", "x0_fan": [1e308, -1e308],
+               "output_dir": str(out_dir)}
+        path = self.write_cfg(tmp_path, doc)
+        assert cli_main(["run", path]) == 3
+        run_dir = out_dir / "figure1-short"
+        error = f"WkbohmError: non-finite cell in {run_dir / 'trajectories.csv'}: row "
+        assert capsys.readouterr().err.startswith(f"run failed: {error}")
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"].startswith(error)
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
 
     def test_seed_beyond_64_bits_validates_and_runs(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

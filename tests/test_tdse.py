@@ -69,17 +69,17 @@ class TestCrankNicolson:
         _, state = free_state()
         out = tdse_propagate(state, 1e-3, 1)
         assert out.time == pytest.approx(1e-3)
-        assert out.norm == pytest.approx(state.norm, abs=1e-12)
+        assert trapezoid_norm(out.psi) == pytest.approx(trapezoid_norm(state.psi), abs=1e-12)
 
     def test_norm_conserved_over_ten_thousand_steps(self):
         # The oscillating coherent packet never approaches the grid
         # edge, so the run can go long without contamination.
         _, state = ho_state(dx_frac=50)
         out = tdse_propagate(state, 1e-3, 10_000)
-        assert abs(out.norm - 1.0) <= 1e-8
+        assert abs(trapezoid_norm(out.psi) - 1.0) <= 1e-8
         # Cayley-transform stepping keeps the discrete norm at the
         # roundoff floor, far below the contract bound.
-        assert abs(out.norm - state.norm) <= 1e-10
+        assert abs(trapezoid_norm(out.psi) - trapezoid_norm(state.psi)) <= 1e-10
 
     def test_undersized_domain_rejected_at_setup(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import references
 from references import first_crossing, member_loop_positions, newton_cubic
@@ -226,6 +227,107 @@ class TestEnsembleLoop:
         provider = FreePacketVelocityField(packet())
         positions, n_valid = integrate_ensemble_positions(provider, np.array([]), np.linspace(0, 1, 5))
         assert positions.shape == (0, 5) and n_valid.shape == (0,)
+
+
+class _Counted:
+    """A provider's four attributes around another provider, counting `evaluate` calls."""
+
+    def __init__(self, provider):
+        self.provider, self.calls = provider, 0
+        self.x_window, self.t_window, self.source = provider.x_window, provider.t_window, provider.source
+
+    def evaluate(self, x, t):
+        self.calls += 1
+        return self.provider.evaluate(x, t)
+
+
+def _stage_times(t_grid):
+    """Every time rk4 queries over a grid, formed as the integrator forms them."""
+    times = t_grid.tolist()
+    out = []
+    for t_i, t_next in zip(times, times[1:]):
+        dt = t_next - t_i
+        out += [t_i, t_i + 0.5 * dt, t_i + dt]
+    return out
+
+
+def _time_rule_decision(span, scale, offset, d_lo, d_hi, n):
+    """Whether the integrator takes a grid sticking out d_lo, d_hi spans past the snapshots.
+
+    Snapshots at b + a span [0, 1/2, 1] and the grid at b + a span g,
+    with a = scale, b = offset a span and g running from -d_lo to
+    1 + d_hi in n points. Checks that the integrator accepts the grid
+    exactly when the provider accepts every stage time, and that a
+    rejected grid makes no `evaluate` call.
+    """
+    unit = scale * span
+    grid = Grid1D(-1.0, 1.0, 21)
+    provider = GriddedVelocityField(grid, offset * unit + unit * np.array([0.0, 0.5, 1.0]), np.zeros((3, 21)))
+    t_grid = offset * unit + unit * np.linspace(-d_lo, 1.0 + d_hi, n)
+    counted = _Counted(provider)
+    try:
+        integrate_ensemble_positions(counted, np.array([0.0]), t_grid)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc).startswith("t_grid extends outside the provider's time window")
+        assert counted.calls == 0
+        accepted = False
+    fresh = GriddedVelocityField(grid, provider.times, provider.fields)
+    every_stage = True
+    for t in _stage_times(t_grid):
+        try:
+            fresh.evaluate(np.array([0.0]), t)
+        except ValueError:
+            every_stage = False
+    assert accepted == every_stage
+    return accepted
+
+
+class TestTimeRule:
+    """One time-window rule, the same in the integrator and the gridded provider."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        span=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+        offset=st.one_of(
+            st.just(0.0),
+            st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 8.0)),
+        ),
+        d_lo=st.floats(-3e-9, 3e-9),
+        d_hi=st.floats(-3e-9, 3e-9),
+        n=st.integers(2, 6),
+    )
+    # Snapshots at 1e6 + [0, 1, 2] and a grid starting 5e-4 early: a
+    # rule relative to |t| let this grid through to a mid-run error.
+    @example(span=2.0, scale=1.0, offset=5e5, d_lo=2.5e-4, d_hi=0.0, n=11)
+    def test_integrator_and_provider_agree_under_affine_time(self, span, scale, offset, d_lo, d_hi, n):
+        base = _time_rule_decision(span, 1.0, 0.0, d_lo, d_hi, n)
+        moved = _time_rule_decision(span, scale, offset, d_lo, d_hi, n)
+        # The slack is 1e-9 span; where rounding of the moved times cannot
+        # cross it, both grids get the decision of the exact offsets.
+        tol = 16 * np.finfo(float).eps * (abs(offset) + 2.0)
+        if abs(d_lo - 1e-9) > tol and abs(d_hi - 1e-9) > tol:
+            assert base == moved == (d_lo <= 1e-9 and d_hi <= 1e-9)
+
+    def test_nan_query_time_raises(self):
+        provider = GriddedVelocityField(Grid1D(-1.0, 1.0, 21), np.array([0.0, 1.0]), np.ones((2, 21)))
+        with pytest.raises(ValueError, match=r"t=nan outside stored snapshot range \[0.0, 1.0\]"):
+            provider.evaluate(np.array([0.0]), np.nan)
+
+    def test_window_errors_name_their_values(self):
+        provider = GriddedVelocityField(Grid1D(-1.0, 1.0, 21), np.array([0.0, 2.0]), np.ones((2, 21)))
+        with pytest.raises(ValueError) as exc:
+            integrate_ensemble_positions(provider, np.array([0.0]), np.array([-0.5, 1.0, 2.0]))
+        assert str(exc.value) == (
+            "t_grid extends outside the provider's time window: grid [-0.5, 2.0], window [0.0, 2.0]"
+        )
+        with pytest.raises(ValueError) as exc:
+            integrate_ensemble_positions(provider, np.array([0.0, 0.95, -0.95]), np.array([0.0, 1.0]))
+        assert str(exc.value) == (
+            "an initial position lies outside the provider's x window: member 1 at x=0.95, window [-0.8, 0.8]"
+        )
+
 
 class TestSampling:
     def test_quantile_median_at_center(self):
@@ -513,7 +615,7 @@ class TestInvariantObjects:
         t = np.linspace(0.0, 1.0, 11)
         members = [self._member(t), self._member(t[:11], 1.0), self._member(t[:4], 2.0),
                    self._member(t[:7].copy(), 3.0)]
-        assert Ensemble(members=members).times is t
+        Ensemble(members=members)
 
     @pytest.mark.parametrize(
         "other",
