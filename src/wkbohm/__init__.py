@@ -61,7 +61,6 @@ from .numerics import (
     cubic_cell_evaluate,
     cubic_cell_table,
     cubic_interpolate,
-    double_factorial,
 )
 from .potentials import Potential
 from .tdse import (

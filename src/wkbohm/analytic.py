@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import double_factorial
-
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -241,7 +239,7 @@ def trajectory_series_coefficient(n: int) -> float:
     fact = 1.0
     for k in range(2, n + 1):
         fact *= k
-    return (-1.0) ** (n - 1) * double_factorial(2 * n - 3) / (2.0**n * fact)
+    return (-1.0) ** (n - 1) * math.prod(range(2 * n - 3, 0, -2)) / (2.0**n * fact)
 
 
 def free_packet_asymptotic_velocity(spec: GaussianPacketSpec, x0: float) -> float:

@@ -5,10 +5,10 @@
     wkbohm list-experiments
 
 Exit codes: 0 success, 2 configuration error ("config error: ...",
-nothing written: an unreadable file, an unknown key or a key of the
-other model, a value against its key's rule, or a model that cannot be
-built, such as one whose time scale or width is not positive and finite
-or whose velocity or energy is not finite), 3 numerical abort
+nothing written: an unreadable file, an unknown key or a key that the
+run does not read, a value against its key's rule, or a model that
+cannot be built, such as one whose time scale or width is not positive
+and finite or whose velocity or energy is not finite), 3 numerical abort
 ("numerical abort: ...") or failed run ("run failed: ...", for example
 a configured grid that misses the packet, a table cell that is not
 finite, a run whose arrays cannot be allocated, or a run directory that

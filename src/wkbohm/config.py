@@ -1,10 +1,11 @@
 """Run configuration: strict flat key-value parsing with derived fields.
 
 Configs are flat JSON objects (string/number/boolean values, plus one
-list-valued key for the trajectory fan). Unknown keys, and keys of the
-other model in `MODELS`, are rejected so a typo in a physics parameter
-can never silently fall back to a default. Each numeric key has one
-rule in `_NUMBERS`; every error names the key and the violated rule.
+list-valued key for the trajectory fan). A run reads the keys of every
+run, its experiment's (`EXPERIMENTS`) and its model's (`MODELS`); any
+other key is rejected, so a typo in a physics parameter can never
+silently fall back to a default. Each numeric key has one rule in
+`_NUMBERS`; every error names the key and the violated rule.
 """
 
 from __future__ import annotations
@@ -29,13 +30,19 @@ from .errors import ConfigError
 from .potentials import Potential
 from .trajectories import SAMPLING_MODES, FreePacketVelocityField, OscillatorVelocityField
 
-EXPERIMENTS = (
-    "figure1-short",
-    "figure1-asymptotic",
-    "hierarchy-convergence",
-    "equivariance",
-    "residuals",
-)
+_GRID_KEYS = ("grid_x_min", "grid_x_max", "grid_points")
+# Each experiment name maps to the run keys it reads.
+EXPERIMENTS = {
+    "figure1-short": ("x0_fan",),
+    "figure1-asymptotic": ("x0_fan",),
+    "hierarchy-convergence": ("order", "t_max", "dt", *_GRID_KEYS),
+    "equivariance": ("t_max", "dt", "ensemble_n", "ensemble_mode", *_GRID_KEYS),
+    "residuals": ("t_max", *_GRID_KEYS),  # its time step is 1e-3 time scales, not dt
+}
+# The keys every run reads. Only a random-mode ensemble draws from
+# `seed`, but one seeded config document must serve every experiment:
+# the benchmark's cli-suite passes `seed` to all of its pairs.
+_RUN_KEYS = ("experiment", "model", "hbar", "mass", "output_dir", "seed")
 
 _COHERENT_WIDTH_RTOL = 1e-9
 
@@ -152,14 +159,18 @@ def _harmonic_model(cfg: RunConfig) -> Model:
 # Each model name maps to its builder, the experiments defined for it
 # and the physical keys it reads.
 MODELS = {
-    "free": (_free_model, EXPERIMENTS, ("sigma0", "p0")),
+    "free": (_free_model, tuple(EXPERIMENTS), ("sigma0", "p0")),
     "harmonic": (
         _harmonic_model,
         ("hierarchy-convergence", "equivariance", "residuals"),
         ("omega", "a", "sigma0"),
     ),
 }
-_MODEL_KEYS = {key for _, _, keys in MODELS.values() for key in keys}
+
+
+def _run_keys(experiment: str, model: str) -> tuple:
+    """The keys a run of this experiment on this model reads."""
+    return _RUN_KEYS + EXPERIMENTS[experiment] + MODELS[model][2]
 
 
 def build_model(cfg: RunConfig) -> Model:
@@ -222,17 +233,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
     experiment = _choice("experiment", raw["experiment"], EXPERIMENTS)
     model = _choice("model", raw["model"], MODELS)
-    _, defined, keys = MODELS[model]
+    defined = MODELS[model][1]
     if experiment not in defined:
         raise ConfigError(
             f"experiment {experiment!r} is not defined for model {model!r}; "
             f"pick one of {', '.join(defined)}"
         )
-    foreign = sorted(set(raw) & (_MODEL_KEYS - set(keys)))
-    if foreign:
+    keys = _run_keys(experiment, model)
+    unread = sorted(set(raw).difference(keys))
+    if unread:
         raise ConfigError(
-            f"model {model!r} does not read key(s) {', '.join(foreign)}; "
-            f"its keys are {', '.join(keys)}"
+            f"experiment {experiment!r} on model {model!r} does not read key(s) "
+            f"{', '.join(unread)}; it reads {', '.join(keys)}"
         )
 
     out = {key: _number(key, raw[key], rule) for key, rule in _NUMBERS.items() if key in raw}
@@ -282,14 +294,11 @@ def load_config(path) -> RunConfig:
 
 
 def config_dict(cfg: RunConfig) -> dict:
-    """Flat dict of the resolved fields that the config's model reads, JSON-ready."""
-    skip = _MODEL_KEYS - set(MODELS[cfg.model][2])
+    """Flat dict of the resolved fields that the config's run reads, JSON-ready."""
     out = {}
-    for f in dc_fields(RunConfig):
-        if f.name in skip:
-            continue
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
+    for key in _run_keys(cfg.experiment, cfg.model):
+        value = getattr(cfg, key)
+        out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 

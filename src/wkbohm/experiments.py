@@ -95,7 +95,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
         "residuals": _run_residuals,
     }[cfg.experiment]
     try:
-        runner(cfg, model, run_dir, out)
+        # An overflow reaches the user through the table check, not as a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            runner(cfg, model, run_dir, out)
     except BaseException as exc:
         out.status = "aborted" if isinstance(exc, NumericalAbort) else "failed"
         out.error = f"{type(exc).__name__}: {exc}"

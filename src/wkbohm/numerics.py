@@ -187,21 +187,6 @@ def collect_snapshots(state, advance, n_steps: int, every: int) -> list:
     return out
 
 
-def double_factorial(n: int) -> int:
-    """n!! = n (n-2) (n-4) ... with (-1)!! = 0!! = 1.
-
-    Negative arguments below -1 are rejected.
-    """
-    if n < -1:
-        raise ValueError(f"double factorial needs n >= -1, got {n}")
-    out = 1
-    k = n
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def _cell_weights(offset: int) -> np.ndarray:
     """(power, sample) map from 4 window samples to their cubic in r = s - offset.
 

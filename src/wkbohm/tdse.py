@@ -149,23 +149,6 @@ def _advance(state: TdseState, solver: CrankNicolsonSolver, n_steps: int) -> Tds
     return TdseState(psi=field, potential=state.potential, params=state.params)
 
 
-def _window_mask(psi: ComplexField, x_window) -> np.ndarray:
-    if x_window is None:
-        return np.ones(psi.grid.n_points, dtype=bool)
-    x = psi.grid.nodes
-    return (x >= x_window[0]) & (x <= x_window[1])
-
-
-def _reject_nodes_in_window(modulus: np.ndarray, mask: np.ndarray, what: str) -> None:
-    small = (modulus <= NODE_MODULUS_LIMIT) & mask
-    if small.any():
-        bad = int(np.flatnonzero(small)[0])
-        raise ValueError(
-            f"modulus {modulus[bad]:.3g} at node {bad} is too close to a "
-            f"wavefunction node for {what}"
-        )
-
-
 def oracle_velocity(
     psi: ComplexField, params: PhysParams, x_window: tuple[float, float] | None = None
 ) -> RealField:
@@ -176,8 +159,16 @@ def oracle_velocity(
     clipped where the amplitude underflows outside it.
     """
     modulus = np.abs(psi.values)
-    mask = _window_mask(psi, x_window)
-    _reject_nodes_in_window(modulus, mask, "a velocity estimate")
+    small = modulus <= NODE_MODULUS_LIMIT
+    if x_window is not None:
+        x = psi.grid.nodes
+        small &= (x >= x_window[0]) & (x <= x_window[1])
+    if small.any():
+        bad = int(np.flatnonzero(small)[0])
+        raise ValueError(
+            f"modulus {modulus[bad]:.3g} at node {bad} is too close to a "
+            "wavefunction node for a velocity estimate"
+        )
     dpsi = derivative_values(psi.values, psi.grid.dx)
     safe = np.where(modulus > 0.0, psi.values, np.finfo(float).tiny)
     v = (params.hbar / params.mass) * np.imag(dpsi / safe)

@@ -230,3 +230,16 @@ def complex_velocity_residual(sbars, potential, params, dt):
         - (1j * params.hbar / (2.0 * params.mass)) * second_derivative_values(v, dx)
     )
     return np.abs(res)
+
+
+def trajectory_series_coefficient(n):
+    """The u^(2n) x0 coefficient through an explicit double factorial (2n-3)!!."""
+    double_factorial = 1
+    k = 2 * n - 3
+    while k > 1:
+        double_factorial *= k
+        k -= 2
+    fact = 1.0
+    for k in range(2, n + 1):
+        fact *= k
+    return (-1.0) ** (n - 1) * double_factorial / (2.0**n * fact)

@@ -172,6 +172,10 @@ class TestTrajectorySeries:
         assert trajectory_series_coefficient(2) == pytest.approx(-0.125, rel=1e-15)
         assert trajectory_series_coefficient(3) == pytest.approx(1.0 / 16.0, rel=1e-15)
 
+    def test_coefficients_match_the_double_factorial_formula(self):
+        for n in range(1, 41):
+            assert trajectory_series_coefficient(n) == references.trajectory_series_coefficient(n)
+
     def test_converges_inside_radius(self):
         spec = packet()
         t = time_for_u(spec, 0.5)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -26,9 +27,15 @@ UNITS = {
     "free": {"hbar": 0.7, "mass": 1.3, "sigma0": 0.9, "p0": 0.4},
     "harmonic": {"hbar": 0.7, "mass": 1.3, "omega": 2.0, "a": 0.3},
 }
-MINIMAL_FREE = json.dumps(
-    {"experiment": "figure1-short", "model": "free", "x0_fan": [-2, -1, 0, 1, 2], "t_max": 3.0}
-)
+MINIMAL_FREE = json.dumps({"experiment": "figure1-short", "model": "free", "x0_fan": [-2, -1, 0, 1, 2]})
+# Every runnable (experiment, model) pair.
+PAIRS = [(e, m) for m, (_, defined, _) in MODELS.items() for e in defined]
+FIELDS = {f.name for f in fields(RunConfig)}
+
+
+def run_keys(experiment, model):
+    """The keys that the echo and the manifest list for this pair's default config."""
+    return list(config_dict(parse_config(json.dumps({"experiment": experiment, "model": model}))))
 
 
 class TestParsing:
@@ -71,12 +78,17 @@ class TestParsing:
         msg = str(exc.value)
         assert "sigma0" in msg and "sqrt(hbar/(2 mass omega))" in msg
 
-    def test_constraint_violations_name_the_key(self):
-        for key, value in (("hbar", -1.0), ("dt", 0.0), ("ensemble_n", 1), ("order", 0)):
-            bad = json.dumps({"experiment": "residuals", "model": "free", key: value})
-            with pytest.raises(ConfigError) as exc:
-                parse_config(bad)
-            assert key in str(exc.value)
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [("residuals", "hbar", -1.0), ("hierarchy-convergence", "dt", 0.0),
+         ("equivariance", "ensemble_n", 1), ("hierarchy-convergence", "order", 0)],
+    )
+    def test_constraint_violations_name_the_key(self, experiment, key, value):
+        # Each key on an experiment that reads it, so that its own rule rejects it.
+        bad = json.dumps({"experiment": experiment, "model": "free", key: value})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad)
+        assert str(exc.value).startswith(f"key {key!r} must be")
 
     def test_round_trip_is_identity(self):
         cfg = parse_config(MINIMAL_FREE)
@@ -111,23 +123,30 @@ class TestParsing:
         with pytest.raises(ConfigError, match="config is not valid JSON"):
             parse_config(text)
 
-    @pytest.mark.parametrize("key", ["seed", "order", "grid_points", "ensemble_n"])
-    def test_integer_keys_stay_exact(self, key):
+    @pytest.mark.parametrize(
+        "key, experiment",
+        [("seed", "residuals"), ("order", "hierarchy-convergence"), ("grid_points", "residuals"),
+         ("ensemble_n", "equivariance")],
+    )
+    def test_integer_keys_stay_exact(self, key, experiment):
         big = 2**64 + 1
-        cfg = parse_config(json.dumps({"experiment": "residuals", "model": "free", key: big}))
+        cfg = parse_config(json.dumps({"experiment": experiment, "model": "free", key: big}))
         assert type(getattr(cfg, key)) is int and getattr(cfg, key) == big
 
-    @pytest.mark.parametrize("model, keys", [("free", {"sigma0", "p0"}),
-                                             ("harmonic", {"omega", "a", "sigma0"})])
-    def test_config_dict_lists_only_the_models_keys(self, model, keys):
-        listed = set(config_dict(parse_config(json.dumps({"experiment": "residuals", "model": model}))))
-        assert listed & {"sigma0", "p0", "omega", "a"} == keys
-        assert listed | {"sigma0", "p0", "omega", "a"} == {f.name for f in fields(RunConfig)}
+    @pytest.mark.parametrize("experiment, model", PAIRS)
+    def test_config_dict_lists_only_the_runs_keys(self, experiment, model):
+        cfg = parse_config(json.dumps({"experiment": experiment, "model": model}))
+        listed = set(config_dict(cfg))
+        every_run = {"experiment", "model", "hbar", "mass", "output_dir", "seed"}
+        assert listed == every_run | set(EXPERIMENTS[experiment]) | set(MODELS[model][2])
+        assert set(json.loads(serialize_config(cfg))) <= listed
+
+    def test_the_runnable_pairs_accept_87_settable_keys(self):
+        # 123 while every run accepted every run key.
+        assert sum(len(run_keys(e, m)) - 2 for e, m in PAIRS) == 87
 
     @pytest.mark.parametrize("units", [False, True])
-    @pytest.mark.parametrize(
-        "experiment, model", [(e, m) for m, (_, defined, _) in MODELS.items() for e in defined]
-    )
+    @pytest.mark.parametrize("experiment, model", PAIRS)
     def test_echo_validates_again_to_the_same_bytes(self, experiment, model, units):
         doc = {"experiment": experiment, "model": model}
         if units:
@@ -154,7 +173,7 @@ _OTHER_KEYS = sorted({f.name for f in fields(RunConfig)} - {"experiment", "model
 _DOCS = st.builds(
     lambda names, rest: {**rest, **names},
     st.fixed_dictionaries({
-        "experiment": st.sampled_from(EXPERIMENTS + ("figure2",)),
+        "experiment": st.sampled_from((*EXPERIMENTS, "figure2")),
         "model": st.sampled_from(("free", "harmonic", "anharmonic")),
     }),
     st.dictionaries(st.sampled_from(_OTHER_KEYS), _SCALARS | st.lists(_SCALARS, max_size=3), max_size=5),
@@ -610,7 +629,7 @@ class TestCli:
         assert "figure1-short" in out and "residuals" in out and len(out) == 5
 
     def test_validate_ok(self, tmp_path, capsys):
-        path = self.write_cfg(tmp_path, {"experiment": "residuals", "model": "free"})
+        path = self.write_cfg(tmp_path, {"experiment": "hierarchy-convergence", "model": "free"})
         assert cli_main(["validate", path]) == 0
         echoed = json.loads(capsys.readouterr().out)
         assert echoed["order"] == 3
@@ -754,12 +773,21 @@ class TestCli:
              "model 'harmonic' cannot be built from this config: "
              "ValueError: width inf must be positive and finite"),
             ({"experiment": "residuals", "model": "harmonic", "p0": 5},
-             "model 'harmonic' does not read key(s) p0; its keys are omega, a, sigma0"),
+             "experiment 'residuals' on model 'harmonic' does not read key(s) p0; it reads "
+             "experiment, model, hbar, mass, output_dir, seed, t_max, grid_x_min, grid_x_max, "
+             "grid_points, omega, a, sigma0"),
             ({"experiment": "residuals", "model": "free", "omega": 3, "a": 7},
-             "model 'free' does not read key(s) a, omega; its keys are sigma0, p0"),
+             "experiment 'residuals' on model 'free' does not read key(s) a, omega; it reads "
+             "experiment, model, hbar, mass, output_dir, seed, t_max, grid_x_min, grid_x_max, "
+             "grid_points, sigma0, p0"),
+            ({"experiment": "residuals", "model": "free", "x0_fan": [7, 8], "ensemble_n": 500,
+              "ensemble_mode": "random", "order": 9, "dt": 0.5},
+             "experiment 'residuals' on model 'free' does not read key(s) dt, ensemble_mode, "
+             "ensemble_n, order, x0_fan; it reads experiment, model, hbar, mass, output_dir, "
+             "seed, t_max, grid_x_min, grid_x_max, grid_points, sigma0, p0"),
         ],
         ids=["real-beyond-float-range", "coherent-width-divides-by-zero",
-             "coherent-width-overflows", "harmonic-p0", "free-omega-a"],
+             "coherent-width-overflows", "harmonic-p0", "free-omega-a", "run-keys-residuals-ignores"],
     )
     def test_config_error_exits_2_before_any_output(self, tmp_path, capsys, doc, message):
         out_dir = tmp_path / "out"
@@ -796,12 +824,16 @@ class TestCli:
         doc = {"experiment": "figure1-short", "model": "free", "x0_fan": [1e308, -1e308],
                "output_dir": str(out_dir)}
         path = self.write_cfg(tmp_path, doc)
-        assert cli_main(["run", path]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["run", path]) == 3
+        # The overflow reaches the user as the table check's message alone.
+        assert caught == []
         run_dir = out_dir / "figure1-short"
         error = f"WkbohmError: non-finite cell in {run_dir / 'trajectories.csv'}: row "
-        assert capsys.readouterr().err.startswith(f"run failed: {error}")
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["error"].startswith(error)
+        assert capsys.readouterr().err == f"run failed: {manifest['error']}\n"
         assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
 
     def test_seed_beyond_64_bits_validates_and_runs(self, tmp_path, capsys):
@@ -896,6 +928,90 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "equivariance" in proc.stdout
+
+
+class TestKeyRule:
+    """A run reads the keys of every run, its experiment's and its model's; no other key."""
+
+    # A value each key accepts. At omega = 0.5 the harmonic coherent
+    # width is 1, so one sigma0 serves both models.
+    VALUES = {
+        "hbar": 1.0, "mass": 1.0, "seed": 7, "x0_fan": [-1.0, 0.0, 1.0], "grid_x_min": -12.0,
+        "grid_x_max": 12.0, "grid_points": 201, "order": 1, "t_max": 0.1, "dt": 0.01,
+        "ensemble_n": 5, "ensemble_mode": "random", "sigma0": 1.0, "p0": 0.5, "omega": 0.5,
+        "a": 0.3,
+    }
+
+    @staticmethod
+    def fields_read(monkeypatch, cfg):
+        """The RunConfig fields read while building the model and running, and the run."""
+        from wkbohm import experiments
+
+        read, paused = set(), []
+        original = RunConfig.__getattribute__
+
+        def recording(self, name):
+            if name in FIELDS and not paused:
+                read.add(name)
+            return original(self, name)
+
+        def unrecorded_config_dict(c):
+            paused.append(True)
+            try:
+                return config_dict(c)
+            finally:
+                paused.pop()
+
+        with monkeypatch.context() as m:
+            m.setattr(RunConfig, "__getattribute__", recording)
+            m.setattr(experiments, "config_dict", unrecorded_config_dict)
+            out = run_experiment(cfg)  # no out_dir: the run reads output_dir
+        return read, out
+
+    @pytest.mark.parametrize("experiment, model", PAIRS)
+    def test_a_run_reads_the_keys_of_its_rule(self, tmp_path, monkeypatch, experiment, model):
+        # The union over the defaults and a config that sets every key of
+        # the rule: some reads sit behind a branch (grid_x_max is read
+        # only once grid_x_min is given).
+        keys = run_keys(experiment, model)
+        monkeypatch.chdir(tmp_path)
+        every = {k: self.VALUES[k] for k in keys if k not in ("experiment", "model", "output_dir")}
+        read = set()
+        for doc in ({}, {**every, "output_dir": "every"}):
+            cfg = parse_config(json.dumps({"experiment": experiment, "model": model, **doc}))
+            seen, out = self.fields_read(monkeypatch, cfg)
+            assert out.status == "ok", out.error
+            assert list(json.loads(out.manifest_path.read_text())["config"]) == sorted(keys)
+            read |= seen
+        expected = set(keys)
+        # Only a random-mode ensemble draws from the seed; the key stays on
+        # every run so that one seeded config serves every experiment.
+        if experiment != "equivariance":
+            expected.discard("seed")
+        # The harmonic width is derived from hbar, mass and omega; the key
+        # stays so that the parser can check it against that width.
+        if model == "harmonic":
+            expected.discard("sigma0")
+        assert read == expected
+
+    @pytest.mark.parametrize(
+        "experiment, model, key",
+        [(e, m, k) for e, m in PAIRS for k in sorted(FIELDS - set(run_keys(e, m)))],
+    )
+    def test_a_key_the_run_does_not_read_exits_2(self, tmp_path, capsys, experiment, model, key):
+        out_dir = tmp_path / "out"
+        doc = {"experiment": experiment, "model": model, key: self.VALUES[key],
+               "output_dir": str(out_dir)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        message = (
+            f"config error: experiment {experiment!r} on model {model!r} does not read key(s) "
+            f"{key}; it reads {', '.join(run_keys(experiment, model))}\n"
+        )
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == message * 2
+        assert not out_dir.exists()
 
 
 class TestFieldSnapshotSerialization:

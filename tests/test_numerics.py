@@ -14,7 +14,6 @@ from wkbohm.numerics import (
     cubic_interpolate,
     derivative_pair,
     derivative_values,
-    double_factorial,
     second_derivative_values,
 )
 from wkbohm.potentials import Potential
@@ -163,20 +162,6 @@ class TestStackedStencils:
         c = stack * (1.0 - 2.0j)
         assert np.max(np.abs(derivative_values(c, grid.dx) - d1 * (1.0 - 2.0j))) <= 1e-11
         assert np.max(np.abs(second_derivative_values(c, grid.dx) - d2 * (1.0 - 2.0j))) <= 1e-11
-
-
-class TestDoubleFactorial:
-    @pytest.mark.parametrize("n,expected", [(-1, 1), (0, 1), (1, 1), (5, 15), (7, 105)])
-    def test_values(self, n, expected):
-        assert double_factorial(n) == expected
-
-    def test_below_minus_one_rejected(self):
-        with pytest.raises(ValueError):
-            double_factorial(-2)
-
-    @given(st.integers(min_value=1, max_value=40))
-    def test_recurrence(self, n):
-        assert double_factorial(n) == n * double_factorial(n - 2)
 
 
 class TestCubicInterpolation:

@@ -7,13 +7,18 @@ the tools or the acceptance tests refer to it: as a name, an attribute,
 or a string equal to it (the benchmark's tracer patches functions by
 attribute name). A method or property counts only attributes and
 strings, so that a bare name bound to something else (`field` imported
-from `dataclasses`) cannot stand in for `HierarchyState.field`. The
-name's own `def`/`class` and the re-exports in `__init__` do not count,
-and neither do plain imports.
+from `dataclasses`) cannot stand in for `HierarchyState.field`. A
+method or property whose name is also a field, a class constant or a
+method of another class is proven by no attribute at all: it counts only
+when `SHARED` names the function that reaches it. The name's own
+`def`/`class` and the re-exports in `__init__` do not count, and neither
+do plain imports.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wkbohm"
@@ -25,6 +30,26 @@ ALLOWED = {
     "hierarchy_rhs": "the hierarchy equations in public form; the physics tests check them through it",
     "ensure_oracle_domain": "the planned hbar-sweep experiment's oracle scoring calls it "
     "(ROADMAP, the pipeline as a `wkbohm run` experiment, `oracle_hbars`)",
+}
+
+
+# Public methods and properties whose name another class also uses, each
+# with the function ("path:qualified name") that reaches it.
+SHARED = {
+    "analytic.OscillatorSpec.sigma0": "src/wkbohm/config.py:parse_config",
+    "hierarchy.HierarchyState.order": "src/wkbohm/hierarchy.py:reconstruct_polar",
+    "potentials.Potential.value": "src/wkbohm/hierarchy.py:hierarchy_rhs",
+    "tdse.TdseState.time": "bench/workloads.py:Oracle.run_pass",
+    "trajectories.FreePacketVelocityField.evaluate":
+        "src/wkbohm/trajectories.py:integrate_ensemble_positions",
+    "trajectories.OscillatorVelocityField.evaluate":
+        "src/wkbohm/trajectories.py:integrate_ensemble_positions",
+    "trajectories.GriddedVelocityField.evaluate":
+        "src/wkbohm/trajectories.py:integrate_ensemble_positions",
+    "trajectories.GriddedVelocityField.x_window":
+        "src/wkbohm/trajectories.py:integrate_ensemble_positions",
+    "trajectories.GriddedVelocityField.t_window":
+        "src/wkbohm/trajectories.py:integrate_ensemble_positions",
 }
 
 
@@ -54,6 +79,47 @@ def public_definitions():
     return out
 
 
+def class_members():
+    """{name: classes that define it} over methods, class-body names and `self.` attributes."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = set()
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                    names.update(
+                        node.attr for node in ast.walk(item)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    )
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            for name in names:
+                out.setdefault(name, set()).add(f"{path.stem}.{cls.name}")
+    return out
+
+
+def is_shared(qualified, members):
+    """Whether a class other than the method's own defines its name."""
+    owner, name = qualified.rsplit(".", 1)
+    return bool(members[name] - {owner})
+
+
+def definition(path, qualname):
+    """The class or function node at a dotted name inside a source file."""
+    node = ast.parse(path.read_text())
+    for part in qualname.split("."):
+        node = next(
+            n for n in node.body
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part
+        )
+    return node
+
+
 def referenced_names():
     """(names, attributes and strings, attributes and strings) referred to outside the tests."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
@@ -79,12 +145,30 @@ def test_every_export_has_a_caller_outside_the_tests():
 
 def test_every_public_function_and_method_has_a_caller_outside_the_tests():
     used, attributes = referenced_names()
+    members = class_members()
     unused = [
         qualified
         for qualified, name, method in public_definitions()
-        if name not in (attributes if method else used) and name not in ALLOWED
+        if not (
+            qualified in SHARED if method and is_shared(qualified, members)
+            else name in (attributes if method else used)
+        )
+        and name not in ALLOWED
     ]
     assert not unused, f"public but reached only from tests: {unused}"
+
+
+@pytest.mark.parametrize("qualified", sorted(SHARED))
+def test_shared_entry_is_public_still_shared_and_reached_by_its_caller(qualified):
+    members = class_members()
+    assert qualified in {q for q, _, method in public_definitions() if method}, "no longer public"
+    assert is_shared(qualified, members), "no longer shares its name; drop the entry"
+    name = qualified.rsplit(".", 1)[1]
+    path, caller = SHARED[qualified].split(":")
+    assert any(
+        isinstance(node, ast.Attribute) and node.attr == name
+        for node in ast.walk(definition(ROOT / path, caller))
+    ), f"{SHARED[qualified]} does not refer to .{name}"
 
 
 def test_allowlist_is_public_and_still_needed():
