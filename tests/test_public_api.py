@@ -1,21 +1,29 @@
 """Every public name of `wkbohm` has a caller outside the tests.
 
-Two surfaces are checked: the names the package exports, and every
-public module-level function and every public method or property of a
-class in `src/wkbohm`. A name is used when package code, the benchmark,
-the tools or the acceptance tests refer to it: as a name, an attribute,
-or a string equal to it (the benchmark's tracer patches functions by
-attribute name). A method or property counts only attributes and
+Each public name is declared once, in the module that defines it: the
+package binds only `__version__` and its modules. The surface checked
+is every public module-level function and class and every public
+method or property of a class in `src/wkbohm`. A name is used when
+package code, the benchmark, the tools or the acceptance tests refer
+to it: as a name, an attribute, or a string equal to it (the
+benchmark's tracer patches functions by attribute name). A method or
+property counts only attributes and
 strings, so that a bare name bound to something else (`field` imported
 from `dataclasses`) cannot stand in for `HierarchyState.field`. A
 method or property whose name is also a field, a class constant or a
 method of another class is proven by no attribute at all: it counts only
 when `SHARED` names the function that reaches it. The name's own
-`def`/`class` and the re-exports in `__init__` do not count, and neither
-do plain imports.
+`def`/`class` does not count, and neither do plain imports.
+
+The README's `python` code blocks run here too, so its library example
+keeps to the public surface.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,24 +61,23 @@ SHARED = {
 }
 
 
-def exported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return sorted(
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    )
+# What `import wkbohm` binds: `tables` comes in through `experiments`, and
+# `cli` stays unloaded.
+SUBMODULES = {
+    "analytic", "config", "errors", "experiments", "hierarchy",
+    "numerics", "potentials", "tdse", "trajectories",
+}
 
 
 def public_definitions():
-    """(qualified name, name, is a method) of each public function, method and property."""
+    """(qualified name, name, is a method) of each public function, class, method and property."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                out.append((f"{path.stem}.{node.name}", node.name, False))
-            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            out.append((f"{path.stem}.{node.name}", node.name, False))
+            if isinstance(node, ast.ClassDef):
                 out += [
                     (f"{path.stem}.{node.name}.{item.name}", item.name, True)
                     for item in node.body
@@ -137,13 +144,34 @@ def referenced_names():
     return names | attributes, attributes
 
 
-def test_every_export_has_a_caller_outside_the_tests():
-    used, _ = referenced_names()
-    unused = [name for name in exported_names() if name not in used and name not in ALLOWED]
-    assert not unused, f"exported but reached only from tests: {unused}"
+def test_package_binds_only_its_version_and_submodules():
+    bound = set()
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, None):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(ast.unparse(target) for target in node.targets)
+        else:
+            assert isinstance(node, ast.Expr), f"binds more than its modules: {ast.unparse(node)}"
+    assert bound == {"__version__"} | SUBMODULES
 
 
-def test_every_public_function_and_method_has_a_caller_outside_the_tests():
+def test_package_import_loads_every_module_but_cli():
+    script = "import sys, wkbohm; print(sorted(m for m in sys.modules if m.startswith('wkbohm')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+    expected = ["wkbohm"] + [f"wkbohm.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "cli")]
+    assert ast.literal_eval(out.stdout.strip()) == sorted(expected)
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})  # a fresh namespace each
+
+
+def test_every_public_function_class_and_method_has_a_caller_outside_the_tests():
     used, attributes = referenced_names()
     members = class_members()
     unused = [
@@ -172,7 +200,7 @@ def test_shared_entry_is_public_still_shared_and_reached_by_its_caller(qualified
 
 
 def test_allowlist_is_public_and_still_needed():
-    public = set(exported_names()) | {name for _, name, _ in public_definitions()}
+    public = {name for _, name, _ in public_definitions()}
     assert set(ALLOWED) <= public
     used, _ = referenced_names()
     assert not set(ALLOWED) & used, "an allowlisted name has a caller now; drop it"
