@@ -5,7 +5,8 @@ list-valued key for the trajectory fan). A run reads the keys of every
 run, its experiment's (`EXPERIMENTS`) and its model's (`MODELS`); any
 other key is rejected, so a typo in a physics parameter can never
 silently fall back to a default. Each numeric key has one rule in
-`_NUMBERS`; every error names the key and the violated rule.
+`_NUMBERS`; every error names the key and the violated rule. An unset
+key that the run reads, but a grid bound, gets its default under it.
 """
 
 from __future__ import annotations
@@ -30,14 +31,26 @@ from .errors import ConfigError
 from .potentials import Potential
 from .trajectories import SAMPLING_MODES, FreePacketVelocityField, OscillatorVelocityField
 
-_GRID_KEYS = ("grid_x_min", "grid_x_max", "grid_points")
-# Each experiment name maps to the run keys it reads.
+_FAN = {"x0_fan": lambda m: [k * m.spec.sigma0 for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]}
+_DT = lambda m: 1e-3 * m.time_scale
+_GRID = {"grid_x_min": None, "grid_x_max": None}  # unset: 10 packet widths around the centre
+# Each experiment name maps to the run keys it reads, and each key to
+# the default that `parse_config` fills in when the config leaves it
+# unset: a function of the run's `Model`, or None for the `RunConfig`
+# field's own.
 EXPERIMENTS = {
-    "figure1-short": ("x0_fan",),
-    "figure1-asymptotic": ("x0_fan",),
-    "hierarchy-convergence": ("order", "t_max", "dt", *_GRID_KEYS),
-    "equivariance": ("t_max", "dt", "ensemble_n", "ensemble_mode", *_GRID_KEYS),
-    "residuals": ("t_max", *_GRID_KEYS),  # its time step is 1e-3 time scales, not dt
+    "figure1-short": _FAN,
+    "figure1-asymptotic": _FAN,
+    "hierarchy-convergence": {
+        "order": None, "t_max": lambda m: 0.2 * m.time_scale, "dt": _DT, **_GRID,
+        "grid_points": lambda m: 401,
+    },
+    "equivariance": {
+        "t_max": lambda m: m.equivariance_t, "dt": _DT, "ensemble_n": None, "ensemble_mode": None,
+        **_GRID, "grid_points": lambda m: 2001,
+    },
+    # Its time step is 1e-3 time scales, so it does not read dt.
+    "residuals": {"t_max": lambda m: m.residuals_t, **_GRID, "grid_points": lambda m: 401},
 }
 # The keys every run reads. Only a random-mode ensemble draws from
 # `seed`, but one seeded config document must serve every experiment:
@@ -59,13 +72,14 @@ class RunConfig:
     p0: float = 0.0              # the harmonic sigma0 is derived from
     omega: float = 1.0           # hbar, mass and omega
     a: float = 1.0
-    x0_fan: tuple = ()           # () means the default fan of the experiment
+    # parse_config resolves each key its run reads; only unset grid bounds stay None.
+    x0_fan: tuple = ()
     grid_x_min: float | None = None
     grid_x_max: float | None = None
     grid_points: int | None = None
     order: int = 3
-    t_max: float | None = None   # None means the experiment's own default
-    dt: float | None = None      # None means 1e-3 natural time units
+    t_max: float | None = None
+    dt: float | None = None
     ensemble_n: int = 9
     ensemble_mode: str = "quantile"
     seed: int = 12345
@@ -73,12 +87,6 @@ class RunConfig:
 
     def phys_params(self) -> PhysParams:
         return PhysParams(hbar=self.hbar, mass=self.mass)
-
-    def default_fan(self) -> tuple:
-        if self.x0_fan:
-            return self.x0_fan
-        s = self.sigma0
-        return tuple(k * s for k in (-2.0, -1.0, 0.0, 1.0, 2.0))
 
 
 @dataclass(frozen=True)
@@ -170,7 +178,7 @@ MODELS = {
 
 def _run_keys(experiment: str, model: str) -> tuple:
     """The keys a run of this experiment on this model reads."""
-    return _RUN_KEYS + EXPERIMENTS[experiment] + MODELS[model][2]
+    return (*_RUN_KEYS, *EXPERIMENTS[experiment], *MODELS[model][2])
 
 
 def build_model(cfg: RunConfig) -> Model:
@@ -217,7 +225,7 @@ def _choice(key: str, value, options) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a flat JSON config document."""
+    """Parse and validate a flat JSON config document, with the run's defaults filled in."""
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -270,17 +278,23 @@ def parse_config(text: str) -> RunConfig:
     # width, ...) can overflow or underflow for finite keys; such a
     # config is invalid, not a failed run.
     try:
-        spec = build_model(cfg).spec
+        built = build_model(cfg)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(
             f"model {model!r} cannot be built from this config: {type(exc).__name__}: {exc}"
         ) from exc
+    spec = built.spec
     # The harmonic spec derives its width; the free spec holds the key's.
     if "sigma0" in raw and abs(cfg.sigma0 - spec.sigma0) > _COHERENT_WIDTH_RTOL * spec.sigma0:
         raise ConfigError(
             f"key 'sigma0'={cfg.sigma0!r} violates the coherent-width constraint "
             f"sigma0 = sqrt(hbar/(2 mass omega)) = {spec.sigma0!r}"
         )
+    # Parsed again with each unset key's model default written in, every
+    # default passes its key's rule: a dt that underflows to 0 is named.
+    defaults = {key: f(built) for key, f in EXPERIMENTS[experiment].items() if f and key not in raw}
+    if defaults:
+        return parse_config(json.dumps({**raw, **defaults}))
     return replace(cfg, sigma0=spec.sigma0)
 
 
@@ -294,15 +308,15 @@ def load_config(path) -> RunConfig:
 
 
 def config_dict(cfg: RunConfig) -> dict:
-    """Flat dict of the resolved fields that the config's run reads, JSON-ready."""
+    """The run's set keys, JSON-ready: the `validate` echo and the manifest's `config` block."""
     out = {}
     for key in _run_keys(cfg.experiment, cfg.model):
         value = getattr(cfg, key)
-        out[key] = list(value) if isinstance(value, tuple) else value
+        if value is not None:
+            out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """JSON document that reparses to an equal config."""
-    d = {k: v for k, v in config_dict(cfg).items() if v is not None and v != []}
-    return json.dumps(d, indent=2, sort_keys=True) + "\n"
+    return json.dumps(config_dict(cfg), indent=2, sort_keys=True) + "\n"

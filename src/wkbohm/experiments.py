@@ -64,26 +64,30 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     Numerical aborts (caustic, CFL, window exits) are recorded in the
     manifest as status "aborted", with the abort's known location
     (order, node, x, t, value, limit) in its `abort` block; any other
-    package error,
-    ValueError, ArithmeticError or MemoryError from the runner (for
-    example a grid that misses the packet, a float overflow, or a time
-    grid too long to allocate) as status "failed",
-    with its type and message; partial outputs are retained and neither
-    raises. Any other exception (a defect, or an interrupt) is recorded
-    as "failed" too and re-raised, so the manifest never stays at
+    package error, ValueError, ArithmeticError or MemoryError from the
+    runner (for example a grid that misses the packet, a float overflow,
+    or a time grid too long to allocate) as status "failed", with its
+    type and message; partial outputs are retained and neither raises.
+    Any other exception (a defect, or an interrupt) is recorded as
+    "failed" too and re-raised, so the manifest never stays at
     "running". A run directory that cannot be created, or whose first
     manifest cannot be written, raises `WkbohmError` naming the path.
+    The manifest's `config` block is the `validate` echo of `cfg`, with
+    `output_dir` the directory that the run used.
     """
-    base = Path(out_dir if out_dir is not None else cfg.output_dir)
-    run_dir = base / cfg.experiment
+    output_dir = str(out_dir if out_dir is not None else cfg.output_dir)
+    run_dir = Path(output_dir) / cfg.experiment
     manifest_path = run_dir / "manifest.json"
     out = RunOutput(out_dir=run_dir, manifest_path=manifest_path)
 
     model = build_model(cfg)
-    started = _utc_now()
+    head = {
+        "package": "wkbohm", "version": __version__, "created_utc": _utc_now(),
+        "units": _unit_note(cfg, model), "config": {**config_dict(cfg), "output_dir": output_dir},
+    }
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(manifest_path, cfg, model, started, None, out, status="running")
+        _write_manifest(manifest_path, head, None, out, status="running")
     except OSError as exc:
         raise WkbohmError(f"cannot create run directory {str(run_dir)!r}: {exc}") from exc
 
@@ -104,9 +108,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
         if isinstance(exc, NumericalAbort):
             out.abort = _abort_fields(exc)
         if not isinstance(exc, (WkbohmError, ValueError, ArithmeticError, MemoryError)):
-            _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)
+            _write_manifest(manifest_path, head, _utc_now(), out, status=out.status)
             raise
-    _write_manifest(manifest_path, cfg, model, started, _utc_now(), out, status=out.status)
+    _write_manifest(manifest_path, head, _utc_now(), out, status=out.status)
     return out
 
 
@@ -131,21 +135,17 @@ def _unit_note(cfg: RunConfig, model: Model) -> str:
     return "model units as configured (hbar={}, mass={})".format(cfg.hbar, cfg.mass)
 
 
-def _write_manifest(path, cfg, model, started, finished, out: RunOutput, status: str) -> None:
+def _write_manifest(path, head: dict, finished, out: RunOutput, status: str) -> None:
     files = [
         {"name": name, "bytes": Path(p).stat().st_size, "sha256": sha256_of(p)}
         for name, p in sorted(out.files.items())
     ]
     doc = {
-        "package": "wkbohm",
-        "version": __version__,
-        "created_utc": started,
+        **head,
         "finished_utc": finished,
         "status": status,
         "error": out.error,
         "abort": out.abort,
-        "units": _unit_note(cfg, model),
-        "config": config_dict(cfg),
         "files": files,
         "metrics": out.metrics,
     }
@@ -159,13 +159,13 @@ def _emit(out: RunOutput, run_dir: Path, name: str, columns, rows) -> None:
     out.files[name] = path
 
 
-def _grid(cfg: RunConfig, model: Model, t_end: float, t_width: float, points: int) -> Grid1D:
-    """The configured grid, else 10 widths (at t_width) beyond the center at 0 and t_end."""
+def _grid(cfg: RunConfig, model: Model, t_end: float, t_width: float) -> Grid1D:
+    """The configured bounds, else 10 widths (at t_width) beyond the center at 0 and t_end."""
     if cfg.grid_x_min is not None:
-        return Grid1D(cfg.grid_x_min, cfg.grid_x_max, cfg.grid_points or points)
+        return Grid1D(cfg.grid_x_min, cfg.grid_x_max, cfg.grid_points)
     reach = max(abs(model.center(0.0)), abs(model.center(t_end)))
     half = reach + 10.0 * model.width(t_width)
-    return Grid1D(-half, half, cfg.grid_points or points)
+    return Grid1D(-half, half, cfg.grid_points)
 
 
 def _comparison_window(model: Model, x: np.ndarray, t: float) -> np.ndarray:
@@ -193,7 +193,7 @@ def _fan_rows(cfg: RunConfig, model: Model, u_grid: np.ndarray):
     t_grid = u_grid * model.time_scale
     rows = []
     fan = []
-    for x0 in cfg.default_fan():
+    for x0 in cfg.x0_fan:
         xq = free_packet_trajectory(spec, float(x0), t_grid)
         fan.append(xq)
         xc = x0 + spec.v0 * t_grid
@@ -207,12 +207,7 @@ def _run_figure1_short(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutp
     u_grid = np.linspace(0.0, FIGURE_SHORT_U_MAX, 301)
     _, _, rows = _fan_rows(cfg, model, u_grid)
     _emit(out, run_dir, "trajectories.csv", _TRAJ_COLUMNS, rows)
-    center = [x0 for x0 in cfg.default_fan() if x0 == 0.0]
-    out.metrics = {
-        "members": len(cfg.default_fan()),
-        "u_max": FIGURE_SHORT_U_MAX,
-        "center_member_present": bool(center),
-    }
+    out.metrics = {"u_max": FIGURE_SHORT_U_MAX, "center_member_present": 0.0 in cfg.x0_fan}
 
 
 def _run_figure1_asymptotic(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
@@ -226,7 +221,7 @@ def _run_figure1_asymptotic(cfg: RunConfig, model: Model, run_dir: Path, out: Ru
     ts = model.time_scale
     window = (FIT_WINDOW_U[0] * ts, FIT_WINDOW_U[1] * ts)
     rel_errors = []
-    for x0, xq in zip(cfg.default_fan(), fan):
+    for x0, xq in zip(cfg.x0_fan, fan):
         v_pred = free_packet_asymptotic_velocity(spec, float(x0))
         for t, u in zip(t_grid, u_grid):
             asym_rows.append([float(t), float(u), float(v_pred * t), float(x0)])
@@ -252,7 +247,6 @@ def _run_figure1_asymptotic(cfg: RunConfig, model: Model, run_dir: Path, out: Ru
         fit_rows,
     )
     out.metrics = {
-        "members": len(cfg.default_fan()),
         "u_max": FIGURE_ASYMPTOTIC_U_MAX,
         "fit_window_u": list(FIT_WINDOW_U),
         "max_rel_slope_error": max(rel_errors),
@@ -263,11 +257,9 @@ def _run_figure1_asymptotic(cfg: RunConfig, model: Model, run_dir: Path, out: Ru
 # hierarchy convergence
 
 def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
-    t_end = cfg.t_max if cfg.t_max is not None else 0.2 * model.time_scale
-    dt = cfg.dt if cfg.dt is not None else 1e-3 * model.time_scale
-    n_steps = max(1, int(round(t_end / dt)))
-    t_end = n_steps * dt
-    grid = _grid(cfg, model, t_end, 0.0, 401)
+    n_steps = max(1, int(round(cfg.t_max / cfg.dt)))
+    t_end = n_steps * cfg.dt
+    grid = _grid(cfg, model, t_end, 0.0)
     x = grid.nodes
     window = _comparison_window(model, x, t_end)
     params = cfg.phys_params()
@@ -288,7 +280,7 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
     while True:
         try:
             stack = propagate_hierarchy(
-                init_hierarchy(psi0, top), model.potential, dt, n_steps, params=params
+                init_hierarchy(psi0, top), model.potential, cfg.dt, n_steps, params=params
             )
             break
         except NumericalAbort as exc:
@@ -346,16 +338,14 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
 # equivariance
 
 def _run_equivariance(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
-    t_end = cfg.t_max if cfg.t_max is not None else model.equivariance_t
-    grid = _grid(cfg, model, t_end, t_end, 2001)
+    grid = _grid(cfg, model, cfg.t_max, cfg.t_max)
     x = grid.nodes
     x0s = sample_initial_positions(
         RealField(grid, model.density(x, 0.0), 0.0), cfg.ensemble_n, cfg.ensemble_mode, cfg.seed
     )
 
-    dt = cfg.dt if cfg.dt is not None else 1e-3 * model.time_scale
-    n_steps = max(4, int(round(t_end / dt)))
-    t_grid = np.linspace(0.0, t_end, n_steps + 1)
+    n_steps = max(4, int(round(cfg.t_max / cfg.dt)))
+    t_grid = np.linspace(0.0, cfg.t_max, n_steps + 1)
     positions, n_valid = integrate_ensemble_positions(model.provider, x0s, t_grid)
     if int(n_valid.min()) < t_grid.size:
         # Named: the first member to leave, at its last valid sample.
@@ -386,10 +376,6 @@ def _run_equivariance(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutpu
         [[i, float(x0s[i]), float(positions[i, -1])] for i in range(cfg.ensemble_n)],
     )
     out.metrics = {
-        "t_end": t_end,
-        "n": cfg.ensemble_n,
-        "mode": cfg.ensemble_mode,
-        "seed": cfg.seed,
         "ks": ks_values,
         "ks_max": max(ks_values.values()),
     }
@@ -400,12 +386,11 @@ def _run_equivariance(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutpu
 
 def _run_residuals(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
     params = cfg.phys_params()
-    t_eval = cfg.t_max if cfg.t_max is not None else model.residuals_t
-    grid = _grid(cfg, model, t_eval, 0.0, 401)
+    grid = _grid(cfg, model, cfg.t_max, 0.0)
     x = grid.nodes
-    window = _comparison_window(model, x, t_eval)
+    window = _comparison_window(model, x, cfg.t_max)
     delta = 1e-3 * model.time_scale
-    times = t_eval + delta * np.array([-2, -1, 0, 1, 2])
+    times = cfg.t_max + delta * np.array([-2, -1, 0, 1, 2])
     # Closed-form complex action S - i hbar ln R at each instant.
     stack = [
         ComplexField(grid, model.action(x, t) - 1j * cfg.hbar * np.log(model.modulus(x, t)), t)
@@ -431,7 +416,6 @@ def _run_residuals(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) 
     plane_cv = complex_velocity_residual(plane, plane_pot, params, delta)
 
     out.metrics = {
-        "t_eval": t_eval,
         "qhj_max_window": float(np.max(qhj.values[window])),
         "velocity_max_window": float(np.max(cv.values[window])),
         "plane_wave_qhj_max": float(np.max(plane_qhj.values)),

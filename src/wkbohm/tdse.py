@@ -96,7 +96,8 @@ class CrankNicolsonSolver:
         y[:-1] += off * psi[1:]
         psi_new, info = self._zgttrs(*self._lu, y, overwrite_b=1)
         if info != 0:
-            raise NumericalAbort(f"Crank-Nicolson solve failed (LAPACK info {info}) at t={time:g}")
+            t = float(time)
+            raise NumericalAbort(f"Crank-Nicolson solve failed (LAPACK info {info}) at t={t:g}", t=t)
         return psi_new
 
 

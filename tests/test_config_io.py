@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ from wkbohm.config import (
     EXPERIMENTS,
     MODELS,
     RunConfig,
+    build_model,
     config_dict,
     parse_config,
     serialize_config,
@@ -31,11 +33,13 @@ MINIMAL_FREE = json.dumps({"experiment": "figure1-short", "model": "free", "x0_f
 # Every runnable (experiment, model) pair.
 PAIRS = [(e, m) for m, (_, defined, _) in MODELS.items() for e in defined]
 FIELDS = {f.name for f in fields(RunConfig)}
+EVERY_RUN = ("experiment", "model", "hbar", "mass", "output_dir", "seed")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_keys(experiment, model):
-    """The keys that the echo and the manifest list for this pair's default config."""
-    return list(config_dict(parse_config(json.dumps({"experiment": experiment, "model": model}))))
+    """The keys that a run of this pair reads, in the order its errors name them."""
+    return [*EVERY_RUN, *EXPERIMENTS[experiment], *MODELS[model][2]]
 
 
 class TestParsing:
@@ -137,9 +141,33 @@ class TestParsing:
     def test_config_dict_lists_only_the_runs_keys(self, experiment, model):
         cfg = parse_config(json.dumps({"experiment": experiment, "model": model}))
         listed = set(config_dict(cfg))
-        every_run = {"experiment", "model", "hbar", "mass", "output_dir", "seed"}
-        assert listed == every_run | set(EXPERIMENTS[experiment]) | set(MODELS[model][2])
-        assert set(json.loads(serialize_config(cfg))) <= listed
+        # Every key is resolved but the grid bounds, which stay unset.
+        assert listed == set(run_keys(experiment, model)) - {"grid_x_min", "grid_x_max"}
+        assert json.loads(serialize_config(cfg)) == config_dict(cfg)
+
+    @pytest.mark.parametrize("experiment, model", PAIRS)
+    def test_unset_keys_get_the_experiments_defaults(self, experiment, model):
+        cfg = parse_config(json.dumps({"experiment": experiment, "model": model, **UNITS[model]}))
+        m = build_model(cfg)
+        fan = {"x0_fan": tuple(k * cfg.sigma0 for k in (-2.0, -1.0, 0.0, 1.0, 2.0))}
+        dt = 1e-3 * m.time_scale
+        expected = {
+            "figure1-short": fan,
+            "figure1-asymptotic": fan,
+            "hierarchy-convergence": {"order": 3, "t_max": 0.2 * m.time_scale, "dt": dt,
+                                      "grid_points": 401},
+            "equivariance": {"t_max": m.equivariance_t, "dt": dt, "ensemble_n": 9,
+                             "ensemble_mode": "quantile", "grid_points": 2001},
+            "residuals": {"t_max": m.residuals_t, "grid_points": 401},
+        }[experiment]
+        assert {key: getattr(cfg, key) for key in expected} == expected
+        assert cfg.grid_x_min is None and cfg.grid_x_max is None
+
+    def test_readme_configs_validate(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(block)
 
     def test_the_runnable_pairs_accept_87_settable_keys(self):
         # 123 while every run accepted every run key.
@@ -361,7 +389,8 @@ class TestRunOutputs:
         monkeypatch.setattr(experiments, "free_packet_trajectory", counted)
         out = run_cfg(tmp_path, experiment="figure1-asymptotic")
         assert out.status == "ok"
-        assert len(calls) == out.metrics["members"] == 5
+        fan = json.loads(out.manifest_path.read_text())["config"]["x0_fan"]
+        assert len(calls) == len(fan) == 5
 
     def test_runner_error_recorded_as_failed(self, tmp_path):
         # A configured grid far from the packet: the comparison window
@@ -656,7 +685,8 @@ class TestCli:
         target = tmp_path / "from-env"
         monkeypatch.setenv("WKBOHM_OUTPUT_DIR", str(target))
         assert cli_main(["run", path]) == 0
-        assert (target / "figure1-short" / "manifest.json").exists()
+        manifest = json.loads((target / "figure1-short" / "manifest.json").read_text())
+        assert manifest["config"]["output_dir"] == str(target)
         assert not (tmp_path / "unused").exists()
 
     def test_flag_beats_env(self, tmp_path, monkeypatch, capsys):
@@ -664,7 +694,8 @@ class TestCli:
         monkeypatch.setenv("WKBOHM_OUTPUT_DIR", str(tmp_path / "env"))
         flag_dir = tmp_path / "flag"
         assert cli_main(["run", path, "--output-dir", str(flag_dir)]) == 0
-        assert (flag_dir / "figure1-short" / "manifest.json").exists()
+        manifest = json.loads((flag_dir / "figure1-short" / "manifest.json").read_text())
+        assert manifest["config"]["output_dir"] == str(flag_dir)
 
     def test_numerical_abort_exits_3(self, tmp_path, capsys):
         path = self.write_cfg(
@@ -785,9 +816,17 @@ class TestCli:
              "experiment 'residuals' on model 'free' does not read key(s) dt, ensemble_mode, "
              "ensemble_n, order, x0_fan; it reads experiment, model, hbar, mass, output_dir, "
              "seed, t_max, grid_x_min, grid_x_max, grid_points, sigma0, p0"),
+            # The time scale 2 sigma0^2 is 2e-323, so the default dt of
+            # 1e-3 time scales underflows to 0.
+            ({"experiment": "hierarchy-convergence", "model": "free", "sigma0": 3e-162},
+             "key 'dt' must be > 0, got 0.0"),
+            # One period 2 pi / omega overflows the default t_max.
+            ({"experiment": "equivariance", "model": "harmonic", "omega": 1e-308},
+             "key 't_max' must be finite, got inf"),
         ],
         ids=["real-beyond-float-range", "coherent-width-divides-by-zero",
-             "coherent-width-overflows", "harmonic-p0", "free-omega-a", "run-keys-residuals-ignores"],
+             "coherent-width-overflows", "harmonic-p0", "free-omega-a", "run-keys-residuals-ignores",
+             "default-dt-underflows", "default-t-max-overflows"],
     )
     def test_config_error_exits_2_before_any_output(self, tmp_path, capsys, doc, message):
         out_dir = tmp_path / "out"
@@ -930,6 +969,35 @@ class TestCli:
         assert "equivariance" in proc.stdout
 
 
+class TestRoundTrip:
+    """A manifest's `config` block is the run's config: saved as a file, it reruns the run."""
+
+    @pytest.mark.parametrize("units", [False, True], ids=["defaults", "units"])
+    @pytest.mark.parametrize("experiment, model", PAIRS)
+    def test_manifest_config_validates_to_the_echo_and_reruns_the_tables(
+        self, tmp_path, capsys, experiment, model, units
+    ):
+        doc = {"experiment": experiment, "model": model, "output_dir": str(tmp_path / "first")}
+        if units:
+            doc.update(UNITS[model])
+        original = tmp_path / "original.json"
+        original.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(original)]) == 0
+        echo = capsys.readouterr().out
+        assert cli_main(["run", str(original)]) == 0
+        manifest = json.loads((tmp_path / "first" / experiment / "manifest.json").read_text())
+        assert manifest["config"] == json.loads(echo)
+
+        saved = tmp_path / "saved.json"
+        saved.write_text(json.dumps(manifest["config"]))
+        capsys.readouterr()
+        assert cli_main(["validate", str(saved)]) == 0
+        assert capsys.readouterr().out == echo
+        assert cli_main(["run", str(saved), "--output-dir", str(tmp_path / "again")]) == 0
+        again = json.loads((tmp_path / "again" / experiment / "manifest.json").read_text())
+        assert manifest["files"] and again["files"] == manifest["files"]  # names, sizes and sha256
+
+
 class TestKeyRule:
     """A run reads the keys of every run, its experiment's and its model's; no other key."""
 
@@ -981,7 +1049,9 @@ class TestKeyRule:
             cfg = parse_config(json.dumps({"experiment": experiment, "model": model, **doc}))
             seen, out = self.fields_read(monkeypatch, cfg)
             assert out.status == "ok", out.error
-            assert list(json.loads(out.manifest_path.read_text())["config"]) == sorted(keys)
+            listed = json.loads(out.manifest_path.read_text())["config"]
+            unset = set() if doc else {"grid_x_min", "grid_x_max"}
+            assert list(listed) == sorted(set(keys) - unset)
             read |= seen
         expected = set(keys)
         # Only a random-mode ensemble draws from the seed; the key stays on

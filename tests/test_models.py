@@ -84,12 +84,13 @@ def test_window_and_grid_reproduce_the_per_model_formulas(name, extra):
         )
     for t_end in (0.2 * ts, model.residuals_t):
         half = per_model_half_width(cfg, model.spec, t_end, spread=False)
-        assert _grid(cfg, model, t_end, 0.0, 401) == Grid1D(-half, half, 401)
+        assert _grid(cfg, model, t_end, 0.0) == Grid1D(-half, half, 401)
+    cfg, model = model_for(name, extra, experiment="equivariance")
     t_end = model.equivariance_t
     half = per_model_half_width(cfg, model.spec, t_end, spread=True)
-    assert _grid(cfg, model, t_end, t_end, 2001) == Grid1D(-half, half, 2001)
+    assert _grid(cfg, model, t_end, t_end) == Grid1D(-half, half, 2001)
 
 
 def test_configured_grid_wins():
     cfg, model = model_for("harmonic", {"grid_x_min": -3.0, "grid_x_max": 4.0, "grid_points": 64})
-    assert _grid(cfg, model, 1.0, 1.0, 401) == Grid1D(-3.0, 4.0, 64)
+    assert _grid(cfg, model, 1.0, 1.0) == Grid1D(-3.0, 4.0, 64)

@@ -173,6 +173,18 @@ class TestCrankNicolson:
         assert (exc.order, exc.node, exc.x) == (None, None, None)
         assert exc.t == t and exc.value == drift and exc.limit == limit
 
+    def test_solve_failure_names_the_time(self):
+        # A stub solve that reports a singular pivot (LAPACK info 1).
+        _, state = free_state(half_width=15.0, n=201)
+        solver = CrankNicolsonSolver(state.psi.grid, state.potential, state.params, 1e-2)
+        solver._zgttrs = lambda *args, overwrite_b: (args[-1], 1)
+        with pytest.raises(NumericalAbort) as info:
+            solver.step_values(state.psi.values.copy(), np.float64(0.375))
+        exc = info.value
+        assert str(exc) == "Crank-Nicolson solve failed (LAPACK info 1) at t=0.375"
+        assert exc.t == 0.375 and type(exc.t) is float
+        assert (exc.order, exc.node, exc.x, exc.value, exc.limit) == (None,) * 5
+
     def test_norm_drift_limit_is_relative_to_the_initial_norm(self):
         # Scaled by 1e8 the norm is 1e16, where one ulp is 2: round-off
         # alone moves it by more than an absolute 1e-8.

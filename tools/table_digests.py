@@ -5,7 +5,8 @@
 Runs 20 configs in-process through `wkbohm.cli.main`, with the package
 imported from DIR/src (default: this checkout):
 
-- the 8 runnable (experiment, model) pairs at the defaults;
+- the 8 runnable (experiment, model) pairs of `wkbohm.config.MODELS`,
+  in its order, at the defaults;
 - the same 8 pairs at non-default units;
 - `hierarchy-convergence` on the harmonic model at order 3 with
   t_max = 1.05, 1.1, 1.15 and 1.56, whose orders abort at different
@@ -30,16 +31,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-PAIRS = (
-    ("figure1-short", "free"),
-    ("figure1-asymptotic", "free"),
-    ("hierarchy-convergence", "free"),
-    ("equivariance", "free"),
-    ("residuals", "free"),
-    ("hierarchy-convergence", "harmonic"),
-    ("equivariance", "harmonic"),
-    ("residuals", "harmonic"),
-)
 UNITS = {
     "free": {"hbar": 0.7, "mass": 1.3, "sigma0": 0.9, "p0": 0.4},
     "harmonic": {"hbar": 0.7, "mass": 1.3, "omega": 2.0, "a": 0.3},
@@ -47,12 +38,13 @@ UNITS = {
 HARMONIC_T_MAX = (1.05, 1.1, 1.15, 1.56)
 
 
-def reference_configs() -> list[tuple[str, dict]]:
-    """(tag, config document) for each reference run."""
+def reference_configs(config) -> list[tuple[str, dict]]:
+    """(tag, config document) for each reference run of the `wkbohm.config` module given."""
+    pairs = [(e, m) for m, (_, defined, _) in config.MODELS.items() for e in defined]
     out = []
-    for experiment, model in PAIRS:
+    for experiment, model in pairs:
         out.append((f"defaults/{experiment}-{model}", {"experiment": experiment, "model": model}))
-    for experiment, model in PAIRS:
+    for experiment, model in pairs:
         doc = {"experiment": experiment, "model": model, **UNITS[model]}
         out.append((f"units/{experiment}-{model}", doc))
     for t_max in HARMONIC_T_MAX:
@@ -61,9 +53,9 @@ def reference_configs() -> list[tuple[str, dict]]:
     return out
 
 
-def digest_lines(cli, workdir: Path) -> list[str]:
+def digest_lines(cli, config, workdir: Path) -> list[str]:
     lines = []
-    for i, (tag, doc) in enumerate(reference_configs()):
+    for i, (tag, doc) in enumerate(reference_configs(config)):
         cfg_path = workdir / f"config-{i}.json"
         cfg_path.write_text(json.dumps(doc))
         out_dir = workdir / f"run-{i}"
@@ -90,10 +82,10 @@ def main(argv: list[str] | None = None) -> int:
     if not (package_root / "wkbohm" / "__init__.py").is_file():
         parser.error(f"no wkbohm package under {package_root}")
     sys.path.insert(0, str(package_root))
-    from wkbohm import cli
+    from wkbohm import cli, config
 
     with tempfile.TemporaryDirectory() as tmp:
-        print("\n".join(digest_lines(cli, Path(tmp))))
+        print("\n".join(digest_lines(cli, config, Path(tmp))))
     return 0
 
 
