@@ -298,6 +298,23 @@ def parse_config(text: str) -> RunConfig:
     return replace(cfg, sigma0=spec.sigma0)
 
 
+def check_resolved(cfg: RunConfig) -> None:
+    """Raise `ConfigError` naming each key the run reads that `parse_config` would have filled in.
+
+    A `RunConfig` built directly keeps None (or an empty fan) in those
+    keys; only the grid bounds may stay unset.
+    """
+    unset = [
+        key for key, default in EXPERIMENTS[cfg.experiment].items()
+        if default is not None and getattr(cfg, key) in (None, ())
+    ]
+    if unset:
+        raise ConfigError(
+            f"key(s) {', '.join(unset)} of this {cfg.experiment!r} run are unset; "
+            "build the RunConfig with config.parse_config, which fills in each key's default"
+        )
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -112,6 +112,22 @@ def derivative_pair(values, dx: float) -> tuple[np.ndarray, np.ndarray]:
     Accepts any (..., n) real or complex array, computed in at least
     float64 or complex128; each row along the last axis is
     differentiated independently, 4th order, one-sided at the edges.
+    """
+    return _derivatives(values, dx, second=True)
+
+
+def derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
+    """First derivative along the last axis, 4th order, one-sided at the edges.
+
+    Accepts any (..., n) real or complex array; each row along the
+    last axis is differentiated independently. Bit for bit the first
+    half of `derivative_pair`, without computing the second.
+    """
+    return _derivatives(values, dx, second=False)[0]
+
+
+def _derivatives(values, dx: float, second: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one stencil body: (d1, d2), or (d1, None) without the second derivative.
 
     The stack is read flat, in C order, and the four shifted differences
     from each node are taken once for both interiors. A difference that
@@ -124,7 +140,9 @@ def derivative_pair(values, dx: float) -> tuple[np.ndarray, np.ndarray]:
     node, which keeps a constant field at exactly zero. The right end
     applies the rows mirrored; the first derivative flips sign by
     `np.negative`, which, unlike a product with -1.0, keeps the signed
-    zeros of complex values.
+    zeros of complex values. Without the second derivative its interior
+    and edge rows are skipped; each first-derivative sum is formed the
+    same way, so d1 has the same bits either way.
     """
     v = np.asarray(values)
     v = np.ascontiguousarray(v, dtype=np.promote_types(v.dtype, np.float64))
@@ -133,8 +151,8 @@ def derivative_pair(values, dx: float) -> tuple[np.ndarray, np.ndarray]:
     left2, left1 = flat[:-4] - mid, flat[1:-3] - mid
     right1, right2 = flat[3:-1] - mid, flat[4:] - mid
     d1 = np.empty_like(v)
-    d2 = np.empty_like(v)
-    for out, center in ((d1, _D1_CENTER), (d2, _D2_CENTER)):
+    d2 = np.empty_like(v) if second else None
+    for out, center in ((d1, _D1_CENTER), (d2, _D2_CENTER))[: 1 + second]:
         # Added in place in the order c0 l2 + c1 l1 + c3 r1 + c4 r2.
         acc = np.multiply(center[0], left2, out=out.reshape(-1)[2:-2])
         acc += center[1] * left1
@@ -145,24 +163,15 @@ def derivative_pair(values, dx: float) -> tuple[np.ndarray, np.ndarray]:
     window = v.take(_EDGE_NODES, axis=-1)
     diffs = window[..., None, :] - window[..., :2, None]  # (..., end, edge row, node)
     # (..., end, derivative, edge row)
-    edges = np.matmul(diffs[..., None, :, None, :], _EDGE_WEIGHTS)[..., 0, 0]
+    edges = np.matmul(diffs[..., None, :, None, :], _EDGE_WEIGHTS[: 1 + second])[..., 0, 0]
     d1[..., :2] = edges[..., 0, 0, :]
     np.negative(edges[..., 1, 0, :], out=d1[..., :-3:-1])
-    d2[..., :2] = edges[..., 0, 1, :]
-    d2[..., :-3:-1] = edges[..., 1, 1, :]
     d1 /= dx
-    d2 /= dx**2
+    if second:
+        d2[..., :2] = edges[..., 0, 1, :]
+        d2[..., :-3:-1] = edges[..., 1, 1, :]
+        d2 /= dx**2
     return d1, d2
-
-
-def derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
-    """First derivative along the last axis, 4th order, one-sided at the edges.
-
-    Accepts any (..., n) real or complex array; each row along the
-    last axis is differentiated independently. The first half of
-    `derivative_pair`.
-    """
-    return derivative_pair(values, dx)[0]
 
 
 def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
@@ -242,11 +251,28 @@ def cubic_cell_evaluate(grid: Grid1D, table: np.ndarray, x) -> np.ndarray:
         and np.maximum.reduce(xq, axis=None) <= grid.x_max + slack
     ):
         raise ValueError("interpolation point outside the grid")
-    u = (xq - grid.x_min) / dx
+    return cubic_rows_evaluate(grid.x_min, dx, table.T, xq)
+
+
+def cubic_rows_evaluate(x_min: float, dx: float, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`cubic_cell_evaluate` without the grid check, on the table's (n, 4) rows.
+
+    For float points x already inside the grid; a point outside reads
+    a wrong cell or none. A row-major (C-contiguous) `rows` makes the
+    gather one contiguous row per point.
+    """
+    u = (x - x_min) / dx
     k = u.astype(np.intp)
     r = u - k
-    b0, b1, b2, b3 = table.take(k, axis=1)
-    return b0 + r * (b1 + r * (b2 + r * b3))
+    b = rows.take(k, axis=0)  # faster than rows[k]
+    # b0 + r (b1 + r (b2 + r b3)), in place.
+    out = b[..., 3] * r
+    out += b[..., 2]
+    out *= r
+    out += b[..., 1]
+    out *= r
+    out += b[..., 0]
+    return out
 
 
 def cubic_interpolate(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:

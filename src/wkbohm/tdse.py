@@ -6,12 +6,17 @@ H = -hbar^2 lap / 2m + V discretized at 2nd order. The update
     (1 + i dt H / 2 hbar) psi_new = (1 - i dt H / 2 hbar) psi_old
 
 is a Cayley transform of a Hermitian tridiagonal matrix, so it is
-unconditionally stable and unitary to solver tolerance. The backward
-matrix is LU-factorized once per (grid, potential, dt) by LAPACK's
-tridiagonal `zgttrf` and reused; each step forms the forward product
-from the three diagonals and makes one `zgttrs` solve. scipy is
-imported when the first solver is built, so importing the package
-loads no scipy module.
+unconditionally stable and unitary to solver tolerance. With
+A = 1 + i dt H / 2 hbar the forward matrix is 2 - A, so
+
+    psi_new = 2 A^-1 psi_old - psi_old
+
+and no forward product is formed (Goldberg, Schey & Schwartz, Am. J.
+Phys. 35, 177 (1967)). A/2 is LU-factorized once per (grid, potential,
+dt) by LAPACK's tridiagonal `zgttrf` and reused; each step makes one
+`zgttrs` solve, which returns 2 A^-1 psi_old, and one subtraction.
+scipy is imported when the first solver is built, so importing the
+package loads no scipy module.
 
 The solver refuses to run once the wavefunction stops being
 negligible at the grid edges: a contaminated (reflecting) run is
@@ -73,8 +78,10 @@ class CrankNicolsonSolver:
         a = 1j * dt / (2.0 * hbar)
         from scipy.linalg.lapack import zgttrf, zgttrs
 
-        self._forward = (1.0 - a * main, -a * off)
-        *lu, info = zgttrf(a * off, 1.0 + a * main, a * off)
+        # Halving is exact, so solving with A/2 gives the bits of
+        # solving A chi = 2 psi, without forming 2 psi.
+        diag, off = 0.5 * (1.0 + a * main), 0.5 * (a * off)
+        *lu, info = zgttrf(off, diag, off)
         if info != 0:
             raise NumericalAbort(f"Crank-Nicolson factorization failed (LAPACK info {info})")
         self._lu = lu
@@ -90,14 +97,12 @@ class CrankNicolsonSolver:
                 node=node, x=float(self.grid.nodes[node]), t=float(time), value=float(edge),
                 limit=EDGE_AMPLITUDE_LIMIT,
             )
-        diag, off = self._forward
-        y = diag * psi
-        y[1:] += off * psi[:-1]
-        y[:-1] += off * psi[1:]
-        psi_new, info = self._zgttrs(*self._lu, y, overwrite_b=1)
+        # Solved on a copy: psi itself is left unchanged.
+        psi_new, info = self._zgttrs(*self._lu, psi, overwrite_b=0)
         if info != 0:
             t = float(time)
             raise NumericalAbort(f"Crank-Nicolson solve failed (LAPACK info {info}) at t={t:g}", t=t)
+        psi_new -= psi
         return psi_new
 
 

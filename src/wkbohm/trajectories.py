@@ -8,7 +8,12 @@ interpolate stored field snapshots (cubic in x, linear in t) inside
 their grid and time range. The time rule: t lies in a t window when
 lo <= t <= hi up to 1e-9 of the span hi - lo, wherever t = 0 sits. The
 integrator checks its first and last stage times by it before the
-first step, the gridded provider each query.
+first step, the gridded provider each query. A provider may also
+define a private `_evaluate_unchecked(x, t)` that skips its own check
+of x: the integrator, which passes only float arrays inside `x_window`,
+calls it in place of `evaluate`; a provider with only the four
+attributes above integrates through `evaluate`. The gridded provider
+has one, which skips its grid check.
 
 Integration is rk4 on dx/dt = v(x, t) over the caller's time grid, one
 step per interval. Leaving the x window truncates the trajectory and
@@ -29,7 +34,7 @@ from .analytic import (
     free_packet_velocity,
     ho_velocity,
 )
-from .numerics import Grid1D, RealField, cubic_cell_evaluate, cubic_cell_table
+from .numerics import Grid1D, RealField, cubic_cell_evaluate, cubic_cell_table, cubic_rows_evaluate
 
 SOURCES = ("analytic-free", "analytic-ho", "hierarchy", "oracle", "classical", "series")
 SAMPLING_MODES = ("quantile", "uniform", "random")
@@ -120,19 +125,22 @@ class GriddedVelocityField:
     """Velocity snapshots on a grid: cubic in x, linear blend in t.
 
     Each snapshot's cubic is stored per cell (`cubic_cell_table`) the
-    first time a query time falls next to it, and only the two tables
-    bracketing the latest query are kept. The bracketing pair is blended
-    once per distinct query time, and only the latest blend is kept: an
-    rk4 step queries t, t + dt/2 twice and t + dt, and the next step
-    starts at that same t + dt, so no query asks for an older blend.
-    The cubic is linear in the samples, so blending tables gives the
-    same field as blending the snapshots. The tables stay lazy although
-    one `cubic_cell_table` call over the whole stack gives the same bits:
-    on the benchmark's oracle workload (101 snapshots x 2001 nodes, 6.5 MB
-    of tables) that raised `peak_rss_mib` from 68.7-69.2 to 79.2-79.4 MiB.
-    Snapshots are read lazily, so the array passed as `fields` must not
-    change afterwards; the provider's own view of it is read-only. The x
-    window keeps two nodes of margin so the cubic stencil never leans on
+    first time a query time falls next to it, row-major as (n, 4) so that
+    a query gathers one contiguous row per point, and only the two tables
+    bracketing the latest query are kept. The bracketing pair is
+    blended once per distinct query time, and only the latest blend is
+    kept: an rk4 step queries t, t + dt/2 twice and t + dt, and the next
+    step starts at that same t + dt, so no query asks for an older blend.
+    The latest interval is tried first, and the snapshot times are
+    searched only when it does not bracket the query. The cubic is linear
+    in the samples, so blending tables gives the same field as blending
+    the snapshots. The tables stay lazy although one `cubic_cell_table`
+    call over the whole stack gives the same bits: on the benchmark's
+    oracle workload (101 snapshots x 2001 nodes, 6.5 MB of tables) that
+    raised `peak_rss_mib` from 68.7-69.2 to 79.2-79.4 MiB. Snapshots are
+    read lazily, so the array passed as `fields` must not change
+    afterwards; the provider's own view of it is read-only. The x window
+    keeps two nodes of margin so the cubic stencil never leans on
     boundary values; the t window is the snapshot span.
     """
 
@@ -151,7 +159,11 @@ class GriddedVelocityField:
             raise ValueError("fields must be (n_times, n_points)")
         if t.size < 2 or not np.all(np.diff(t) > 0):
             raise ValueError("need at least 2 strictly increasing snapshot times")
-        object.__setattr__(self, "_snapshot_cells", {})  # snapshot index -> cell table
+        # (x_min, dx), bound once for the unchecked evaluation.
+        object.__setattr__(self, "_axis", (self.grid.x_min, self.grid.dx))
+        object.__setattr__(self, "_time_list", t.tolist())
+        object.__setattr__(self, "_interval", 0)  # index of the latest bracketing interval
+        object.__setattr__(self, "_snapshot_cells", {})  # snapshot index -> (n, 4) cell table
         object.__setattr__(self, "_blend", (np.nan, None))  # (query time, blended cell table)
 
     @property
@@ -161,24 +173,33 @@ class GriddedVelocityField:
 
     @property
     def t_window(self) -> tuple[float, float]:
-        return (float(self.times[0]), float(self.times[-1]))
+        times = self._time_list
+        return (times[0], times[-1])
 
     def evaluate(self, x, t):
-        return cubic_cell_evaluate(self.grid, self._cells_at(float(t)), x)
+        return cubic_cell_evaluate(self.grid, self._cells_at(float(t)).T, x)
+
+    def _evaluate_unchecked(self, x: np.ndarray, t):
+        """`evaluate` without the grid check, for float points inside the grid."""
+        return cubic_rows_evaluate(*self._axis, self._cells_at(float(t)), x)
 
     def _cells_at(self, t: float) -> np.ndarray:
         t_blend, table = self._blend
         if t == t_blend:
             return table
-        window = self.t_window
-        if not _covers(window, t):
-            raise ValueError(f"t={t} outside stored snapshot range [{window[0]}, {window[1]}]")
-        times = self.times
-        j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
-        t0, t1 = float(times[j]), float(times[j + 1])
+        times = self._time_list
+        if not _covers((times[0], times[-1]), t):
+            raise ValueError(f"t={t} outside stored snapshot range [{times[0]}, {times[-1]}]")
+        # The interval whose left end is the last time <= t; the end
+        # intervals also take the slack past the span.
+        j, last = self._interval, len(times) - 2
+        if not ((j == 0 or times[j] <= t) and (j == last or t < times[j + 1])):
+            j = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), last)
+            object.__setattr__(self, "_interval", j)
+        t0, t1 = times[j], times[j + 1]
         w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         kept = self._snapshot_cells
-        pair = [kept[i] if i in kept else cubic_cell_table(self.fields[i]) for i in (j, j + 1)]
+        pair = [kept[i] if i in kept else cubic_cell_table(self.fields[i]).T.copy() for i in (j, j + 1)]
         kept.clear()
         kept.update(zip((j, j + 1), pair))
         table = (1.0 - w) * pair[0] + w * pair[1]
@@ -235,6 +256,9 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     members one by one. On the window (-inf, inf) probes go to the
     provider unchecked: only a NaN probe lies outside, and it makes its
     member's new position non-finite, which fails the check all the same.
+    Every point the provider is passed lies inside its x window, so a
+    provider's `_evaluate_unchecked`, where it has one, is called instead
+    of `evaluate`.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or (t.size > 1 and not np.all(np.diff(t) > 0)):
@@ -260,7 +284,7 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     rows = np.arange(n)  # members still alive, in order; x holds their positions
     everyone = True  # whether rows is still every member
     lo, hi = xw
-    evaluate = provider.evaluate
+    evaluate = getattr(provider, "_evaluate_unchecked", provider.evaluate)
     minimum, maximum = np.minimum.reduce, np.maximum.reduce
     inf = np.inf
 

@@ -298,6 +298,26 @@ class TestRunOutputs:
         for entry in doc["files"]:
             assert entry["sha256"] == sha256_of(out.out_dir / entry["name"])
 
+    # One pair per experiment, each key of the message in its rule's order.
+    @pytest.mark.parametrize("experiment, model, unset", [
+        ("figure1-short", "free", "x0_fan"),
+        ("figure1-asymptotic", "free", "x0_fan"),
+        ("hierarchy-convergence", "harmonic", "t_max, dt, grid_points"),
+        ("equivariance", "free", "t_max, dt, grid_points"),
+        ("residuals", "free", "t_max, grid_points"),
+    ])
+    def test_unresolved_config_raises_before_anything_is_written(self, tmp_path, experiment, model, unset):
+        # Built without parse_config, the run's defaulted keys stay unset;
+        # the grid bounds may stay unset, so the message leaves them out.
+        out_dir = tmp_path / "out"
+        with pytest.raises(ConfigError) as info:
+            run_experiment(RunConfig(experiment, model), out_dir=str(out_dir))
+        assert str(info.value) == (
+            f"key(s) {unset} of this {experiment!r} run are unset; build the RunConfig "
+            "with config.parse_config, which fills in each key's default"
+        )
+        assert not out_dir.exists()
+
     def test_equivariance_run_reports_ks(self, tmp_path):
         cfg = parse_config(
             json.dumps(

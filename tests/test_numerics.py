@@ -285,6 +285,25 @@ class TestStencilBody:
         ):
             self.assert_pair_matches_references(values, 0.1)
 
+    def test_first_derivative_alone_is_the_first_half_of_the_pair(self, monkeypatch):
+        # Its own pass, without the second derivative, and the same bits:
+        # real and complex stacks, and constant fields' signed zeros.
+        from wkbohm import numerics
+
+        def refused(*args):
+            raise AssertionError("derivative_values called derivative_pair")
+
+        rng = np.random.default_rng(6)
+        real = rng.normal(size=(3, 401)) * 10.0 ** rng.integers(-3, 4, size=(3, 401))
+        stacks = [real, real + 1j * rng.normal(size=real.shape), real[0, :9], np.full(9, -1.0j),
+                  np.full((2, 8), -0.0), np.full((2, 9), 0.5 - 2.0j)]
+        expected = [derivative_pair(v, 0.037)[0] for v in stacks]
+        monkeypatch.setattr(numerics, "derivative_pair", refused)
+        for values, pair_d1 in zip(stacks, expected):
+            got = derivative_values(values, 0.037)
+            assert got.dtype == pair_d1.dtype and got.shape == pair_d1.shape
+            assert got.tobytes() == pair_d1.tobytes()
+
     def test_rows_do_not_leak_into_each_other(self):
         # Differences across a row boundary land on edge nodes only.
         rng = np.random.default_rng(5)

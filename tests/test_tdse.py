@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import references
 import wkbohm
 
 from wkbohm import tdse
@@ -224,6 +225,41 @@ class TestTridiagonalStep:
             got = solver.step_values(psi.copy(), 0.0)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
             psi = expected
+
+    @pytest.mark.parametrize("model", ["free", "harmonic"])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_step_matches_the_forward_product_step(self, model, dt):
+        # 2 A^-1 psi - psi against solving A psi_new = (2 - A) psi, from the same input.
+        params = PhysParams(0.7, 1.3)
+        grid = Grid1D(-8.0, 8.0, 401)
+        x = grid.nodes
+        potential = Potential.free() if model == "free" else Potential.harmonic(params.mass, 1.7)
+        solver = CrankNicolsonSolver(grid, potential, params, dt)
+        reference = references.ForwardProductSolver(grid, potential, params, dt)
+        psi = np.exp(-((x - 0.4) ** 2) / 1.2 + 1.5j * x)
+        for _ in range(5):
+            expected = reference.step_values(psi.copy())
+            got = solver.step_values(psi, 0.0)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(psi))
+            psi = expected
+
+    def test_one_period_error_matches_the_forward_product_step(self):
+        # The two forms differ by round-off only, so they miss the exact
+        # state after one period by the same discretization error.
+        spec = OscillatorSpec(params=NATURAL, omega=1.0, a=1.0)
+        half = spec.a + 13 * spec.sigma0
+        grid = Grid1D(-half, half, 401)
+        potential, n_steps = Potential.harmonic(1.0, spec.omega), 500
+        dt = spec.period / n_steps
+        solver = CrankNicolsonSolver(grid, potential, NATURAL, dt)
+        reference = references.ForwardProductSolver(grid, potential, NATURAL, dt)
+        psi = ref = ho_wavefunction(spec, grid.nodes, 0.0).astype(complex)
+        for k in range(n_steps):
+            psi, ref = solver.step_values(psi, k * dt), reference.step_values(ref)
+        exact = ho_wavefunction(spec, grid.nodes, n_steps * dt)
+        error, ref_error = np.max(np.abs(psi - exact)), np.max(np.abs(ref - exact))
+        assert 1e-4 < ref_error < 1e-2
+        assert abs(error - ref_error) <= 0.01 * ref_error
 
     def test_step_leaves_its_input_alone(self):
         grid = Grid1D(-8.0, 8.0, 64)

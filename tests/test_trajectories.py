@@ -15,7 +15,7 @@ from wkbohm.analytic import (
     time_for_u,
 )
 from wkbohm.hierarchy import init_hierarchy, propagate_collecting, truncated_velocity_field, PolarFields
-from wkbohm.numerics import ComplexField, Grid1D, RealField, cubic_interpolate
+from wkbohm.numerics import ComplexField, Grid1D, RealField, cubic_cell_evaluate, cubic_cell_table, cubic_interpolate
 from wkbohm.potentials import Potential
 from wkbohm.tdse import TdseState, oracle_velocity, tdse_propagate_collecting
 from wkbohm.trajectories import (
@@ -118,6 +118,61 @@ class TestGriddedProvider:
             assert np.max(np.abs(provider.evaluate(x, t) - newton_cubic(grid, blended, x))) <= 1e-13
             fresh = GriddedVelocityField(grid, times, fields)
             assert np.array_equal(provider.evaluate(x, t), fresh.evaluate(x, t))
+
+    def test_evaluate_is_cubic_cell_evaluate_on_the_blended_table(self):
+        # Bit for bit, whatever order the query times come in.
+        rng = np.random.default_rng(13)
+        grid = Grid1D(-3.0, 4.0, 141)
+        times = np.cumsum(rng.uniform(0.05, 0.2, size=9))
+        fields = np.sin(grid.nodes[None, :] * rng.uniform(0.5, 2.0, size=(9, 1)) + times[:, None])
+        provider = GriddedVelocityField(grid, times, fields)
+        slack = 1e-9 * grid.dx
+        x = np.concatenate([rng.uniform(grid.x_min, grid.x_max, 200), grid.nodes,
+                            [grid.x_min - 0.5 * slack, grid.x_max + 0.5 * slack]])
+        mids = 0.5 * (times[1:] + times[:-1])
+        end_slack = 0.5e-9 * (times[-1] - times[0])
+        queries = [
+            *rng.uniform(times[0], times[-1], 20),  # random
+            *mids, *times,  # forward
+            *mids[::-1], *times[::-1],  # backward
+            mids[3], mids[3], times[4], times[4],  # repeated
+            times[0], times[-1], times[0] - end_slack, times[-1] + end_slack,  # the ends
+        ]
+        for t in map(float, queries):
+            j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
+            t0, t1 = float(times[j]), float(times[j + 1])
+            w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+            blended = (1.0 - w) * cubic_cell_table(fields[j]) + w * cubic_cell_table(fields[j + 1])
+            expected = cubic_cell_evaluate(grid, blended, x)
+            assert provider.evaluate(x, t).tobytes() == expected.tobytes()
+            assert provider.evaluate(x[7], t) == expected[7]
+
+    def test_point_outside_the_grid_raises(self):
+        grid = Grid1D(-1.0, 1.0, 21)
+        provider = GriddedVelocityField(grid, np.array([0.0, 1.0]), np.ones((2, 21)))
+        for bad in (grid.x_max + 1e-6 * grid.dx, grid.x_min - 1e-6 * grid.dx, np.nan):
+            with pytest.raises(ValueError, match="^interpolation point outside the grid$"):
+                provider.evaluate(np.array([0.0, bad]), 0.5)
+
+    def test_integrator_bits_do_not_depend_on_the_entry(self, monkeypatch):
+        # Through the four protocol attributes only, the integrator calls
+        # `evaluate`; with the provider itself, only the unchecked entry.
+        grid = Grid1D(-1.0, 1.0, 51)
+        times = np.linspace(0.0, 2.0, 9)
+        fields = 0.5 + 0.3 * np.sin(3.0 * grid.nodes[None, :]) + 0.2 * times[:, None]
+        x0s, t = np.linspace(-0.9, 0.9, 40), np.linspace(0.0, 2.0, 201)
+        proxy = _Counted(GriddedVelocityField(grid, times, fields))
+        through_evaluate = integrate_ensemble_positions(proxy, x0s, t)
+        assert proxy.calls == 4 * 200
+
+        def refused(self, x, t):
+            raise AssertionError("the integrator called evaluate")
+
+        monkeypatch.setattr(GriddedVelocityField, "evaluate", refused)
+        positions, n_valid = integrate_ensemble_positions(GriddedVelocityField(grid, times, fields), x0s, t)
+        assert positions.tobytes() == through_evaluate[0].tobytes()
+        assert n_valid.tobytes() == through_evaluate[1].tobytes()
+        assert 1 < n_valid.min() and n_valid.max() == 201  # members die mid-run
 
     def test_fields_are_read_only(self):
         provider = GriddedVelocityField(Grid1D(-1.0, 1.0, 21), np.array([0.0, 1.0]), np.ones((2, 21)))

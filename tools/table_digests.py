@@ -13,9 +13,14 @@ imported from DIR/src (default: this checkout):
   steps.
 
 For each config it prints one line with the exit code, manifest status
-and error, then one line per CSV with its sha256. Output depends only on
-the tables' bytes and the runs' outcomes (no paths, no timestamps), so
-two checkouts compare by one diff:
+and error, then one line per CSV with its sha256. Two lines follow for
+the Crank-Nicolson oracle path, which no CLI experiment runs:
+`oracle/cn` over the raw bytes of the snapshots of a small harmonic
+Crank-Nicolson run, and `oracle/trajectories` over a 16-member ensemble
+integrated through a `GriddedVelocityField` of those snapshots'
+`oracle_velocity`. Output depends only on the tables' and arrays' bytes
+and the runs' outcomes (no paths, no timestamps), so two checkouts
+compare by one diff:
 
     diff <(python3 tools/table_digests.py --src A) <(python3 tools/table_digests.py --src B)
 """
@@ -30,6 +35,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 UNITS = {
     "free": {"hbar": 0.7, "mass": 1.3, "sigma0": 0.9, "p0": 0.4},
@@ -71,6 +78,37 @@ def digest_lines(cli, config, workdir: Path) -> list[str]:
     return lines
 
 
+def oracle_lines(analytic, numerics, potentials, tdse, trajectories) -> list[str]:
+    """Digests of a harmonic Crank-Nicolson run and an ensemble on its velocity snapshots.
+
+    The coherent packet (hbar = m = omega = a = 1) on 401 nodes spanning
+    13 widths past each turning point, one period in 600 steps with a
+    snapshot every 30; the velocity is taken on 4 widths around the
+    packet's centre, and 16 quantile members take 200 rk4 steps.
+    """
+    params = analytic.PhysParams(1.0, 1.0)
+    spec = analytic.OscillatorSpec(params, 1.0, 1.0)
+    half = spec.a + 13.0 * spec.sigma0
+    grid = numerics.Grid1D(-half, half, 401)
+    psi0 = numerics.ComplexField(grid, analytic.ho_wavefunction(spec, grid.nodes, 0.0))
+    state = tdse.TdseState(psi0, potentials.Potential.harmonic(1.0, spec.omega), params)
+    snaps = tdse.tdse_propagate_collecting(state, spec.period / 600, 600, every=30)
+    fields = []
+    for snap in snaps:
+        center = spec.a * np.cos(spec.omega * snap.time)
+        window = (center - 4.0 * spec.sigma0, center + 4.0 * spec.sigma0)
+        fields.append(tdse.oracle_velocity(snap.psi, params, x_window=window).values)
+    times = np.array([snap.time for snap in snaps])
+    provider = trajectories.GriddedVelocityField(grid, times, np.stack(fields), source="oracle")
+    density = numerics.RealField(grid, np.abs(psi0.values) ** 2)
+    x0 = trajectories.sample_initial_positions(density, 16)
+    t_grid = np.linspace(times[0], times[-1], 201)
+    positions, n_valid = trajectories.integrate_ensemble_positions(provider, x0, t_grid)
+    cn = hashlib.sha256(b"".join(snap.psi.values.tobytes() for snap in snaps))
+    paths = hashlib.sha256(positions.tobytes() + n_valid.astype(np.int64).tobytes())
+    return [f"oracle/cn sha256={cn.hexdigest()}", f"oracle/trajectories sha256={paths.hexdigest()}"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -82,10 +120,12 @@ def main(argv: list[str] | None = None) -> int:
     if not (package_root / "wkbohm" / "__init__.py").is_file():
         parser.error(f"no wkbohm package under {package_root}")
     sys.path.insert(0, str(package_root))
-    from wkbohm import cli, config
+    from wkbohm import analytic, cli, config, numerics, potentials, tdse, trajectories
 
     with tempfile.TemporaryDirectory() as tmp:
-        print("\n".join(digest_lines(cli, config, Path(tmp))))
+        lines = digest_lines(cli, config, Path(tmp))
+    lines += oracle_lines(analytic, numerics, potentials, tdse, trajectories)
+    print("\n".join(lines))
     return 0
 
 
