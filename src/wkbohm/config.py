@@ -295,6 +295,9 @@ def parse_config(text: str) -> RunConfig:
     defaults = {key: f(built) for key, f in EXPERIMENTS[experiment].items() if f and key not in raw}
     if defaults:
         return parse_config(json.dumps({**raw, **defaults}))
+    # Checked with the defaults written in, so a default dt past a short t_max is named too.
+    if cfg.dt is not None and cfg.t_max is not None and not cfg.dt <= cfg.t_max:
+        raise ConfigError(f"key 'dt' must be <= 't_max', got {cfg.dt!r} > {cfg.t_max!r}")
     return replace(cfg, sigma0=spec.sigma0)
 
 

@@ -218,25 +218,26 @@ _CELL_WEIGHTS = np.stack([_cell_weights(o) for o in range(4)])
 def cubic_cell_table(values: np.ndarray) -> np.ndarray:
     """Per-cell monomial coefficients of the 4-node Lagrange cubics of samples.
 
-    For `values` of shape (..., n) returns (..., 4, n). Column k
-    (k = 0..n-2) holds b0..b3 with f = b0 + b1 r + b2 r^2 + b3 r^3 and
-    r = u - k, u the position in units of dx from x_min. Its cubic is
-    the one through the 4 nodes starting at max(min(k - 1, n - 4), 0),
-    so b0 is the sample at node k itself. Column n - 1 continues the
-    last cell's cubic from node n - 1, so a point at x_max (or within
-    the bounds slack past it) needs no clamp and is exact there.
+    For `values` of shape (..., n) returns a C-contiguous (..., n, 4)
+    table. Row k (k = 0..n-2) holds b0..b3 with f = b0 + b1 r + b2 r^2
+    + b3 r^3 and r = u - k, u the position in units of dx from x_min.
+    Its cubic is the one through the 4 nodes starting at
+    max(min(k - 1, n - 4), 0), so b0 is the sample at node k itself.
+    Row n - 1 continues the last cell's cubic from node n - 1, so a
+    point at x_max (or within the bounds slack past it) needs no clamp
+    and is exact there. A query gathers one contiguous row per point.
     """
     v = np.asarray(values, dtype=float)
-    # (..., 4 samples, n - 3 windows), window i on nodes i..i+3.
-    windows = np.swapaxes(np.lib.stride_tricks.sliding_window_view(v, 4, axis=-1), -1, -2)
-    first, last = windows[..., :1], windows[..., -1:]
+    # (..., n - 3 windows, 4 samples), window i on nodes i..i+3.
+    windows = np.lib.stride_tricks.sliding_window_view(v, 4, axis=-1)
+    first, last = windows[..., :1, :], windows[..., -1:, :]
     # Cell 0, cells 1..n-3 (one window each), cell n-2, node n-1.
     parts = ((0, first), (1, windows), (2, last), (3, last))
-    return np.concatenate([np.matmul(_CELL_WEIGHTS[o], w) for o, w in parts], axis=-1)
+    return np.concatenate([w @ _CELL_WEIGHTS[o].T for o, w in parts], axis=-2)
 
 
 def cubic_cell_evaluate(grid: Grid1D, table: np.ndarray, x) -> np.ndarray:
-    """Evaluate a (4, n) `cubic_cell_table` of grid samples at points x.
+    """Evaluate an (n, 4) `cubic_cell_table` of grid samples at points x.
 
     Query points must lie inside [x_min, x_max], up to a slack of
     1e-9 dx for rounding in the node positions; NaN is outside. The
@@ -251,15 +252,14 @@ def cubic_cell_evaluate(grid: Grid1D, table: np.ndarray, x) -> np.ndarray:
         and np.maximum.reduce(xq, axis=None) <= grid.x_max + slack
     ):
         raise ValueError("interpolation point outside the grid")
-    return cubic_rows_evaluate(grid.x_min, dx, table.T, xq)
+    return cubic_rows_evaluate(grid.x_min, dx, table, xq)
 
 
 def cubic_rows_evaluate(x_min: float, dx: float, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`cubic_cell_evaluate` without the grid check, on the table's (n, 4) rows.
+    """`cubic_cell_evaluate` without the grid check.
 
     For float points x already inside the grid; a point outside reads
-    a wrong cell or none. A row-major (C-contiguous) `rows` makes the
-    gather one contiguous row per point.
+    a wrong row or none.
     """
     u = (x - x_min) / dx
     k = u.astype(np.intp)

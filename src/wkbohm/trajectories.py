@@ -23,6 +23,7 @@ lives would be meaningless.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Trajectories sharing one time grid (truncated members excepted)."""
+    """Trajectories sharing one time grid (truncated members excepted).
+
+    Each member's times must equal the leading samples of the longest
+    member's; a member holding that array itself, as each member that
+    `integrate_ensemble` runs to the end does, is not compared.
+    """
 
     members: list[Trajectory]
     sampling: str = "quantile"
@@ -79,14 +85,8 @@ class Ensemble:
         if len(self.members) < 2:
             raise ValueError("an ensemble needs at least 2 members")
         full = max(self.members, key=lambda m: m.times.size).times
-        # A member whose times start at the same address with the same
-        # stride is a leading view of the longest grid: equal by construction.
-        address, strides = full.__array_interface__["data"][0], full.strides
         for m in self.members:
-            t = m.times
-            if t.strides == strides and t.__array_interface__["data"][0] == address:
-                continue
-            if not np.array_equal(t, full[: t.size]):
+            if m.times is not full and not np.array_equal(m.times, full[: m.times.size]):
                 raise ValueError("ensemble members must share one time grid")
 
 
@@ -125,23 +125,22 @@ class GriddedVelocityField:
     """Velocity snapshots on a grid: cubic in x, linear blend in t.
 
     Each snapshot's cubic is stored per cell (`cubic_cell_table`) the
-    first time a query time falls next to it, row-major as (n, 4) so that
-    a query gathers one contiguous row per point, and only the two tables
-    bracketing the latest query are kept. The bracketing pair is
-    blended once per distinct query time, and only the latest blend is
-    kept: an rk4 step queries t, t + dt/2 twice and t + dt, and the next
-    step starts at that same t + dt, so no query asks for an older blend.
-    The latest interval is tried first, and the snapshot times are
-    searched only when it does not bracket the query. The cubic is linear
-    in the samples, so blending tables gives the same field as blending
-    the snapshots. The tables stay lazy although one `cubic_cell_table`
-    call over the whole stack gives the same bits: on the benchmark's
-    oracle workload (101 snapshots x 2001 nodes, 6.5 MB of tables) that
-    raised `peak_rss_mib` from 68.7-69.2 to 79.2-79.4 MiB. Snapshots are
-    read lazily, so the array passed as `fields` must not change
-    afterwards; the provider's own view of it is read-only. The x window
-    keeps two nodes of margin so the cubic stencil never leans on
-    boundary values; the t window is the snapshot span.
+    first time a query time falls next to it, and only the two tables
+    bracketing the latest query are kept. The bracketing interval is
+    found by bisecting the snapshot times. The pair is blended once per
+    distinct query time, and only the latest blend is kept: an rk4 step
+    queries t, t + dt/2 twice and t + dt, and the next step starts at
+    that same t + dt, so no query asks for an older blend. The cubic is
+    linear in the samples, so blending tables gives the same field as
+    blending the snapshots. The tables stay lazy although one
+    `cubic_cell_table` call over the whole stack gives the same bits:
+    on the benchmark's oracle workload (101 snapshots x 2001 nodes,
+    6.5 MB of tables) that raised `peak_rss_mib` from 68.7-69.2 to
+    79.2-79.4 MiB. Snapshots are read lazily, so the array passed as
+    `fields` must not change afterwards; the provider's own view of it
+    is read-only. The x window keeps two nodes of margin so the cubic
+    stencil never leans on boundary values; the t window is the
+    snapshot span.
     """
 
     grid: Grid1D
@@ -162,7 +161,6 @@ class GriddedVelocityField:
         # (x_min, dx), bound once for the unchecked evaluation.
         object.__setattr__(self, "_axis", (self.grid.x_min, self.grid.dx))
         object.__setattr__(self, "_time_list", t.tolist())
-        object.__setattr__(self, "_interval", 0)  # index of the latest bracketing interval
         object.__setattr__(self, "_snapshot_cells", {})  # snapshot index -> (n, 4) cell table
         object.__setattr__(self, "_blend", (np.nan, None))  # (query time, blended cell table)
 
@@ -177,7 +175,7 @@ class GriddedVelocityField:
         return (times[0], times[-1])
 
     def evaluate(self, x, t):
-        return cubic_cell_evaluate(self.grid, self._cells_at(float(t)).T, x)
+        return cubic_cell_evaluate(self.grid, self._cells_at(float(t)), x)
 
     def _evaluate_unchecked(self, x: np.ndarray, t):
         """`evaluate` without the grid check, for float points inside the grid."""
@@ -192,14 +190,11 @@ class GriddedVelocityField:
             raise ValueError(f"t={t} outside stored snapshot range [{times[0]}, {times[-1]}]")
         # The interval whose left end is the last time <= t; the end
         # intervals also take the slack past the span.
-        j, last = self._interval, len(times) - 2
-        if not ((j == 0 or times[j] <= t) and (j == last or t < times[j + 1])):
-            j = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), last)
-            object.__setattr__(self, "_interval", j)
+        j = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
         t0, t1 = times[j], times[j + 1]
         w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         kept = self._snapshot_cells
-        pair = [kept[i] if i in kept else cubic_cell_table(self.fields[i]).T.copy() for i in (j, j + 1)]
+        pair = [kept[i] if i in kept else cubic_cell_table(self.fields[i]) for i in (j, j + 1)]
         kept.clear()
         kept.update(zip((j, j + 1), pair))
         table = (1.0 - w) * pair[0] + w * pair[1]
@@ -238,7 +233,7 @@ def _integrate_members(provider, x0s, t_grid) -> list[Trajectory]:
     positions, n_valid = integrate_ensemble_positions(provider, x0s, t_grid)
     t = np.asarray(t_grid, dtype=float)
     return [
-        Trajectory(times=t[:k], positions=positions[i, :k], x0=float(x0s[i]),
+        Trajectory(times=t if k == t.size else t[:k], positions=positions[i, :k], x0=float(x0s[i]),
                    source=provider.source, truncated=k < t.size)
         for i, k in enumerate(n_valid.tolist())
     ]

@@ -7,7 +7,7 @@ arithmetic is unchanged.
 
 import numpy as np
 
-from wkbohm.numerics import _D1_CENTER, _D1_EDGES, _D2_CENTER, _D2_EDGES
+from wkbohm.numerics import _CELL_WEIGHTS, _D1_CENTER, _D1_EDGES, _D2_CENTER, _D2_EDGES
 
 
 def _inside(window, x):
@@ -26,6 +26,15 @@ def newton_cubic(grid, values, x):
     d2 = f2 - f1 - d1
     d3 = f3 - 2.0 * f2 + f1 - d2
     return f0 + s * (d1 + (s - 1.0) * (0.5 * d2 + (s - 2.0) * (d3 / 6.0)))
+
+
+def cubic_cell_columns(values):
+    """`cubic_cell_table` in its former (..., 4, n) layout: one matmul per part on sample columns."""
+    v = np.asarray(values, dtype=float)
+    windows = np.swapaxes(np.lib.stride_tricks.sliding_window_view(v, 4, axis=-1), -1, -2)
+    first, last = windows[..., :1], windows[..., -1:]
+    parts = ((0, first), (1, windows), (2, last), (3, last))
+    return np.concatenate([np.matmul(_CELL_WEIGHTS[o], w) for o, w in parts], axis=-1)
 
 
 def member_loop_positions(provider, x0s, t_grid):

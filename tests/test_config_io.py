@@ -94,6 +94,11 @@ class TestParsing:
             parse_config(bad)
         assert str(exc.value).startswith(f"key {key!r} must be")
 
+    @pytest.mark.parametrize("experiment", ["hierarchy-convergence", "equivariance"])
+    def test_a_step_as_long_as_the_run_is_accepted(self, experiment):
+        cfg = parse_config(json.dumps({"experiment": experiment, "model": "free", "t_max": 0.5, "dt": 0.5}))
+        assert cfg.dt == cfg.t_max == 0.5
+
     def test_round_trip_is_identity(self):
         cfg = parse_config(MINIMAL_FREE)
         again = parse_config(serialize_config(cfg))
@@ -843,10 +848,21 @@ class TestCli:
             # One period 2 pi / omega overflows the default t_max.
             ({"experiment": "equivariance", "model": "harmonic", "omega": 1e-308},
              "key 't_max' must be finite, got inf"),
+            # A step longer than the run, given or defaulted (1e-3 time scales).
+            ({"experiment": "hierarchy-convergence", "model": "free", "t_max": 0.1, "dt": 0.5},
+             "key 'dt' must be <= 't_max', got 0.5 > 0.1"),
+            ({"experiment": "equivariance", "model": "harmonic", "t_max": 0.1, "dt": 0.5},
+             "key 'dt' must be <= 't_max', got 0.5 > 0.1"),
+            ({"experiment": "hierarchy-convergence", "model": "harmonic", "t_max": 1e-4},
+             "key 'dt' must be <= 't_max', got 0.001 > 0.0001"),
+            ({"experiment": "equivariance", "model": "free", "t_max": 1e-4},
+             "key 'dt' must be <= 't_max', got 0.002 > 0.0001"),
         ],
         ids=["real-beyond-float-range", "coherent-width-divides-by-zero",
              "coherent-width-overflows", "harmonic-p0", "free-omega-a", "run-keys-residuals-ignores",
-             "default-dt-underflows", "default-t-max-overflows"],
+             "default-dt-underflows", "default-t-max-overflows", "hierarchy-dt-past-t-max",
+             "equivariance-dt-past-t-max", "hierarchy-default-dt-past-t-max",
+             "equivariance-default-dt-past-t-max"],
     )
     def test_config_error_exits_2_before_any_output(self, tmp_path, capsys, doc, message):
         out_dir = tmp_path / "out"

@@ -205,7 +205,7 @@ class TestCubicCells:
             g = Grid1D(x_min * scale, x_max * scale, n)
             values = rng.normal(size=n) * np.cos(g.nodes / scale)
             table = cubic_cell_table(values)
-            assert table.shape == (4, n)
+            assert table.shape == (n, 4) and table.flags.c_contiguous
             dx, slack = g.dx, 1e-9 * g.dx
             cells = (0, 1, n - 3, n - 2)
             xq = np.concatenate([
@@ -226,14 +226,25 @@ class TestCubicCells:
         g = Grid1D(-2.0, 2.0, 17)
         values = np.random.default_rng(3).normal(size=17)
         table = cubic_cell_table(values)
-        assert np.array_equal(table[0], values)
+        assert np.array_equal(table[:, 0], values)
         assert np.array_equal(cubic_cell_evaluate(g, table, g.nodes), values)
 
     def test_stack_builds_row_tables(self):
         values = np.random.default_rng(4).normal(size=(3, 2, 20))
         table = cubic_cell_table(values)
-        assert table.shape == (3, 2, 4, 20)
+        assert table.shape == (3, 2, 20, 4)
         assert np.array_equal(table[2, 1], cubic_cell_table(values[2, 1]))
+
+    @pytest.mark.parametrize("shape", [(8,), (11,), (401,), (2001,), (3, 2, 20)])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_table_is_the_column_table_transposed(self, shape, scale):
+        # The (..., n, 4) rows hold the bytes of the former (..., 4, n) columns.
+        values = scale * np.random.default_rng(shape[-1]).normal(size=shape)
+        table = cubic_cell_table(values)
+        assert table.flags.c_contiguous
+        expected = np.swapaxes(references.cubic_cell_columns(values), -1, -2)
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
 
     def test_scalar_query_gives_scalar(self):
         g = Grid1D(0.0, 1.0, 11)

@@ -672,6 +672,15 @@ class TestInvariantObjects:
                    self._member(t[:7].copy(), 3.0)]
         Ensemble(members=members)
 
+    def test_finished_members_hold_the_run_grid_itself(self):
+        # Uniform drift to the right: the member from 0.5 leaves the window.
+        grid = Grid1D(-1.0, 1.0, 51)
+        provider = GriddedVelocityField(grid, np.array([0.0, 1.0]), np.ones((2, 51)))
+        t = np.linspace(0.0, 1.0, 11)
+        first, second, late = integrate_ensemble(provider, [-0.9, -0.5, 0.5], t).members
+        assert first.times is t and second.times is t
+        assert late.truncated and np.array_equal(late.times, t[: late.times.size])
+
     @pytest.mark.parametrize(
         "other",
         [
