@@ -4,9 +4,10 @@ Configs are flat JSON objects (string/number/boolean values, plus one
 list-valued key for the trajectory fan). A run reads the keys of every
 run, its experiment's (`EXPERIMENTS`) and its model's (`MODELS`); any
 other key is rejected, so a typo in a physics parameter can never
-silently fall back to a default. Each numeric key has one rule in
-`_NUMBERS`; every error names the key and the violated rule. An unset
-key that the run reads, but a grid bound, gets its default under it.
+silently fall back to a default. Each settable key has one rule in
+`_RULES`; every error names the key and the violated rule. An unset
+key that the run reads, but a grid bound, gets its default under it in
+`resolve_config`, whether the config was parsed or built in code.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ _FAN = {"x0_fan": lambda m: [k * m.spec.sigma0 for k in (-2.0, -1.0, 0.0, 1.0, 2
 _DT = lambda m: 1e-3 * m.time_scale
 _GRID = {"grid_x_min": None, "grid_x_max": None}  # unset: 10 packet widths around the centre
 # Each experiment name maps to the run keys it reads, and each key to
-# the default that `parse_config` fills in when the config leaves it
+# the default that `resolve_config` fills in when the config leaves it
 # unset: a function of the run's `Model`, or None for the `RunConfig`
 # field's own.
 EXPERIMENTS = {
@@ -57,8 +58,6 @@ EXPERIMENTS = {
 # the benchmark's cli-suite passes `seed` to all of its pairs.
 _RUN_KEYS = ("experiment", "model", "hbar", "mass", "output_dir", "seed")
 
-_COHERENT_WIDTH_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -69,10 +68,10 @@ class RunConfig:
     hbar: float = 1.0
     mass: float = 1.0
     sigma0: float = 1.0          # MODELS names the keys each model reads;
-    p0: float = 0.0              # the harmonic sigma0 is derived from
-    omega: float = 1.0           # hbar, mass and omega
+    p0: float = 0.0              # the harmonic sigma0 is the width that
+    omega: float = 1.0           # resolve_config derives
     a: float = 1.0
-    # parse_config resolves each key its run reads; only unset grid bounds stay None.
+    # resolve_config sets each key its run reads; only unset grid bounds stay None.
     x0_fan: tuple = ()
     grid_x_min: float | None = None
     grid_x_max: float | None = None
@@ -168,11 +167,7 @@ def _harmonic_model(cfg: RunConfig) -> Model:
 # and the physical keys it reads.
 MODELS = {
     "free": (_free_model, tuple(EXPERIMENTS), ("sigma0", "p0")),
-    "harmonic": (
-        _harmonic_model,
-        ("hierarchy-convergence", "equivariance", "residuals"),
-        ("omega", "a", "sigma0"),
-    ),
+    "harmonic": (_harmonic_model, ("hierarchy-convergence", "equivariance", "residuals"), ("omega", "a")),
 }
 
 
@@ -185,14 +180,32 @@ def build_model(cfg: RunConfig) -> Model:
     return MODELS[cfg.model][0](cfg)
 
 
-# Each numeric key's rule: "real", "positive", or, for an integer key,
-# the smallest value it may take.
-_NUMBERS = {
+# Each settable key's rule, in the order given keys are checked: "real",
+# "positive", an integer's smallest value, "fan" (a non-empty list of
+# reals), a choice's options, or "name" (a non-empty string).
+_RULES = {
     "hbar": "positive", "mass": "positive", "sigma0": "positive", "p0": "real",
     "omega": "positive", "a": "real", "grid_x_min": "real", "grid_x_max": "real",
     "grid_points": 8, "order": 1, "t_max": "positive", "dt": "positive",
-    "ensemble_n": 2, "seed": 0,
+    "ensemble_n": 2, "seed": 0, "x0_fan": "fan", "ensemble_mode": SAMPLING_MODES,
+    "output_dir": "name",
 }
+
+
+def _value(key: str, value):
+    """`value` checked by the rule of `key`, in the form `RunConfig` holds."""
+    rule = _RULES[key]
+    if rule == "fan":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"key {key!r} must be a non-empty list of numbers")
+        return tuple(_number(f"{key}[{i}]", v, "real") for i, v in enumerate(value))
+    if rule == "name":
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"key {key!r} must be a non-empty string")
+        return value
+    if isinstance(rule, tuple):
+        return _choice(key, value, rule)
+    return _number(key, value, rule)
 
 
 def _number(key: str, value, rule):
@@ -224,8 +237,19 @@ def _choice(key: str, value, options) -> str:
     return value
 
 
+def _check_run(experiment, model) -> None:
+    """Raise `ConfigError` unless both are known and the experiment is defined for the model."""
+    _choice("experiment", experiment, EXPERIMENTS)
+    defined = MODELS[_choice("model", model, MODELS)][1]
+    if experiment not in defined:
+        raise ConfigError(
+            f"experiment {experiment!r} is not defined for model {model!r}; "
+            f"pick one of {', '.join(defined)}"
+        )
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a flat JSON config document, with the run's defaults filled in."""
+    """Parse a flat JSON config document, check each given key by its rule, and resolve it."""
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -239,14 +263,8 @@ def parse_config(text: str) -> RunConfig:
     for key in ("experiment", "model"):
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
-    experiment = _choice("experiment", raw["experiment"], EXPERIMENTS)
-    model = _choice("model", raw["model"], MODELS)
-    defined = MODELS[model][1]
-    if experiment not in defined:
-        raise ConfigError(
-            f"experiment {experiment!r} is not defined for model {model!r}; "
-            f"pick one of {', '.join(defined)}"
-        )
+    experiment, model = raw["experiment"], raw["model"]
+    _check_run(experiment, model)
     keys = _run_keys(experiment, model)
     unread = sorted(set(raw).difference(keys))
     if unread:
@@ -255,67 +273,42 @@ def parse_config(text: str) -> RunConfig:
             f"{', '.join(unread)}; it reads {', '.join(keys)}"
         )
 
-    out = {key: _number(key, raw[key], rule) for key, rule in _NUMBERS.items() if key in raw}
-    out.update(experiment=experiment, model=model)
-    if "x0_fan" in raw:
-        fan = raw["x0_fan"]
-        if not isinstance(fan, list) or not fan:
-            raise ConfigError("key 'x0_fan' must be a non-empty list of numbers")
-        out["x0_fan"] = tuple(_number(f"x0_fan[{i}]", v, "real") for i, v in enumerate(fan))
-    if "ensemble_mode" in raw:
-        out["ensemble_mode"] = _choice("ensemble_mode", raw["ensemble_mode"], SAMPLING_MODES)
-    if "output_dir" in raw:
-        if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
-            raise ConfigError("key 'output_dir' must be a non-empty string")
-        out["output_dir"] = raw["output_dir"]
-    if ("grid_x_min" in out) != ("grid_x_max" in out):
-        raise ConfigError("keys 'grid_x_min' and 'grid_x_max' must be given together")
-    if "grid_x_min" in out and not out["grid_x_min"] < out["grid_x_max"]:
-        raise ConfigError("key 'grid_x_min' must be < 'grid_x_max'")
+    given = {key: _value(key, raw[key]) for key in _RULES if key in raw}
+    return resolve_config(RunConfig(experiment, model, **given))
 
-    cfg = RunConfig(**out)
+
+def resolve_config(cfg: RunConfig) -> RunConfig:
+    """`cfg` with each unset key (None, or an empty fan) its run reads set to its model default.
+
+    Only the grid bounds may stay unset, and the harmonic `sigma0` becomes
+    the derived width; a resolved config resolves to an equal one. Raises
+    `ConfigError` for an experiment not defined for the model, a lone or
+    reversed grid bound, a model that cannot be built, a default against
+    its key's rule (a `dt` that underflows to 0 is named), or `dt > t_max`.
+    """
+    _check_run(cfg.experiment, cfg.model)
+    if (cfg.grid_x_min is None) != (cfg.grid_x_max is None):
+        raise ConfigError("keys 'grid_x_min' and 'grid_x_max' must be given together")
+    if cfg.grid_x_min is not None and not cfg.grid_x_min < cfg.grid_x_max:
+        raise ConfigError("key 'grid_x_min' must be < 'grid_x_max'")
     # The model's derived scales (sigma0^2, m omega^2, the coherent
     # width, ...) can overflow or underflow for finite keys; such a
     # config is invalid, not a failed run.
     try:
-        built = build_model(cfg)
+        model = build_model(cfg)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(
-            f"model {model!r} cannot be built from this config: {type(exc).__name__}: {exc}"
+            f"model {cfg.model!r} cannot be built from this config: {type(exc).__name__}: {exc}"
         ) from exc
-    spec = built.spec
-    # The harmonic spec derives its width; the free spec holds the key's.
-    if "sigma0" in raw and abs(cfg.sigma0 - spec.sigma0) > _COHERENT_WIDTH_RTOL * spec.sigma0:
-        raise ConfigError(
-            f"key 'sigma0'={cfg.sigma0!r} violates the coherent-width constraint "
-            f"sigma0 = sqrt(hbar/(2 mass omega)) = {spec.sigma0!r}"
-        )
-    # Parsed again with each unset key's model default written in, every
-    # default passes its key's rule: a dt that underflows to 0 is named.
-    defaults = {key: f(built) for key, f in EXPERIMENTS[experiment].items() if f and key not in raw}
-    if defaults:
-        return parse_config(json.dumps({**raw, **defaults}))
-    # Checked with the defaults written in, so a default dt past a short t_max is named too.
+    defaults = {
+        key: _value(key, default(model)) for key, default in EXPERIMENTS[cfg.experiment].items()
+        if default is not None and getattr(cfg, key) in (None, ())
+    }
+    cfg = replace(cfg, **defaults, sigma0=model.spec.sigma0)
+    # Checked with the defaults set, so a default dt past a short t_max is named too.
     if cfg.dt is not None and cfg.t_max is not None and not cfg.dt <= cfg.t_max:
         raise ConfigError(f"key 'dt' must be <= 't_max', got {cfg.dt!r} > {cfg.t_max!r}")
-    return replace(cfg, sigma0=spec.sigma0)
-
-
-def check_resolved(cfg: RunConfig) -> None:
-    """Raise `ConfigError` naming each key the run reads that `parse_config` would have filled in.
-
-    A `RunConfig` built directly keeps None (or an empty fan) in those
-    keys; only the grid bounds may stay unset.
-    """
-    unset = [
-        key for key, default in EXPERIMENTS[cfg.experiment].items()
-        if default is not None and getattr(cfg, key) in (None, ())
-    ]
-    if unset:
-        raise ConfigError(
-            f"key(s) {', '.join(unset)} of this {cfg.experiment!r} run are unset; "
-            "build the RunConfig with config.parse_config, which fills in each key's default"
-        )
+    return cfg
 
 
 def load_config(path) -> RunConfig:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import free_packet_asymptotic_velocity, free_packet_trajectory
-from .config import Model, RunConfig, build_model, check_resolved, config_dict
+from .config import Model, RunConfig, build_model, config_dict, resolve_config
 from .errors import NumericalAbort, WkbohmError
 from .hierarchy import (
     HierarchyState,
@@ -72,12 +72,12 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     "failed" too and re-raised, so the manifest never stays at
     "running". A run directory that cannot be created, or whose first
     manifest cannot be written, raises `WkbohmError` naming the path.
-    A config with an unset key that `parse_config` would have filled in
-    raises `ConfigError` before anything is written. The manifest's
-    `config` block is the `validate` echo of `cfg`, with `output_dir`
-    the directory that the run used.
+    `cfg` is resolved first (`config.resolve_config`), so one built in
+    code gets a config document's defaults or raises `ConfigError` before
+    anything is written. The manifest's `config` block is the `validate`
+    echo of the resolved config, with `output_dir` the directory used.
     """
-    check_resolved(cfg)
+    cfg = resolve_config(cfg)
     output_dir = str(out_dir if out_dir is not None else cfg.output_dir)
     run_dir = Path(output_dir) / cfg.experiment
     manifest_path = run_dir / "manifest.json"

@@ -46,8 +46,8 @@ _EDGE_NODES = np.array([np.arange(6), -1 - np.arange(6)])
 class Grid1D:
     """Uniform grid on [x_min, x_max] with node i at x_min + i*dx.
 
-    n_points must be at least 8 so the one-sided 4th-order stencils
-    (5 and 6 nodes wide) never overlap from both ends.
+    n_points must be an integer of at least 8, so that the one-sided
+    4th-order stencils (5 and 6 nodes wide) never overlap from both ends.
     """
 
     x_min: float
@@ -59,6 +59,8 @@ class Grid1D:
             raise ValueError("grid endpoints must be finite")
         if not self.x_min < self.x_max:
             raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
+        if not isinstance(self.n_points, (int, np.integer)):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 8:
             raise ValueError(f"n_points must be >= 8, got {self.n_points}")
 
@@ -185,6 +187,8 @@ def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
 
 def collect_snapshots(state, advance, n_steps: int, every: int) -> list:
     """`state`, then `advance(previous, k)` every `every` steps; the last chunk may be shorter."""
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
     if every < 1:
         raise ValueError("every must be >= 1")
     out = [state]

@@ -156,6 +156,8 @@ class GriddedVelocityField:
         object.__setattr__(self, "fields", f)
         if f.shape != (t.size, self.grid.n_points):
             raise ValueError("fields must be (n_times, n_points)")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"snapshot times must be finite, got {t[~np.isfinite(t)][0]}")
         if t.size < 2 or not np.all(np.diff(t) > 0):
             raise ValueError("need at least 2 strictly increasing snapshot times")
         # (x_min, dx), bound once for the unchecked evaluation.

@@ -18,6 +18,7 @@ from wkbohm.config import (
     build_model,
     config_dict,
     parse_config,
+    resolve_config,
     serialize_config,
 )
 from wkbohm.errors import ConfigError, WkbohmError
@@ -73,14 +74,19 @@ class TestParsing:
         )
         assert cfg.sigma0 == pytest.approx(np.sqrt(1.0 / 8.0), rel=1e-14)
 
-    def test_inconsistent_harmonic_width_rejected(self):
-        bad = json.dumps(
-            {"experiment": "residuals", "model": "harmonic", "omega": 1.0, "sigma0": 1.0}
-        )
-        with pytest.raises(ConfigError) as exc:
-            parse_config(bad)
-        msg = str(exc.value)
-        assert "sigma0" in msg and "sqrt(hbar/(2 mass omega))" in msg
+    def test_inconsistent_harmonic_width_rejected(self, tmp_path, capsys):
+        # The width is derived from hbar, mass and omega, so the model
+        # does not read sigma0, even at the derived width.
+        for sigma0 in (1.0, np.sqrt(0.5)):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(
+                {"experiment": "residuals", "model": "harmonic", "omega": 1.0, "sigma0": sigma0}
+            ))
+            assert cli_main(["validate", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: experiment 'residuals' on model 'harmonic' does not read key(s) "
+                f"sigma0; it reads {', '.join(run_keys('residuals', 'harmonic'))}\n"
+            )
 
     @pytest.mark.parametrize(
         "experiment, key, value",
@@ -174,9 +180,10 @@ class TestParsing:
         for block in blocks:
             parse_config(block)
 
-    def test_the_runnable_pairs_accept_87_settable_keys(self):
-        # 123 while every run accepted every run key.
-        assert sum(len(run_keys(e, m)) - 2 for e, m in PAIRS) == 87
+    def test_the_runnable_pairs_accept_84_settable_keys(self):
+        # 123 while every run accepted every run key, 87 while the
+        # harmonic model accepted sigma0.
+        assert sum(len(run_keys(e, m)) - 2 for e, m in PAIRS) == 84
 
     @pytest.mark.parametrize("units", [False, True])
     @pytest.mark.parametrize("experiment, model", PAIRS)
@@ -227,6 +234,7 @@ def test_parse_returns_a_config_that_echoes_as_strict_json_or_raises_config_erro
     echo = serialize_config(cfg)
     json.loads(echo, parse_constant=_reject_constant)
     assert parse_config(echo) == cfg
+    assert resolve_config(cfg) == cfg
 
 
 class TestTables:
@@ -303,24 +311,36 @@ class TestRunOutputs:
         for entry in doc["files"]:
             assert entry["sha256"] == sha256_of(out.out_dir / entry["name"])
 
-    # One pair per experiment, each key of the message in its rule's order.
-    @pytest.mark.parametrize("experiment, model, unset", [
-        ("figure1-short", "free", "x0_fan"),
-        ("figure1-asymptotic", "free", "x0_fan"),
-        ("hierarchy-convergence", "harmonic", "t_max, dt, grid_points"),
-        ("equivariance", "free", "t_max, dt, grid_points"),
-        ("residuals", "free", "t_max, grid_points"),
+    # One pair per experiment.
+    @pytest.mark.parametrize("experiment, model", [
+        ("figure1-short", "free"),
+        ("figure1-asymptotic", "free"),
+        ("hierarchy-convergence", "harmonic"),
+        ("equivariance", "free"),
+        ("residuals", "free"),
     ])
-    def test_unresolved_config_raises_before_anything_is_written(self, tmp_path, experiment, model, unset):
-        # Built without parse_config, the run's defaulted keys stay unset;
-        # the grid bounds may stay unset, so the message leaves them out.
+    def test_a_config_built_in_code_runs(self, tmp_path, experiment, model):
+        # Its unset keys get the defaults that a config document gets.
+        out = run_experiment(RunConfig(experiment, model), out_dir=str(tmp_path))
+        assert out.status == "ok"
+        doc = parse_config(json.dumps({"experiment": experiment, "model": model}))
+        expected = {**config_dict(doc), "output_dir": str(tmp_path)}
+        assert json.loads(out.manifest_path.read_text())["config"] == expected
+
+    @pytest.mark.parametrize("cfg, message", [
+        # The time scale 2 sigma0^2 is 2e-323, so the default dt underflows to 0.
+        (RunConfig("hierarchy-convergence", "free", sigma0=3e-162), "key 'dt' must be > 0, got 0.0"),
+        (RunConfig("residuals", "free", grid_x_min=-5.0),
+         "keys 'grid_x_min' and 'grid_x_max' must be given together"),
+        (RunConfig("figure1-short", "harmonic"),
+         "experiment 'figure1-short' is not defined for model 'harmonic'; "
+         "pick one of hierarchy-convergence, equivariance, residuals"),
+    ], ids=["default-dt-underflows", "one-grid-bound", "figure1-harmonic"])
+    def test_a_broken_config_built_in_code_raises_before_anything_is_written(self, tmp_path, cfg, message):
         out_dir = tmp_path / "out"
         with pytest.raises(ConfigError) as info:
-            run_experiment(RunConfig(experiment, model), out_dir=str(out_dir))
-        assert str(info.value) == (
-            f"key(s) {unset} of this {experiment!r} run are unset; build the RunConfig "
-            "with config.parse_config, which fills in each key's default"
-        )
+            run_experiment(cfg, out_dir=str(out_dir))
+        assert str(info.value) == message
         assert not out_dir.exists()
 
     def test_equivariance_run_reports_ks(self, tmp_path):
@@ -831,7 +851,7 @@ class TestCli:
             ({"experiment": "residuals", "model": "harmonic", "p0": 5},
              "experiment 'residuals' on model 'harmonic' does not read key(s) p0; it reads "
              "experiment, model, hbar, mass, output_dir, seed, t_max, grid_x_min, grid_x_max, "
-             "grid_points, omega, a, sigma0"),
+             "grid_points, omega, a"),
             ({"experiment": "residuals", "model": "free", "omega": 3, "a": 7},
              "experiment 'residuals' on model 'free' does not read key(s) a, omega; it reads "
              "experiment, model, hbar, mass, output_dir, seed, t_max, grid_x_min, grid_x_max, "
@@ -1033,12 +1053,28 @@ class TestRoundTrip:
         again = json.loads((tmp_path / "again" / experiment / "manifest.json").read_text())
         assert manifest["files"] and again["files"] == manifest["files"]  # names, sizes and sha256
 
+    @pytest.mark.parametrize("units", [False, True], ids=["defaults", "units"])
+    @pytest.mark.parametrize("experiment, model", PAIRS)
+    def test_a_config_built_in_code_resolves_and_runs_as_its_document(self, tmp_path, experiment, model, units):
+        keys = UNITS[model] if units else {}
+        doc = {"experiment": experiment, "model": model, **keys}
+        built = RunConfig(experiment, model, **keys)
+        assert resolve_config(built) == parse_config(json.dumps(doc))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "cli")]) == 0
+        run_experiment(built, out_dir=str(tmp_path / "code"))
+        by_cli, in_code = (
+            json.loads((tmp_path / where / experiment / "manifest.json").read_text())
+            for where in ("cli", "code")
+        )
+        assert by_cli["files"] and in_code["files"] == by_cli["files"]  # names, sizes and sha256
+
 
 class TestKeyRule:
     """A run reads the keys of every run, its experiment's and its model's; no other key."""
 
-    # A value each key accepts. At omega = 0.5 the harmonic coherent
-    # width is 1, so one sigma0 serves both models.
+    # A value each key accepts.
     VALUES = {
         "hbar": 1.0, "mass": 1.0, "seed": 7, "x0_fan": [-1.0, 0.0, 1.0], "grid_x_min": -12.0,
         "grid_x_max": 12.0, "grid_points": 201, "order": 1, "t_max": 0.1, "dt": 0.01,
@@ -1048,7 +1084,11 @@ class TestKeyRule:
 
     @staticmethod
     def fields_read(monkeypatch, cfg):
-        """The RunConfig fields read while building the model and running, and the run."""
+        """The RunConfig fields read while building the model and running, and the run.
+
+        Reads inside `resolve_config` and `config_dict` are not counted:
+        `dataclasses.replace` and the echo read every field.
+        """
         from wkbohm import experiments
 
         read, paused = set(), []
@@ -1059,16 +1099,19 @@ class TestKeyRule:
                 read.add(name)
             return original(self, name)
 
-        def unrecorded_config_dict(c):
-            paused.append(True)
-            try:
-                return config_dict(c)
-            finally:
-                paused.pop()
+        def unrecorded(function):
+            def call(c):
+                paused.append(True)
+                try:
+                    return function(c)
+                finally:
+                    paused.pop()
+            return call
 
         with monkeypatch.context() as m:
             m.setattr(RunConfig, "__getattribute__", recording)
-            m.setattr(experiments, "config_dict", unrecorded_config_dict)
+            m.setattr(experiments, "config_dict", unrecorded(config_dict))
+            m.setattr(experiments, "resolve_config", unrecorded(resolve_config))
             out = run_experiment(cfg)  # no out_dir: the run reads output_dir
         return read, out
 
@@ -1094,10 +1137,6 @@ class TestKeyRule:
         # every run so that one seeded config serves every experiment.
         if experiment != "equivariance":
             expected.discard("seed")
-        # The harmonic width is derived from hbar, mass and omega; the key
-        # stays so that the parser can check it against that width.
-        if model == "harmonic":
-            expected.discard("sigma0")
         assert read == expected
 
     @pytest.mark.parametrize(

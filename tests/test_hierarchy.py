@@ -13,6 +13,7 @@ from wkbohm.hierarchy import (
     hierarchy_rhs,
     hierarchy_wavefunction,
     init_hierarchy,
+    propagate_collecting,
     propagate_hierarchy,
     qhj_residual,
     qhj_residual_from_series,
@@ -172,6 +173,12 @@ class TestPropagation:
         out = propagate_hierarchy(state, Potential.free(), 1e-3, 0, params=NATURAL)
         assert np.array_equal(out.values, state.values)
         assert out.time == state.time
+
+    @pytest.mark.parametrize("propagate", [propagate_hierarchy, propagate_collecting])
+    def test_negative_step_count_rejected(self, propagate):
+        state = init_hierarchy(gaussian_polar(Grid1D(-8, 8, 161)), 3)
+        with pytest.raises(ValueError, match="^n_steps must be >= 0$"):
+            propagate(state, Potential.free(), 1e-3, -5)
 
     def test_free_fields_match_closed_forms(self):
         grid = Grid1D(-8, 8, 401)

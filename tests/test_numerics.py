@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,15 @@ class TestGrid:
             Grid1D(1.0, -1.0, 16)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 7)
+
+    @pytest.mark.parametrize("n", [8.5, 9.0, np.float64(16.0), "16"], ids=repr)
+    def test_point_count_that_is_not_an_integer_rejected(self, n):
+        # 8.5 once built 9 nodes ending past x_max.
+        with pytest.raises(ValueError, match=f"^n_points must be an integer, got {re.escape(repr(n))}$"):
+            Grid1D(0.0, 1.0, n)
+
+    def test_numpy_integer_point_count_accepted(self):
+        assert Grid1D(0.0, 1.0, np.int64(16)) == Grid1D(0.0, 1.0, 16)
 
     def test_field_length_mismatch(self):
         g = Grid1D(0.0, 1.0, 16)

@@ -82,6 +82,16 @@ class TestCrankNicolson:
         # roundoff floor, far below the contract bound.
         assert abs(trapezoid_norm(out.psi) - trapezoid_norm(state.psi)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "propagate",
+        [tdse_propagate, lambda state, dt, n: tdse_propagate_collecting(state, dt, n, 1)],
+        ids=["tdse_propagate", "tdse_propagate_collecting"],
+    )
+    def test_negative_step_count_rejected(self, propagate):
+        _, state = free_state(half_width=8.0, n=161)
+        with pytest.raises(ValueError, match="^n_steps must be >= 0$"):
+            propagate(state, 1e-3, -3)
+
     def test_undersized_domain_rejected_at_setup(self):
         with pytest.raises(ValueError):
             free_state(half_width=5.0, n=301, final_sigma=np.sqrt(2.0))

@@ -84,6 +84,14 @@ class TestBohmianIntegration:
 
 
 class TestGriddedProvider:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_snapshot_time_rejected(self, bad):
+        # [0, 1, inf] once gave the window (0, inf) and served t = 5 from
+        # the t = 1 snapshot.
+        grid = Grid1D(-1.0, 1.0, 51)
+        with pytest.raises(ValueError, match=f"^snapshot times must be finite, got {bad}$"):
+            GriddedVelocityField(grid, np.array([0.0, 1.0, bad]), np.zeros((3, 51)))
+
     def test_blend_then_interpolate_matches_interpolate_then_blend(self):
         rng = np.random.default_rng(11)
         grid = Grid1D(-3.0, 4.0, 141)

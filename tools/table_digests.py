@@ -13,7 +13,8 @@ imported from DIR/src (default: this checkout):
   steps.
 
 For each config it prints one line with the exit code, manifest status
-and error, then one line per CSV with its sha256. Two lines follow for
+and error, one `<tag>/echo` line with the sha256 of its `validate`
+output, then one line per CSV with its sha256. Two lines follow for
 the Crank-Nicolson oracle path, which no CLI experiment runs:
 `oracle/cn` over the raw bytes of the snapshots of a small harmonic
 Crank-Nicolson run, and `oracle/trajectories` over a 16-member ensemble
@@ -66,12 +67,15 @@ def digest_lines(cli, config, workdir: Path) -> list[str]:
         cfg_path = workdir / f"config-{i}.json"
         cfg_path.write_text(json.dumps(doc))
         out_dir = workdir / f"run-{i}"
-        sink = io.StringIO()
+        echo, sink = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(echo), contextlib.redirect_stderr(sink):
+            cli.main(["validate", str(cfg_path)])
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = cli.main(["run", str(cfg_path), "--output-dir", str(out_dir)])
         run_dir = out_dir / doc["experiment"]
         manifest = json.loads((run_dir / "manifest.json").read_text())
         lines.append(f"{tag} exit={code} status={manifest['status']} error={manifest['error']}")
+        lines.append(f"{tag}/echo {hashlib.sha256(echo.getvalue().encode()).hexdigest()}")
         for csv_path in sorted(run_dir.glob("*.csv")):
             digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
             lines.append(f"{tag}/{csv_path.name} {digest}")
