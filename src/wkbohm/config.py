@@ -5,9 +5,9 @@ list-valued key for the trajectory fan). A run reads the keys of every
 run, its experiment's (`EXPERIMENTS`) and its model's (`MODELS`); any
 other key is rejected, so a typo in a physics parameter can never
 silently fall back to a default. Each settable key has one rule in
-`_RULES`; every error names the key and the violated rule. An unset
-key that the run reads, but a grid bound, gets its default under it in
-`resolve_config`, whether the config was parsed or built in code.
+`_RULES`; every error names the key and the violated rule. One check,
+`resolve_config`, applies the rules and fills in each unset key but a
+grid bound, whether the config was parsed or built in code.
 """
 
 from __future__ import annotations
@@ -176,10 +176,6 @@ def _run_keys(experiment: str, model: str) -> tuple:
     return (*_RUN_KEYS, *EXPERIMENTS[experiment], *MODELS[model][2])
 
 
-def build_model(cfg: RunConfig) -> Model:
-    return MODELS[cfg.model][0](cfg)
-
-
 # Each settable key's rule, in the order given keys are checked: "real",
 # "positive", an integer's smallest value, "fan" (a non-empty list of
 # reals), a choice's options, or "name" (a non-empty string).
@@ -196,7 +192,7 @@ def _value(key: str, value):
     """`value` checked by the rule of `key`, in the form `RunConfig` holds."""
     rule = _RULES[key]
     if rule == "fan":
-        if not isinstance(value, list) or not value:
+        if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError(f"key {key!r} must be a non-empty list of numbers")
         return tuple(_number(f"{key}[{i}]", v, "real") for i, v in enumerate(value))
     if rule == "name":
@@ -209,14 +205,13 @@ def _value(key: str, value):
 
 
 def _number(key: str, value, rule):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"key {key!r} must be a number, got {value!r}")
     if isinstance(rule, int):
         # Integers stay exact: a seed may exceed 2**64.
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
-            value = int(value)
+        if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+            raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
+        value = int(value)
         if value < rule:
             raise ConfigError(f"key {key!r} must be >= {rule}, got {value!r}")
         return value
@@ -237,6 +232,15 @@ def _choice(key: str, value, options) -> str:
     return value
 
 
+# Each key a config may leave unset, and the field default that does: None, or the empty fan.
+_UNSET = {f.name: f.default for f in dc_fields(RunConfig) if f.default is None or f.default == ()}
+
+
+def _is_unset(key: str, value) -> bool:
+    # By kind, not `value in (None, ())`: `np.int64(401) == ()` raises.
+    return key in _UNSET and (value is None if _UNSET[key] is None else type(value) is tuple and not value)
+
+
 def _check_run(experiment, model) -> None:
     """Raise `ConfigError` unless both are known and the experiment is defined for the model."""
     _choice("experiment", experiment, EXPERIMENTS)
@@ -249,7 +253,7 @@ def _check_run(experiment, model) -> None:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a flat JSON config document, check each given key by its rule, and resolve it."""
+    """Parse a flat JSON config document and resolve it (`resolve_config`)."""
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -273,20 +277,25 @@ def parse_config(text: str) -> RunConfig:
             f"{', '.join(unread)}; it reads {', '.join(keys)}"
         )
 
-    given = {key: _value(key, raw[key]) for key in _RULES if key in raw}
-    return resolve_config(RunConfig(experiment, model, **given))
+    for key, unset in _UNSET.items():  # None leaves a key unset, but a JSON null is of the wrong kind
+        if unset is None and key in raw and raw[key] is None:
+            _value(key, None)
+    return resolve_config(RunConfig(**raw))[0]
 
 
-def resolve_config(cfg: RunConfig) -> RunConfig:
-    """`cfg` with each unset key (None, or an empty fan) its run reads set to its model default.
+def resolve_config(cfg: RunConfig) -> tuple[RunConfig, Model]:
+    """`cfg` checked by the rule of each key its run reads and resolved, with its model.
 
-    Only the grid bounds may stay unset, and the harmonic `sigma0` becomes
-    the derived width; a resolved config resolves to an equal one. Raises
-    `ConfigError` for an experiment not defined for the model, a lone or
-    reversed grid bound, a model that cannot be built, a default against
-    its key's rule (a `dt` that underflows to 0 is named), or `dt > t_max`.
+    Each unset key (None, or an empty fan) the run reads but a grid bound
+    gets its model default, the harmonic `sigma0` the derived width; the
+    result resolves to itself. Raises `ConfigError` for an undefined pair,
+    a value or default against its key's rule (numpy scalars pass), a
+    lone or reversed grid bound, an unbuildable model, or `dt > t_max`.
     """
     _check_run(cfg.experiment, cfg.model)
+    keys = _run_keys(cfg.experiment, cfg.model)
+    held = {key: getattr(cfg, key) for key in _RULES if key in keys}
+    cfg = replace(cfg, **{key: _value(key, v) for key, v in held.items() if not _is_unset(key, v)})
     if (cfg.grid_x_min is None) != (cfg.grid_x_max is None):
         raise ConfigError("keys 'grid_x_min' and 'grid_x_max' must be given together")
     if cfg.grid_x_min is not None and not cfg.grid_x_min < cfg.grid_x_max:
@@ -295,20 +304,20 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
     # width, ...) can overflow or underflow for finite keys; such a
     # config is invalid, not a failed run.
     try:
-        model = build_model(cfg)
+        model = MODELS[cfg.model][0](cfg)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(
             f"model {cfg.model!r} cannot be built from this config: {type(exc).__name__}: {exc}"
         ) from exc
     defaults = {
         key: _value(key, default(model)) for key, default in EXPERIMENTS[cfg.experiment].items()
-        if default is not None and getattr(cfg, key) in (None, ())
+        if default is not None and _is_unset(key, getattr(cfg, key))
     }
     cfg = replace(cfg, **defaults, sigma0=model.spec.sigma0)
     # Checked with the defaults set, so a default dt past a short t_max is named too.
     if cfg.dt is not None and cfg.t_max is not None and not cfg.dt <= cfg.t_max:
         raise ConfigError(f"key 'dt' must be <= 't_max', got {cfg.dt!r} > {cfg.t_max!r}")
-    return cfg
+    return cfg, model
 
 
 def load_config(path) -> RunConfig:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import free_packet_asymptotic_velocity, free_packet_trajectory
-from .config import Model, RunConfig, build_model, config_dict, resolve_config
+from .config import Model, RunConfig, config_dict, resolve_config
 from .errors import NumericalAbort, WkbohmError
 from .hierarchy import (
     HierarchyState,
@@ -72,18 +72,17 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     "failed" too and re-raised, so the manifest never stays at
     "running". A run directory that cannot be created, or whose first
     manifest cannot be written, raises `WkbohmError` naming the path.
-    `cfg` is resolved first (`config.resolve_config`), so one built in
-    code gets a config document's defaults or raises `ConfigError` before
-    anything is written. The manifest's `config` block is the `validate`
-    echo of the resolved config, with `output_dir` the directory used.
+    `cfg` is resolved first (`config.resolve_config`, whose model the run
+    uses): one built in code is checked as a document is, or raises
+    `ConfigError` before anything is written. The manifest's `config`
+    block is the resolved config's `validate` echo, `output_dir` the one used.
     """
-    cfg = resolve_config(cfg)
+    cfg, model = resolve_config(cfg)
     output_dir = str(out_dir if out_dir is not None else cfg.output_dir)
     run_dir = Path(output_dir) / cfg.experiment
     manifest_path = run_dir / "manifest.json"
     out = RunOutput(out_dir=run_dir, manifest_path=manifest_path)
 
-    model = build_model(cfg)
     head = {
         "package": "wkbohm", "version": __version__, "created_utc": _utc_now(),
         "units": _unit_note(cfg, model), "config": {**config_dict(cfg), "output_dir": output_dir},

@@ -47,7 +47,8 @@ class Grid1D:
     """Uniform grid on [x_min, x_max] with node i at x_min + i*dx.
 
     n_points must be an integer of at least 8, so that the one-sided
-    4th-order stencils (5 and 6 nodes wide) never overlap from both ends.
+    4th-order stencils (5 and 6 nodes wide) never overlap from both ends,
+    and the nodes must be finite and strictly increasing.
     """
 
     x_min: float
@@ -63,6 +64,14 @@ class Grid1D:
             raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 8:
             raise ValueError(f"n_points must be >= 8, got {self.n_points}")
+        # A span past the float range, or one too narrow for distinct nodes.
+        span = f"grid [{self.x_min}, {self.x_max}]"
+        with np.errstate(over="ignore"):
+            dx = self.dx
+        if not 0.0 < dx < np.inf:
+            raise ValueError(f"{span} has node spacing {dx}")
+        if not np.all(np.diff(self.nodes) > 0.0):
+            raise ValueError(f"{span} is too narrow for {self.n_points} distinct nodes")
 
     @property
     def dx(self) -> float:

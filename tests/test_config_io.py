@@ -15,7 +15,6 @@ from wkbohm.config import (
     EXPERIMENTS,
     MODELS,
     RunConfig,
-    build_model,
     config_dict,
     parse_config,
     resolve_config,
@@ -159,7 +158,7 @@ class TestParsing:
     @pytest.mark.parametrize("experiment, model", PAIRS)
     def test_unset_keys_get_the_experiments_defaults(self, experiment, model):
         cfg = parse_config(json.dumps({"experiment": experiment, "model": model, **UNITS[model]}))
-        m = build_model(cfg)
+        m = resolve_config(cfg)[1]
         fan = {"x0_fan": tuple(k * cfg.sigma0 for k in (-2.0, -1.0, 0.0, 1.0, 2.0))}
         dt = 1e-3 * m.time_scale
         expected = {
@@ -234,7 +233,7 @@ def test_parse_returns_a_config_that_echoes_as_strict_json_or_raises_config_erro
     echo = serialize_config(cfg)
     json.loads(echo, parse_constant=_reject_constant)
     assert parse_config(echo) == cfg
-    assert resolve_config(cfg) == cfg
+    assert resolve_config(cfg)[0] == cfg
 
 
 class TestTables:
@@ -335,13 +334,52 @@ class TestRunOutputs:
         (RunConfig("figure1-short", "harmonic"),
          "experiment 'figure1-short' is not defined for model 'harmonic'; "
          "pick one of hierarchy-convergence, equivariance, residuals"),
-    ], ids=["default-dt-underflows", "one-grid-bound", "figure1-harmonic"])
+        # A given value is checked by its key's rule, as in a document.
+        (RunConfig("equivariance", "free", ensemble_mode="bogus"),
+         "key 'ensemble_mode' must be one of quantile, uniform, random; got 'bogus'"),
+        (RunConfig("residuals", "free", grid_points=5), "key 'grid_points' must be >= 8, got 5"),
+        (RunConfig("hierarchy-convergence", "free", order=0), "key 'order' must be >= 1, got 0"),
+        (RunConfig("equivariance", "free", ensemble_mode="random", seed=-1),
+         "key 'seed' must be >= 0, got -1"),
+        (RunConfig("figure1-short", "free", x0_fan=("a",)), "key 'x0_fan[0]' must be a number, got 'a'"),
+        (RunConfig("figure1-short", "free", x0_fan=(1.0, np.inf)), "key 'x0_fan[1]' must be finite, got inf"),
+        (RunConfig("residuals", "free", grid_x_min=-np.inf, grid_x_max=5.0),
+         "key 'grid_x_min' must be finite, got -inf"),
+        (RunConfig("residuals", "free", grid_points=401.5), "key 'grid_points' must be an integer, got 401.5"),
+        (RunConfig("residuals", "free", t_max=-1.0), "key 't_max' must be > 0, got -1.0"),
+        (RunConfig("equivariance", "free", ensemble_n=1), "key 'ensemble_n' must be >= 2, got 1"),
+        (RunConfig("hierarchy-convergence", "free", dt=np.nan), "key 'dt' must be finite, got nan"),
+        # None leaves only a key whose field default is None unset.
+        (RunConfig("residuals", "free", hbar=None), "key 'hbar' must be a number, got None"),
+        (RunConfig("figure1-short", "free", x0_fan=None), "key 'x0_fan' must be a non-empty list of numbers"),
+    ], ids=["default-dt-underflows", "one-grid-bound", "figure1-harmonic", "ensemble-mode",
+            "grid-points-below-8", "order-0", "negative-seed", "fan-string", "fan-inf",
+            "grid-x-min-inf", "grid-points-not-integer", "negative-t-max", "ensemble-n-1", "dt-nan",
+            "hbar-none", "fan-none"])
     def test_a_broken_config_built_in_code_raises_before_anything_is_written(self, tmp_path, cfg, message):
         out_dir = tmp_path / "out"
         with pytest.raises(ConfigError) as info:
             run_experiment(cfg, out_dir=str(out_dir))
         assert str(info.value) == message
         assert not out_dir.exists()
+
+    def test_a_run_builds_one_model(self, tmp_path, monkeypatch):
+        builds = []
+        builder, *rest = MODELS["free"]
+
+        def counted(cfg):
+            builds.append(cfg)
+            return builder(cfg)
+
+        monkeypatch.setitem(MODELS, "free", (counted, *rest))
+        run_experiment(RunConfig("residuals", "free"), out_dir=str(tmp_path / "code"))
+        assert len(builds) == 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "residuals", "model": "free"}))
+        builds.clear()
+        assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "cli")]) == 0
+        # One to validate the document, one in the run.
+        assert len(builds) <= 2
 
     def test_equivariance_run_reports_ks(self, tmp_path):
         cfg = parse_config(
@@ -531,14 +569,13 @@ class TestHierarchyConvergence:
     @staticmethod
     def standalone(cfg, call, order):
         """reconstruct_polar(propagate_hierarchy(init_hierarchy(psi0, order), ...))."""
-        from wkbohm.config import build_model
         from wkbohm.hierarchy import (
             PolarFields, init_hierarchy, propagate_hierarchy, reconstruct_polar,
         )
         from wkbohm.numerics import RealField
 
         state, potential, dt, n_steps, params = call
-        model = build_model(cfg)
+        model = resolve_config(cfg)[1]
         grid = state.grid
         x = grid.nodes
         psi0 = PolarFields(
@@ -914,6 +951,33 @@ class TestCli:
         ) * 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key", sorted(FIELDS - {"experiment", "model"}))
+    def test_a_null_exits_2_on_every_run_that_reads_the_key(self, tmp_path, capsys, key):
+        # None leaves some keys unset in a RunConfig built in code; a JSON null never does.
+        message = {
+            "x0_fan": "key 'x0_fan' must be a non-empty list of numbers",
+            "ensemble_mode": "key 'ensemble_mode' must be one of quantile, uniform, random; got None",
+            "output_dir": "key 'output_dir' must be a non-empty string",
+        }.get(key, f"key {key!r} must be a number, got None")
+        pairs = [(e, m) for e, m in PAIRS if key in run_keys(e, m)]
+        assert pairs
+        for experiment, model in pairs:
+            path = self.write_cfg(tmp_path, {"experiment": experiment, "model": model, key: None})
+            assert cli_main(["validate", path]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_grid_too_narrow_for_distinct_nodes_fails_with_exit_3(self, tmp_path, capsys):
+        # Its 401 nodes collide in pairs: the run once exited 0 with meaningless tables.
+        out_dir = tmp_path / "out"
+        doc = {"experiment": "residuals", "model": "free", "grid_x_min": 1.0,
+               "grid_x_max": 1.0000000000000002, "output_dir": str(out_dir)}
+        assert cli_main(["run", self.write_cfg(tmp_path, doc)]) == 3
+        manifest = json.loads((out_dir / "residuals" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == (
+            "ValueError: grid [1.0, 1.0000000000000002] is too narrow for 401 distinct nodes"
+        )
+
     def test_run_whose_table_would_hold_inf_fails_with_exit_3(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         doc = {"experiment": "figure1-short", "model": "free", "x0_fan": [1e308, -1e308],
@@ -1053,13 +1117,20 @@ class TestRoundTrip:
         again = json.loads((tmp_path / "again" / experiment / "manifest.json").read_text())
         assert manifest["files"] and again["files"] == manifest["files"]  # names, sizes and sha256
 
-    @pytest.mark.parametrize("units", [False, True], ids=["defaults", "units"])
-    @pytest.mark.parametrize("experiment, model", PAIRS)
-    def test_a_config_built_in_code_resolves_and_runs_as_its_document(self, tmp_path, experiment, model, units):
-        keys = UNITS[model] if units else {}
-        doc = {"experiment": experiment, "model": model, **keys}
+    @pytest.mark.parametrize("experiment, model, keys", [
+        *(pytest.param(e, m, keys, id=f"{e}-{m}-{tag}")
+          for e, m in PAIRS for tag, keys in (("defaults", {}), ("units", UNITS[m]))),
+        # Numpy scalars are held as Python numbers, so the echo stays strict JSON.
+        pytest.param("residuals", "free", {"grid_points": np.int64(401)}, id="numpy-int64"),
+        pytest.param("residuals", "free", {"t_max": np.float64(0.4)}, id="numpy-float64"),
+        pytest.param("residuals", "free", {"hbar": np.float32(0.5)}, id="numpy-float32"),
+    ])
+    def test_a_config_built_in_code_resolves_and_runs_as_its_document(self, tmp_path, experiment, model, keys):
+        doc = {"experiment": experiment, "model": model,
+               **{k: v.item() if isinstance(v, np.generic) else v for k, v in keys.items()}}
         built = RunConfig(experiment, model, **keys)
-        assert resolve_config(built) == parse_config(json.dumps(doc))
+        resolved, parsed = resolve_config(built)[0], parse_config(json.dumps(doc))
+        assert resolved == parsed and serialize_config(resolved) == serialize_config(parsed)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "cli")]) == 0
@@ -1087,7 +1158,8 @@ class TestKeyRule:
         """The RunConfig fields read while building the model and running, and the run.
 
         Reads inside `resolve_config` and `config_dict` are not counted:
-        `dataclasses.replace` and the echo read every field.
+        `dataclasses.replace`, the rule check and the echo read every
+        field. The model builder that `resolve_config` calls is counted.
         """
         from wkbohm import experiments
 
@@ -1095,23 +1167,25 @@ class TestKeyRule:
         original = RunConfig.__getattribute__
 
         def recording(self, name):
-            if name in FIELDS and not paused:
+            if name in FIELDS and not (paused and paused[-1]):
                 read.add(name)
             return original(self, name)
 
-        def unrecorded(function):
+        def pausing(function, pause=True):
             def call(c):
-                paused.append(True)
+                paused.append(pause)
                 try:
                     return function(c)
                 finally:
                     paused.pop()
             return call
 
+        builder, *rest = MODELS[cfg.model]
         with monkeypatch.context() as m:
             m.setattr(RunConfig, "__getattribute__", recording)
-            m.setattr(experiments, "config_dict", unrecorded(config_dict))
-            m.setattr(experiments, "resolve_config", unrecorded(resolve_config))
+            m.setattr(experiments, "config_dict", pausing(config_dict))
+            m.setattr(experiments, "resolve_config", pausing(resolve_config))
+            m.setitem(MODELS, cfg.model, (pausing(builder, pause=False), *rest))
             out = run_experiment(cfg)  # no out_dir: the run reads output_dir
         return read, out
 

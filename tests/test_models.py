@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wkbohm.analytic import free_packet_wavefunction, ho_wavefunction, spreading
-from wkbohm.config import build_model, parse_config
+from wkbohm.config import parse_config, resolve_config
 from wkbohm.experiments import _comparison_window, _grid
 from wkbohm.numerics import Grid1D
 
@@ -27,7 +27,7 @@ WAVEFUNCTION = {"free": free_packet_wavefunction, "harmonic": ho_wavefunction}
 
 def model_for(name, extra, experiment="residuals"):
     cfg = parse_config(json.dumps({"experiment": experiment, "model": name, **extra}))
-    return cfg, build_model(cfg)
+    return cfg, resolve_config(cfg)[1]
 
 
 def nodes_around(model, t, n=1601):

@@ -48,6 +48,15 @@ class TestGrid:
         with pytest.raises(ValueError, match=f"^n_points must be an integer, got {re.escape(repr(n))}$"):
             Grid1D(0.0, 1.0, n)
 
+    @pytest.mark.parametrize("x_min, x_max, message", [
+        (-1e308, 1e308, "has node spacing inf"),  # the span overflows
+        (0.0, 5e-324, "has node spacing 0.0"),  # the spacing underflows
+        (1.0, 1.0000000000000002, "is too narrow for 401 distinct nodes"),  # nodes collide
+    ])
+    def test_grid_without_distinct_finite_nodes_rejected(self, x_min, x_max, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'grid [{x_min}, {x_max}] {message}')}$"):
+            Grid1D(x_min, x_max, 401)
+
     def test_numpy_integer_point_count_accepted(self):
         assert Grid1D(0.0, 1.0, np.int64(16)) == Grid1D(0.0, 1.0, 16)
 
