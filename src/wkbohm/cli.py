@@ -9,10 +9,11 @@ nothing written: an unreadable file, an unknown key or a key that the
 run does not read, a value against its key's rule, or a model that
 cannot be built, such as one whose time scale or width is not positive
 and finite or whose velocity or energy is not finite), 3 numerical abort
-("numerical abort: ...") or failed run ("run failed: ...", for example
-a configured grid that misses the packet, a table cell that is not
-finite, a run whose arrays cannot be allocated, or a run directory that
-cannot be created). On exit 3 the manifest records status "aborted" or
+("numerical abort: ...", for example a caustic, a CFL violation or a
+hierarchy-convergence order whose amplitude overflows the double range)
+or failed run ("run failed: ...", for example a configured grid that
+misses the packet, a table cell that is not finite, a run whose arrays
+cannot be allocated, or a run directory that cannot be created). On exit 3 the manifest records status "aborted" or
 "failed" and the error's type and message; a run directory that cannot
 be created gets no manifest.
 The WKBOHM_OUTPUT_DIR environment variable overrides the config's

@@ -297,6 +297,18 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
     for order in (o for o in orders if o <= top):
         state = HierarchyState(grid, stack.values[: order + 1], time=stack.time)
         polar = reconstruct_polar(state, params)
+        # An overflowed amplitude holds the largest double, not data: the
+        # order aborts. Underflowed nodes (the smallest normal) are kept.
+        if polar.invalid_nodes is not None:
+            over = polar.invalid_nodes[polar.R.values[polar.invalid_nodes] == np.finfo(float).max]
+            if over.size:
+                node = int(over[0])
+                failure = NumericalAbort(
+                    f"order {order} amplitude exp(ln R) overflows at node {node} "
+                    f"(x = {x[node]:g}, t = {stack.time:g})",
+                    order=order, node=node, x=x[node], t=stack.time,
+                )
+                break
         ds = polar.S.values - s_exact
         err_s = float(np.max(np.abs(ds)[window]))
         err_s_offset_free = float(

@@ -156,19 +156,17 @@ def _advance(state: TdseState, solver: CrankNicolsonSolver, n_steps: int) -> Tds
 
 
 def oracle_velocity(
-    psi: ComplexField, params: PhysParams, x_window: tuple[float, float] | None = None
+    psi: ComplexField, params: PhysParams, x_window: tuple[float, float]
 ) -> RealField:
     """Bohmian velocity (hbar/m) Im(grad psi / psi) on the grid.
 
     Algebraically equal to grad(S)/m but needs no unwrapping. The
-    modulus must stay above 1e-12 on the requested window; values are
+    modulus must stay above 1e-12 on `x_window`, ends included; values are
     clipped where the amplitude underflows outside it.
     """
     modulus = np.abs(psi.values)
-    small = modulus <= NODE_MODULUS_LIMIT
-    if x_window is not None:
-        x = psi.grid.nodes
-        small &= (x >= x_window[0]) & (x <= x_window[1])
+    x = psi.grid.nodes
+    small = (modulus <= NODE_MODULUS_LIMIT) & (x >= x_window[0]) & (x <= x_window[1])
     if small.any():
         bad = int(np.flatnonzero(small)[0])
         raise ValueError(

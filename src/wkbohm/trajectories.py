@@ -414,16 +414,16 @@ class AsymptoticFit:
 def fit_asymptotic_velocity(
     trajectory: Trajectory,
     t_window: tuple[float, float],
-    packet: GaussianPacketSpec | None = None,
+    packet: GaussianPacketSpec,
 ) -> AsymptoticFit:
     """Fit x = v t + b over [t0, t1]; the slope is the asymptotic velocity.
 
-    Needs at least 10 samples in the window. When a packet spec is
-    given, the window start must lie in the late-time regime, u >=
-    `LATE_TIME_U`, where the width grows linearly to within 0.5%.
+    Needs at least 10 samples in the window, and the window start must
+    lie in the packet's late-time regime, u >= `LATE_TIME_U`, where the
+    width grows linearly to within 0.5%.
     """
     t0, t1 = t_window
-    if packet is not None and dimensionless_time(packet, t0) < LATE_TIME_U:
+    if dimensionless_time(packet, t0) < LATE_TIME_U:
         raise ValueError(
             f"window start u={float(dimensionless_time(packet, t0)):.3g} is below "
             f"the late-time threshold {LATE_TIME_U}"

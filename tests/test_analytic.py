@@ -59,6 +59,16 @@ class TestSpreading:
             PhysParams(hbar=-1.0)
         with pytest.raises(ValueError):
             GaussianPacketSpec(params=NATURAL, sigma0=0.0)
+        for build, message in [
+            (lambda: PhysParams(mass=0.0), "mass must be positive"),
+            (lambda: PhysParams(mass=np.inf), "mass must be positive"),
+            (lambda: GaussianPacketSpec(params=NATURAL, p0=np.nan), "p0 must be finite"),
+            (lambda: OscillatorSpec(params=NATURAL, omega=-1.0), "omega must be positive"),
+            (lambda: OscillatorSpec(params=NATURAL, a=np.inf), "a must be finite"),
+            (lambda: trajectory_series_coefficient(0), "index starts at 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestFreePacketWavefunction:

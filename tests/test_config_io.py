@@ -241,6 +241,8 @@ class TestTables:
         assert format_value(1.0 / 3.0) == "0.33333333333333331"
         assert format_value(1.0) == "1"
         assert float(format_value(0.1)) == 0.1
+        assert (format_value(True), format_value(False)) == ("true", "false")
+        assert format_value(np.float32(0.1)) == "0.10000000149011612"
 
     def test_empty_records_header_only(self, tmp_path):
         path = emit_table(tmp_path / "empty.csv", [("t", "time"), ("x", "length")], [])
@@ -268,6 +270,15 @@ class TestTables:
     def test_row_width_checked(self, tmp_path):
         with pytest.raises(WkbohmError):
             emit_table(tmp_path / "w.csv", [("a", "1")], [[1, 2]])
+        for cell, message in [
+            ("a,b", "may not contain delimiter or newline"),
+            ("a\nb", "may not contain delimiter or newline"),
+            (None, "cannot format table cell None"),
+            ([1.0], r"cannot format table cell \[1.0\]"),
+        ]:
+            with pytest.raises(WkbohmError, match=message):
+                emit_table(tmp_path / "w.csv", [("a", "1")], [[cell]])
+        assert not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)], ids=str)
     def test_non_finite_cell_refused_before_writing(self, tmp_path, bad):
@@ -687,6 +698,29 @@ class TestHierarchyConvergence:
         assert sorted(written) == [1, 3]
         assert all(np.all(r > 0) for _, r in written.values())
 
+    def test_overflowed_amplitude_aborts_the_order(self, tmp_path):
+        # At u = 3, far past the series' radius, the order-7 ln R passes
+        # the double range of exp. That order aborts, and no table holds
+        # the largest double in its place; orders 1 and 5 are written.
+        out_dir = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"experiment": "hierarchy-convergence", "model": "free", "hbar": 3.0, "order": 5,
+             "t_max": 2.0, "output_dir": str(out_dir)}
+        ))
+        assert cli_main(["run", str(path)]) == 3
+        run_dir = out_dir / "hierarchy-convergence"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "aborted"
+        assert manifest["error"].startswith("NumericalAbort: order 7 amplitude")
+        assert sorted(manifest["abort"]) == ["node", "order", "t", "x"]
+        assert manifest["abort"]["order"] == 7
+        assert manifest["abort"]["t"] == pytest.approx(2.0)
+        summary = (run_dir / "summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in summary] == ["1", "5"]
+        for name in ("fields.csv", "summary.csv"):
+            assert repr(float(np.finfo(float).max)) not in (run_dir / name).read_text()
+
 
 class TestUnitCoherence:
     def test_dimensionless_reports_invariant_under_unit_change(self, tmp_path):
@@ -749,6 +783,17 @@ class TestCli:
         path = self.write_cfg(tmp_path, {"experiment": "nope", "model": "free"})
         assert cli_main(["validate", path]) == 2
         assert "experiment" in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        for doc, message in [
+            (["residuals", "free"], "config must be a flat JSON object"),
+            ({"experiment": "residuals", "model": "free", "grid_x_min": 5.0, "grid_x_max": 5.0,
+              "output_dir": str(out_dir)}, "key 'grid_x_min' must be < 'grid_x_max'"),
+        ]:
+            path = self.write_cfg(tmp_path, doc)
+            assert cli_main(["validate", path]) == 2
+            assert cli_main(["run", path]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n" * 2
+        assert not out_dir.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 2

@@ -99,11 +99,35 @@ class TestInit:
         psi0.R.values[10] = 0.0
         with pytest.raises(ValueError):
             init_hierarchy(psi0, 3)
+        with pytest.raises(ValueError, match=r"strictly positive \(node 10\)"):
+            PolarFields(R=psi0.R, S=psi0.S)
+        with pytest.raises(ValueError, match="share one grid"):
+            PolarFields(R=gaussian_polar(Grid1D(-5, 5, 65)).R, S=psi0.S)
+
+    def test_malformed_stack_rejected(self):
+        grid = Grid1D(-5, 5, 64)
+        for values, message in [
+            (np.zeros((2, 63)), r"expected \(order\+1, 64\) values"),
+            (np.zeros(64), r"expected \(order\+1, 64\) values"),
+            (np.zeros((0, 64)), "need at least the order-0 field"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                HierarchyState(grid, values)
+        values = np.zeros((3, 64))
+        values[2, 7] = np.nan
+        with pytest.raises(NumericalAbort, match="order 2, node 7") as abort:
+            HierarchyState(grid, values)
+        assert (abort.value.order, abort.value.node) == (2, 7)
 
     def test_order_below_one_rejected(self):
         grid = Grid1D(-5, 5, 64)
         with pytest.raises(ValueError):
             init_hierarchy(gaussian_polar(grid), 0)
+        order0 = HierarchyState(grid, np.zeros((1, grid.n_points)))
+        with pytest.raises(ValueError, match="needs order >= 1"):
+            reconstruct_polar(order0, NATURAL)
+        with pytest.raises(ValueError, match="needs order >= 1"):
+            complex_action(order0, NATURAL)
 
 
 class TestRhs:
@@ -179,6 +203,9 @@ class TestPropagation:
         state = init_hierarchy(gaussian_polar(Grid1D(-8, 8, 161)), 3)
         with pytest.raises(ValueError, match="^n_steps must be >= 0$"):
             propagate(state, Potential.free(), 1e-3, -5)
+        for dt in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="^dt must be positive"):
+                propagate(state, Potential.free(), dt, 5)
 
     def test_free_fields_match_closed_forms(self):
         grid = Grid1D(-8, 8, 401)
@@ -353,6 +380,14 @@ class TestPropagation:
         state = HierarchyState(grid, values)
         with pytest.raises(CausticDetected):
             propagate_hierarchy(state, Potential.free(), 1e-9, 1, params=NATURAL)
+        # A step whose order-0 field overflows, under the runner's
+        # errstate, is named by the finiteness check, not as a caustic.
+        state = HierarchyState(grid, np.zeros((2, grid.n_points)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as abort:
+            propagate_hierarchy(state, Potential(1e306), 1e-3, 1, params=NATURAL)
+        assert type(abort.value) is NumericalAbort
+        assert str(abort.value).startswith("non-finite order-0 field at node ")
+        assert abort.value.order == 0 and abort.value.x == grid.nodes[abort.value.node]
 
     def test_blowup_names_the_lowest_failing_order(self):
         # The stack is tested as a whole; the abort still names the
@@ -546,6 +581,9 @@ class TestResiduals:
         assert np.max(res.values) == 0.0
         res_v = complex_velocity_residual(stack, Potential.free(), NATURAL, delta)
         assert np.max(res_v.values) == 0.0
+        for residual in (qhj_residual_from_series, complex_velocity_residual):
+            with pytest.raises(ValueError, match="need exactly 3 or 5"):
+                residual(stack + stack[:1], Potential.free(), NATURAL, delta)
 
     def test_moving_plane_wave_residual_at_machine_level(self):
         grid = Grid1D(-8, 8, 401)
@@ -600,6 +638,8 @@ class TestTruncatedVelocity:
         state = init_hierarchy(gaussian_polar(grid), 3)
         with pytest.raises(ValueError):
             truncated_velocity_field(state, NATURAL, 2)
+        with pytest.raises(ValueError, match="max_pair_index must be >= 0"):
+            truncated_velocity_field(state, NATURAL, -1)
 
     def test_free_packet_field_improves_with_corrections(self):
         # Exact Bohmian field is u x / (2 (1+u^2)) at rest in natural

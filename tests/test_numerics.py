@@ -11,6 +11,7 @@ from wkbohm.errors import NonFiniteFieldError
 from wkbohm.numerics import (
     Grid1D,
     RealField,
+    collect_snapshots,
     cubic_cell_evaluate,
     cubic_cell_table,
     cubic_interpolate,
@@ -41,6 +42,9 @@ class TestGrid:
             Grid1D(1.0, -1.0, 16)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 7)
+        for x_min, x_max in ((-np.inf, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="^grid endpoints must be finite$"):
+                Grid1D(x_min, x_max, 16)
 
     @pytest.mark.parametrize("n", [8.5, 9.0, np.float64(16.0), "16"], ids=repr)
     def test_point_count_that_is_not_an_integer_rejected(self, n):
@@ -273,6 +277,15 @@ class TestCubicCells:
         assert out == pytest.approx(np.sin(0.55), abs=1e-5)
 
 
+def test_collect_snapshots_chunks_the_steps():
+    chunks = []
+    out = collect_snapshots(0, lambda done, k: chunks.append(k) or done + k, 7, 3)
+    assert out == [0, 3, 6, 7] and chunks == [3, 3, 1]
+    for n_steps, every, message in ((7, 0, "every must be >= 1"), (-1, 3, "n_steps must be >= 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            collect_snapshots(0, lambda done, k: done + k, n_steps, every)
+
+
 class TestStencilBody:
     """The one-pass stencil pair equals the two separate bodies it replaced, bit for bit."""
 
@@ -315,25 +328,6 @@ class TestStencilBody:
             np.full((3, 401), -2.25), np.zeros((2, 3, 8)), np.full((2, 8), -0.0),
         ):
             self.assert_pair_matches_references(values, 0.1)
-
-    def test_first_derivative_alone_is_the_first_half_of_the_pair(self, monkeypatch):
-        # Its own pass, without the second derivative, and the same bits:
-        # real and complex stacks, and constant fields' signed zeros.
-        from wkbohm import numerics
-
-        def refused(*args):
-            raise AssertionError("derivative_values called derivative_pair")
-
-        rng = np.random.default_rng(6)
-        real = rng.normal(size=(3, 401)) * 10.0 ** rng.integers(-3, 4, size=(3, 401))
-        stacks = [real, real + 1j * rng.normal(size=real.shape), real[0, :9], np.full(9, -1.0j),
-                  np.full((2, 8), -0.0), np.full((2, 9), 0.5 - 2.0j)]
-        expected = [derivative_pair(v, 0.037)[0] for v in stacks]
-        monkeypatch.setattr(numerics, "derivative_pair", refused)
-        for values, pair_d1 in zip(stacks, expected):
-            got = derivative_values(values, 0.037)
-            assert got.dtype == pair_d1.dtype and got.shape == pair_d1.shape
-            assert got.tobytes() == pair_d1.tobytes()
 
     def test_rows_do_not_leak_into_each_other(self):
         # Differences across a row boundary land on edge nodes only.

@@ -91,6 +91,9 @@ class TestCrankNicolson:
         _, state = free_state(half_width=8.0, n=161)
         with pytest.raises(ValueError, match="^n_steps must be >= 0$"):
             propagate(state, 1e-3, -3)
+        for dt in (0.0, -1e-3, np.nan):
+            with pytest.raises(ValueError, match="^dt must be positive"):
+                propagate(state, dt, 3)
 
     def test_undersized_domain_rejected_at_setup(self):
         with pytest.raises(ValueError):
@@ -306,7 +309,8 @@ class TestTridiagonalStep:
 class TestOracleVelocity:
     def test_real_wavefunction_is_at_rest(self):
         _, state = free_state(half_width=10.0, n=501)
-        v = oracle_velocity(state.psi, NATURAL)
+        grid = state.psi.grid
+        v = oracle_velocity(state.psi, NATURAL, x_window=(grid.x_min, grid.x_max))
         assert np.max(np.abs(v.values)) == 0.0
 
     def test_matches_action_gradient_for_free_packet(self):

@@ -182,6 +182,16 @@ class TestGriddedProvider:
         assert n_valid.tobytes() == through_evaluate[1].tobytes()
         assert 1 < n_valid.min() and n_valid.max() == 201  # members die mid-run
 
+    def test_malformed_snapshots_rejected(self):
+        grid = Grid1D(-1.0, 1.0, 51)
+        for times, fields, message in [
+            (np.array([0.0, 1.0]), np.zeros((2, 50)), r"fields must be \(n_times, n_points\)"),
+            (np.array([0.0, 1.0]), np.zeros((3, 51)), r"fields must be \(n_times, n_points\)"),
+            (np.array([0.0]), np.zeros((1, 51)), "need at least 2 strictly increasing"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                GriddedVelocityField(grid, times, fields)
+
     def test_fields_are_read_only(self):
         provider = GriddedVelocityField(Grid1D(-1.0, 1.0, 21), np.array([0.0, 1.0]), np.ones((2, 21)))
         with pytest.raises(ValueError):
@@ -380,6 +390,9 @@ class TestTimeRule:
 
     def test_window_errors_name_their_values(self):
         provider = GriddedVelocityField(Grid1D(-1.0, 1.0, 21), np.array([0.0, 2.0]), np.ones((2, 21)))
+        for t_grid in (np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.5]), np.zeros((1, 2)), np.array([])):
+            with pytest.raises(ValueError, match="^t_grid must be 1D and strictly increasing$"):
+                integrate_ensemble_positions(provider, np.array([0.0]), t_grid)
         with pytest.raises(ValueError) as exc:
             integrate_ensemble_positions(provider, np.array([0.0]), np.array([-0.5, 1.0, 2.0]))
         assert str(exc.value) == (
@@ -429,6 +442,13 @@ class TestSampling:
         grid = Grid1D(-8, 8, 801)
         with pytest.raises(ValueError):
             sample_initial_positions(RealField(grid, np.zeros(801)), 4, "quantile")
+
+    def test_bad_count_or_mode_rejected(self):
+        density = density_field(packet(), Grid1D(-8, 8, 801))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_initial_positions(density, 0, "quantile")
+        with pytest.raises(ValueError, match="unknown sampling mode 'bogus'"):
+            sample_initial_positions(density, 4, "bogus")
 
     def test_negative_density_rejected(self):
         grid = Grid1D(-8, 8, 801)
@@ -518,15 +538,15 @@ class TestAsymptoticFit:
     def test_line_fits_line(self):
         t = np.linspace(100.0, 200.0, 100)
         traj = Trajectory(times=t, positions=3.0 * t - 1.0, x0=float(3 * t[0] - 1), source="classical")
-        fit = fit_asymptotic_velocity(traj, (110.0, 190.0))
+        fit = fit_asymptotic_velocity(traj, (110.0, 190.0), packet=packet())
         assert fit.velocity == pytest.approx(3.0, abs=1e-12)
         assert fit.residual <= 1e-10
 
     def test_window_too_short_rejected(self):
         t = np.linspace(0.0, 100.0, 101)
         traj = Trajectory(times=t, positions=t.copy(), x0=0.0, source="classical")
-        with pytest.raises(ValueError):
-            fit_asymptotic_velocity(traj, (94.5, 99.5))
+        with pytest.raises(ValueError, match="samples"):
+            fit_asymptotic_velocity(traj, (94.5, 99.5), packet=packet())
 
     def test_early_window_rejected_for_packet(self):
         spec = packet()
@@ -546,6 +566,8 @@ class TestEquivariance:
         n = 25
         xs = sample_initial_positions(density, n, "quantile")
         assert ks_distance(xs, density) <= 1.0 / n
+        with pytest.raises(ValueError, match="need at least one sample"):
+            ks_distance(xs[:0], density)
 
     def test_free_packet_transport_preserves_density(self):
         spec = packet()
@@ -657,6 +679,14 @@ class TestInvariantObjects:
             Trajectory(times=np.array([0.0, 0.0]), positions=np.array([1.0, 1.0]), x0=1.0, source="classical")
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 1.0]), positions=np.array([1.0, 2.0]), x0=0.0, source="classical")
+        t = np.array([0.0, 1.0])
+        for positions, source, message in [
+            (np.array([0.0, 1.0, 2.0]), "classical", "equal-length 1D arrays"),
+            (np.array([0.0, np.inf]), "classical", "positions must be finite"),
+            (np.array([0.0, 1.0]), "bogus", "unknown source tag 'bogus'"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Trajectory(times=t, positions=positions, x0=0.0, source=source)
 
     def test_ensemble_needs_two_members(self):
         t = np.array([0.0, 1.0])

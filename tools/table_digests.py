@@ -2,7 +2,7 @@
 
     python3 tools/table_digests.py [--src DIR]
 
-Runs 20 configs in-process through `wkbohm.cli.main`, with the package
+Runs 21 configs in-process through `wkbohm.cli.main`, with the package
 imported from DIR/src (default: this checkout):
 
 - the 8 runnable (experiment, model) pairs of `wkbohm.config.MODELS`,
@@ -10,7 +10,10 @@ imported from DIR/src (default: this checkout):
 - the same 8 pairs at non-default units;
 - `hierarchy-convergence` on the harmonic model at order 3 with
   t_max = 1.05, 1.1, 1.15 and 1.56, whose orders abort at different
-  steps.
+  steps;
+- `hierarchy-convergence` on the free model at hbar = 3 (u = 3 at
+  t_max = 2, far past the series' radius), whose order-7 amplitude
+  overflows: the run writes orders 1 and 5, then aborts.
 
 For each config it prints one line with the exit code, manifest status
 and error, one `<tag>/echo` line with the sha256 of its `validate`
@@ -44,6 +47,7 @@ UNITS = {
     "harmonic": {"hbar": 0.7, "mass": 1.3, "omega": 2.0, "a": 0.3},
 }
 HARMONIC_T_MAX = (1.05, 1.1, 1.15, 1.56)
+OVERFLOW = {"experiment": "hierarchy-convergence", "model": "free", "hbar": 3.0, "order": 5, "t_max": 2.0}
 
 
 def reference_configs(config) -> list[tuple[str, dict]]:
@@ -58,6 +62,7 @@ def reference_configs(config) -> list[tuple[str, dict]]:
     for t_max in HARMONIC_T_MAX:
         doc = {"experiment": "hierarchy-convergence", "model": "harmonic", "order": 3, "t_max": t_max}
         out.append((f"harmonic-order3/t_max={t_max}", doc))
+    out.append(("overflow/hbar=3", OVERFLOW))
     return out
 
 
