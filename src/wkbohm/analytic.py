@@ -293,7 +293,10 @@ def ho_velocity(spec: OscillatorSpec, t):
     """grad(S)/m = -omega a sin(omega t); independent of x.
 
     `np.float64(t)` gives a scalar t the dtype `np.asarray` would, with
-    no 0-d array: the field is evaluated at every rk4 stage.
+    no 0-d array: the field is evaluated at every rk4 stage. An array of
+    times gives the array of velocities; the integrator's one-pass route
+    calls it so, and its tests check that each equals the scalar call's
+    bits at that time.
     """
     return -spec.omega * spec.a * np.sin(spec.omega * np.float64(t))
 

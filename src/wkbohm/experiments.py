@@ -362,11 +362,13 @@ def _run_equivariance(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutpu
     t_grid = np.linspace(0.0, cfg.t_max, n_steps + 1)
     positions, n_valid = integrate_ensemble_positions(model.provider, x0s, t_grid)
     if int(n_valid.min()) < t_grid.size:
-        # Named: the first member to leave, at its last valid sample.
+        # Named: the first member lost, at its last valid sample. The
+        # closed-form fields' window is the whole line, so there only a
+        # velocity that overflowed loses a member.
         member = int(np.argmin(n_valid))
         last = int(n_valid[member]) - 1
         raise NumericalAbort(
-            "an ensemble member left the velocity-field window",
+            "an ensemble member left the velocity-field window or reached a non-finite position",
             node=member, x=float(positions[member, last]), t=float(t_grid[last]),
         )
 

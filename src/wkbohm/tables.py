@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
 from .errors import WkbohmError
 
 DELIMITER = ","
@@ -19,10 +21,10 @@ DELIMITER = ","
 def format_value(value) -> str:
     if type(value) is float:  # the common cell, tested first
         return format(value, ".17g")
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, str):

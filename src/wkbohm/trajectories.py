@@ -13,7 +13,11 @@ define a private `_evaluate_unchecked(x, t)` that skips its own check
 of x: the integrator, which passes only float arrays inside `x_window`,
 calls it in place of `evaluate`; a provider with only the four
 attributes above integrates through `evaluate`. The gridded provider
-has one, which skips its grid check.
+has one, which skips its grid check. A provider whose field does not
+depend on x may define a private `_speeds(t)` that returns the field's
+value at each time of a float array; with the x window (-inf, inf) the
+integrator then moves the whole ensemble in one pass over the time
+grid. The oscillator provider has one.
 
 Integration is rk4 on dx/dt = v(x, t) over the caller's time grid, one
 step per interval. Leaving the x window truncates the trajectory and
@@ -118,6 +122,10 @@ class OscillatorVelocityField:
         out = np.empty(x.shape)
         out.fill(v)
         return out
+
+    def _speeds(self, t: np.ndarray) -> np.ndarray:
+        """The field's value, the same at every x, at each of an array of times."""
+        return ho_velocity(self.spec, t)
 
 
 @dataclass(frozen=True)
@@ -256,6 +264,13 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     Every point the provider is passed lies inside its x window, so a
     provider's `_evaluate_unchecked`, where it has one, is called instead
     of `evaluate`.
+
+    A provider with `_speeds` and the window (-inf, inf) has a field
+    uniform in x, so every member takes the same increment on a step.
+    The increments of all steps come from `_speeds` on the arrays of
+    stage times, and the positions from one running sum along time,
+    seeded with x0s: each is the loop's `x + increment`, the same
+    expressions in the same order, so the bits are the loop's.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or (t.size > 1 and not np.all(np.diff(t) > 0)):
@@ -275,15 +290,35 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
                          f"member {i} at x={x[i]}, window [{xw[0]}, {xw[1]}]")
 
     n = x.size
+    n_valid = np.full(n, t.size, dtype=int)
+    lo, hi = xw
+    inf = np.inf
+    speeds = getattr(provider, "_speeds", None)
+    if speeds is not None and lo == -inf and hi == inf:
+        positions = np.empty((n, t.size))
+        positions[:, 0] = x
+        t_i = t[:-1]
+        dt = t[1:] - t_i
+        k1, k4 = speeds(t_i), speeds(t_i + dt)
+        k2 = k3 = speeds(t_i + 0.5 * dt)
+        positions[:, 1:] = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.add.accumulate(positions, axis=1, out=positions)
+        # A position once non-finite stays so, and on this window only
+        # that kills a member: the dead are those whose last position is
+        # not finite, each at its first non-finite new position.
+        if t.size > 1:
+            for i in np.flatnonzero(~np.isfinite(positions[:, -1])).tolist():
+                k = 1 + int(np.argmin(np.isfinite(positions[i, 1:])))
+                positions[i, k:] = np.nan
+                n_valid[i] = k
+        return positions, n_valid
+
     positions = np.full((n, t.size), np.nan)
     positions[:, 0] = x
-    n_valid = np.full(n, t.size, dtype=int)
     rows = np.arange(n)  # members still alive, in order; x holds their positions
     everyone = True  # whether rows is still every member
-    lo, hi = xw
     evaluate = getattr(provider, "_evaluate_unchecked", provider.evaluate)
     minimum, maximum = np.minimum.reduce, np.maximum.reduce
-    inf = np.inf
 
     # (velocity, whether every probe lies in the window).
     if lo == -inf and hi == inf:  # a NaN bound counts as bounded

@@ -243,6 +243,10 @@ class TestTables:
         assert float(format_value(0.1)) == 0.1
         assert (format_value(True), format_value(False)) == ("true", "false")
         assert format_value(np.float32(0.1)) == "0.10000000149011612"
+        # numpy's bools and integers read as Python's, every digit kept.
+        assert (format_value(np.True_), format_value(np.False_)) == ("true", "false")
+        assert format_value(np.int64(2**62)) == format_value(2**62) == "4611686018427387904"
+        assert format_value(np.uint64(2**64 - 1)) == "18446744073709551615"
 
     def test_empty_records_header_only(self, tmp_path):
         path = emit_table(tmp_path / "empty.csv", [("t", "time"), ("x", "length")], [])
@@ -525,7 +529,8 @@ class TestRunOutputs:
         monkeypatch.setattr(experiments, "integrate_ensemble_positions", windowed)
         out = run_cfg(tmp_path, experiment="equivariance", p0=1.0)
         assert out.status == "aborted"
-        assert out.error == "NumericalAbort: an ensemble member left the velocity-field window"
+        assert out.error == ("NumericalAbort: an ensemble member left the velocity-field window"
+                             " or reached a non-finite position")
         (positions, n_valid), t_grid = seen[0]
         # The drifting packet's rightmost member leaves first.
         member = int(np.argmin(n_valid))
@@ -836,6 +841,29 @@ class TestCli:
         )
         assert cli_main(["run", path]) == 3
         assert "abort" in capsys.readouterr().err.lower()
+
+    def test_equivariance_non_finite_position_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a omega = 1e310 overflows: the velocity is NaN at t = 0, so
+        # every member is lost on the first step, on the one-pass route.
+        from wkbohm.trajectories import OscillatorVelocityField
+
+        def refused(self, x, t):
+            raise AssertionError("the integrator stepped the loop")
+
+        monkeypatch.setattr(OscillatorVelocityField, "evaluate", refused)
+        out_dir = tmp_path / "out"
+        path = self.write_cfg(
+            tmp_path,
+            {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10,
+             "output_dir": str(out_dir)},
+        )
+        assert cli_main(["run", path]) == 3
+        assert capsys.readouterr().err.startswith("numerical abort: NumericalAbort: an ensemble member left")
+        manifest = json.loads((out_dir / "equivariance" / "manifest.json").read_text())
+        assert manifest["status"] == "aborted"
+        assert manifest["error"] == ("NumericalAbort: an ensemble member left the velocity-field window"
+                                     " or reached a non-finite position")
+        assert manifest["abort"] == {"node": 0, "x": 9.990555555555555e+299, "t": 0.0}
 
     def test_failed_run_exits_3(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

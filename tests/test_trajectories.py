@@ -314,6 +314,103 @@ class _Counted:
         return self.provider.evaluate(x, t)
 
 
+class TestOnePass:
+    """A field uniform in x on the whole line: one pass over the time grid, with the loop's bits."""
+
+    @staticmethod
+    def check(provider, x0s, t):
+        # `_Counted` exposes only the four protocol attributes, so it steps the loop.
+        proxy = _Counted(provider)
+        looped = integrate_ensemble_positions(proxy, np.array(x0s), t)
+        assert (proxy.calls > 0) == (t.size > 1)
+        got = integrate_ensemble_positions(provider, np.array(x0s), t)
+        assert got[0].tobytes() == looped[0].tobytes()
+        assert got[1].tobytes() == looped[1].tobytes()
+        assert got[0].shape == (len(x0s), t.size) and got[0].flags.c_contiguous
+        return got
+
+    @pytest.mark.parametrize("params, omega, a", [(NATURAL, 1.0, 1.0), (PhysParams(0.7, 1.3), 2.0, 0.3)],
+                             ids=["defaults", "units"])
+    def test_one_period_of_the_default_and_units_specs(self, params, omega, a, monkeypatch):
+        spec = OscillatorSpec(params=params, omega=omega, a=a)
+        provider = OscillatorVelocityField(spec)
+        t = np.linspace(0.0, 2.0 * np.pi / omega, 6284)
+        x0s = a + spec.sigma0 * np.linspace(-2.5, 2.5, 9)
+        looped = integrate_ensemble_positions(_Counted(provider), x0s, t)
+
+        def refused(self, x, t):
+            raise AssertionError("the integrator stepped the loop")
+
+        monkeypatch.setattr(OscillatorVelocityField, "evaluate", refused)
+        positions, n_valid = integrate_ensemble_positions(provider, x0s, t)
+        assert positions.tobytes() == looped[0].tobytes()
+        assert n_valid.tobytes() == looped[1].tobytes() and (n_valid == t.size).all()
+
+    @staticmethod
+    def mixed_grid(rng, n_times):
+        """Times of either sign and of magnitudes 1e-12 to 10: t_i + dt is not always t_{i+1}."""
+        t = np.sort(rng.choice([-1.0, 1.0], n_times) * 10.0 ** rng.uniform(-12.0, 1.0, n_times))
+        assert (t[1:] > t[:-1]).all()
+        return t
+
+    @pytest.mark.parametrize("n_times", [1, 2, 300])
+    def test_random_grids(self, n_times):
+        rng = np.random.default_rng(n_times)
+        spec = OscillatorSpec(params=PhysParams(0.7, 1.3), omega=1.7, a=-0.45)
+        self.check(OscillatorVelocityField(spec), rng.normal(size=6), self.mixed_grid(rng, n_times))
+
+    def test_speeds_asked_at_the_loops_stage_times(self):
+        field = OscillatorVelocityField(OscillatorSpec(params=NATURAL, omega=1.0, a=1.0))
+        asked = []
+
+        class Recording:
+            x_window, t_window, source = field.x_window, field.t_window, field.source
+            evaluate = staticmethod(field.evaluate)
+
+            def _speeds(self, t):
+                asked.append(t)
+                return field._speeds(t)
+
+        t = self.mixed_grid(np.random.default_rng(300), 300)
+        assert (t[:-1] + (t[1:] - t[:-1]) != t[1:]).any()
+        integrate_ensemble_positions(Recording(), np.zeros(2), t)
+        assert sorted(np.concatenate(asked).tolist()) == sorted(_stage_times(t))
+
+    def test_members_dying_mid_run(self):
+        # The displacement a (cos t - 1) reaches -2e305: the member at
+        # -1.797e308 overflows to -inf at t = 1.3, the one at -1e308 never.
+        spec = OscillatorSpec(params=NATURAL, omega=1.0, a=1e305)
+        with np.errstate(over="ignore"):
+            positions, n_valid = self.check(OscillatorVelocityField(spec), [-1.797e308, -1e308, 0.0, 1.0],
+                                            np.linspace(0.0, 3.0, 31))
+        assert n_valid.tolist() == [13, 31, 31, 31]
+        assert np.isfinite(positions[0, :13]).all() and np.isnan(positions[0, 13:]).all()
+
+    def test_infinite_start_dies_on_the_first_step(self):
+        spec = OscillatorSpec(params=NATURAL, omega=1.0, a=1.0)
+        for t in (np.linspace(0.0, 1.0, 5), np.array([0.0])):
+            positions, n_valid = self.check(OscillatorVelocityField(spec), [np.inf, 0.5, -np.inf], t)
+            assert n_valid.tolist() == [1, t.size, 1]
+
+    def test_bounded_window_steps_the_loop(self):
+        spec = OscillatorSpec(params=NATURAL, omega=1.0, a=1.0)
+        field = OscillatorVelocityField(spec)
+
+        class Bounded:
+            x_window, t_window, source = (-2.0, 2.0), field.t_window, field.source
+            evaluate = staticmethod(field.evaluate)
+
+            def _speeds(self, t):
+                raise AssertionError("the integrator took the one-pass route")
+
+        x0s, t = np.linspace(-1.5, 1.5, 12), np.linspace(0.0, 4.0, 81)
+        positions, n_valid = integrate_ensemble_positions(Bounded(), x0s, t)
+        ref = member_loop_positions(field, x0s, t)  # the same field, but on the whole line
+        alive = n_valid == 81
+        assert alive.tolist() == (x0s > 0).tolist()  # x = x0 - 1 + cos t reaches x0 - 2
+        assert positions[alive].tobytes() == ref[0][alive].tobytes()
+
+
 def _stage_times(t_grid):
     """Every time rk4 queries over a grid, formed as the integrator forms them."""
     times = t_grid.tolist()

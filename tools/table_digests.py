@@ -2,7 +2,7 @@
 
     python3 tools/table_digests.py [--src DIR]
 
-Runs 21 configs in-process through `wkbohm.cli.main`, with the package
+Runs 22 configs in-process through `wkbohm.cli.main`, with the package
 imported from DIR/src (default: this checkout):
 
 - the 8 runnable (experiment, model) pairs of `wkbohm.config.MODELS`,
@@ -13,7 +13,10 @@ imported from DIR/src (default: this checkout):
   steps;
 - `hierarchy-convergence` on the free model at hbar = 3 (u = 3 at
   t_max = 2, far past the series' radius), whose order-7 amplitude
-  overflows: the run writes orders 1 and 5, then aborts.
+  overflows: the run writes orders 1 and 5, then aborts;
+- `equivariance` on the harmonic model at a = 1e300, omega = 1e10,
+  whose velocity a omega overflows: every member is lost on the first
+  step, and the run aborts before writing a table.
 
 For each config it prints one line with the exit code, manifest status
 and error, one `<tag>/echo` line with the sha256 of its `validate`
@@ -48,6 +51,7 @@ UNITS = {
 }
 HARMONIC_T_MAX = (1.05, 1.1, 1.15, 1.56)
 OVERFLOW = {"experiment": "hierarchy-convergence", "model": "free", "hbar": 3.0, "order": 5, "t_max": 2.0}
+TRUNCATION = {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10}
 
 
 def reference_configs(config) -> list[tuple[str, dict]]:
@@ -63,6 +67,7 @@ def reference_configs(config) -> list[tuple[str, dict]]:
         doc = {"experiment": "hierarchy-convergence", "model": "harmonic", "order": 3, "t_max": t_max}
         out.append((f"harmonic-order3/t_max={t_max}", doc))
     out.append(("overflow/hbar=3", OVERFLOW))
+    out.append(("truncation/a=1e300", TRUNCATION))
     return out
 
 
