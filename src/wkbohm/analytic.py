@@ -88,6 +88,10 @@ class OscillatorSpec:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not np.isfinite(self.a):
             raise ValueError("a must be finite")
+        # The field -omega a sin(omega t) moves every trajectory at up to omega a.
+        if not np.isfinite(self.omega * self.a):
+            raise ValueError(f"omega={self.omega} and a={self.a} give a speed scale omega a "
+                             "that is not finite")
 
     @property
     def sigma0(self) -> float:

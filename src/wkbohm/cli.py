@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 configuration error ("config error: ...",
 nothing written: an unreadable file, an unknown key or a key that the
 run does not read, a value against its key's rule, or a model that
 cannot be built, such as one whose time scale or width is not positive
-and finite or whose velocity or energy is not finite), 3 numerical abort
+and finite, whose velocity or energy is not finite, or whose speed scale
+a omega is not finite), 3 numerical abort
 ("numerical abort: ...", for example a caustic, a CFL violation or a
 hierarchy-convergence order whose amplitude overflows the double range)
 or failed run ("run failed: ...", for example a configured grid that

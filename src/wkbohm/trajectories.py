@@ -42,7 +42,7 @@ from .analytic import (
 from .numerics import Grid1D, RealField, cubic_cell_evaluate, cubic_cell_table, cubic_rows_evaluate
 
 SOURCES = ("analytic-free", "analytic-ho", "hierarchy", "oracle", "classical", "series")
-SAMPLING_MODES = ("quantile", "uniform", "random")
+SAMPLING_MODES = ("quantile", "random")
 LATE_TIME_U = 10.0  # earliest dimensionless time of an asymptotic-velocity fit
 
 
@@ -116,12 +116,7 @@ class OscillatorVelocityField:
 
     def evaluate(self, x, t):
         v = ho_velocity(self.spec, t)
-        x = np.asarray(x)
-        if not x.ndim:
-            return v
-        out = np.empty(x.shape)
-        out.fill(v)
-        return out
+        return np.full(np.shape(x), v) if np.ndim(x) else v
 
     def _speeds(self, t: np.ndarray) -> np.ndarray:
         """The field's value, the same at every x, at each of an array of times."""
@@ -387,7 +382,6 @@ def sample_initial_positions(
     """Starting positions distributed according to a grid density.
 
     quantile: the n equiprobable quantiles (i + 1/2)/n; deterministic.
-    uniform:  n evenly spaced positions between the extreme quantiles.
     random:   inverse-CDF draws from a seeded generator; reproducible.
     """
     if n < 1:
@@ -395,9 +389,6 @@ def sample_initial_positions(
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}; pick from {SAMPLING_MODES}")
     x, cdf = density_cdf(density)
-    if mode == "uniform":
-        lo, hi = np.interp([0.5 / n, 1.0 - 0.5 / n], cdf, x)
-        return np.linspace(lo, hi, n)
     if mode == "quantile":
         q = (np.arange(n) + 0.5) / n
     else:

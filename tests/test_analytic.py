@@ -65,6 +65,7 @@ class TestSpreading:
             (lambda: GaussianPacketSpec(params=NATURAL, p0=np.nan), "p0 must be finite"),
             (lambda: OscillatorSpec(params=NATURAL, omega=-1.0), "omega must be positive"),
             (lambda: OscillatorSpec(params=NATURAL, a=np.inf), "a must be finite"),
+            (lambda: OscillatorSpec(params=NATURAL, omega=1e10, a=1e300), "speed scale omega a"),
             (lambda: trajectory_series_coefficient(0), "index starts at 1"),
         ]:
             with pytest.raises(ValueError, match=message):

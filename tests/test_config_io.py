@@ -351,7 +351,7 @@ class TestRunOutputs:
          "pick one of hierarchy-convergence, equivariance, residuals"),
         # A given value is checked by its key's rule, as in a document.
         (RunConfig("equivariance", "free", ensemble_mode="bogus"),
-         "key 'ensemble_mode' must be one of quantile, uniform, random; got 'bogus'"),
+         "key 'ensemble_mode' must be one of quantile, random; got 'bogus'"),
         (RunConfig("residuals", "free", grid_points=5), "key 'grid_points' must be >= 8, got 5"),
         (RunConfig("hierarchy-convergence", "free", order=0), "key 'order' must be >= 1, got 0"),
         (RunConfig("equivariance", "free", ensemble_mode="random", seed=-1),
@@ -842,29 +842,6 @@ class TestCli:
         assert cli_main(["run", path]) == 3
         assert "abort" in capsys.readouterr().err.lower()
 
-    def test_equivariance_non_finite_position_exits_3(self, tmp_path, capsys, monkeypatch):
-        # a omega = 1e310 overflows: the velocity is NaN at t = 0, so
-        # every member is lost on the first step, on the one-pass route.
-        from wkbohm.trajectories import OscillatorVelocityField
-
-        def refused(self, x, t):
-            raise AssertionError("the integrator stepped the loop")
-
-        monkeypatch.setattr(OscillatorVelocityField, "evaluate", refused)
-        out_dir = tmp_path / "out"
-        path = self.write_cfg(
-            tmp_path,
-            {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10,
-             "output_dir": str(out_dir)},
-        )
-        assert cli_main(["run", path]) == 3
-        assert capsys.readouterr().err.startswith("numerical abort: NumericalAbort: an ensemble member left")
-        manifest = json.loads((out_dir / "equivariance" / "manifest.json").read_text())
-        assert manifest["status"] == "aborted"
-        assert manifest["error"] == ("NumericalAbort: an ensemble member left the velocity-field window"
-                                     " or reached a non-finite position")
-        assert manifest["abort"] == {"node": 0, "x": 9.990555555555555e+299, "t": 0.0}
-
     def test_failed_run_exits_3(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         path = self.write_cfg(
@@ -910,10 +887,11 @@ class TestCli:
         [
             {"experiment": "residuals", "model": "free", "sigma0": 1e200},
             {"experiment": "residuals", "model": "harmonic", "omega": 1e300},
+            {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10},
         ],
     )
     def test_model_scales_that_overflow_exit_2(self, tmp_path, capsys, doc):
-        # Finite keys whose derived scales (sigma0^2, m omega^2) overflow.
+        # Finite keys whose derived scales (sigma0^2, m omega^2, the speed a omega) overflow.
         out_dir = tmp_path / "out"
         path = self.write_cfg(tmp_path, {**doc, "output_dir": str(out_dir)})
         with pytest.raises(ConfigError, match=f"model {doc['model']!r} cannot be built"):
@@ -1029,7 +1007,7 @@ class TestCli:
         # None leaves some keys unset in a RunConfig built in code; a JSON null never does.
         message = {
             "x0_fan": "key 'x0_fan' must be a non-empty list of numbers",
-            "ensemble_mode": "key 'ensemble_mode' must be one of quantile, uniform, random; got None",
+            "ensemble_mode": "key 'ensemble_mode' must be one of quantile, random; got None",
             "output_dir": "key 'output_dir' must be a non-empty string",
         }.get(key, f"key {key!r} must be a number, got None")
         pairs = [(e, m) for e, m in PAIRS if key in run_keys(e, m)]

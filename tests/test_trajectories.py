@@ -528,13 +528,6 @@ class TestSampling:
         c = sample_initial_positions(density_field(spec, grid), 64, "random", seed=8)
         assert not np.array_equal(a, c)
 
-    def test_uniform_mode_evenly_spaced(self):
-        spec = packet()
-        grid = Grid1D(-8, 8, 801)
-        xs = sample_initial_positions(density_field(spec, grid), 5, "uniform")
-        gaps = np.diff(xs)
-        np.testing.assert_allclose(gaps, gaps[0], rtol=1e-12)
-
     def test_all_zero_density_rejected(self):
         grid = Grid1D(-8, 8, 801)
         with pytest.raises(ValueError):
@@ -575,7 +568,7 @@ class TestNoCrossing:
         t = np.array([0.0, 1.0, 2.0, 3.0])
         a = Trajectory(times=t, positions=np.array([0.0, 0.1, 0.6, 0.9]), x0=0.0, source="series")
         b = Trajectory(times=t, positions=np.array([0.5, 0.6, 0.4, 0.2]), x0=0.5, source="series")
-        report = check_no_crossing(Ensemble(members=[a, b], sampling="uniform"))
+        report = check_no_crossing(Ensemble(members=[a, b], sampling="random"))
         assert not report.ok
         assert report.time == 2.0
         assert report.pair == (0, 1)

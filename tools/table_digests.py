@@ -1,26 +1,17 @@
-"""Print the sha256 of every table of the reference run configs.
+"""Print the sha256 of every table of the reference runs, and check how each run ended.
 
     python3 tools/table_digests.py [--src DIR]
 
-Runs 22 configs in-process through `wkbohm.cli.main`, with the package
-imported from DIR/src (default: this checkout):
-
-- the 8 runnable (experiment, model) pairs of `wkbohm.config.MODELS`,
-  in its order, at the defaults;
-- the same 8 pairs at non-default units;
-- `hierarchy-convergence` on the harmonic model at order 3 with
-  t_max = 1.05, 1.1, 1.15 and 1.56, whose orders abort at different
-  steps;
-- `hierarchy-convergence` on the free model at hbar = 3 (u = 3 at
-  t_max = 2, far past the series' radius), whose order-7 amplitude
-  overflows: the run writes orders 1 and 5, then aborts;
-- `equivariance` on the harmonic model at a = 1e300, omega = 1e10,
-  whose velocity a omega overflows: every member is lost on the first
-  step, and the run aborts before writing a table.
+Runs each config of `reference_configs` in-process through
+`wkbohm.cli.main`, with the package imported from DIR/src (default:
+this checkout): every runnable (experiment, model) pair of
+`wkbohm.config.MODELS` at the defaults and at non-default units, then
+runs chosen to end in an abort or a config error.
 
 For each config it prints one line with the exit code, manifest status
-and error, one `<tag>/echo` line with the sha256 of its `validate`
-output, then one line per CSV with its sha256. Two lines follow for
+and error (None for a run that writes no manifest), one `<tag>/echo`
+line with the sha256 of its `validate` output, stdout and stderr
+together, then one line per CSV with its sha256. Two lines follow for
 the Crank-Nicolson oracle path, which no CLI experiment runs:
 `oracle/cn` over the raw bytes of the snapshots of a small harmonic
 Crank-Nicolson run, and `oracle/trajectories` over a 16-member ensemble
@@ -30,6 +21,11 @@ and the runs' outcomes (no paths, no timestamps), so two checkouts
 compare by one diff:
 
     diff <(python3 tools/table_digests.py --src A) <(python3 tools/table_digests.py --src B)
+
+Each reference config declares the prefix its outcome line must start
+with; `validate` must exit 2 on a config expected to be rejected and 0
+on any other. After printing every line, the tool writes one stderr
+line for each run that missed its expectation and exits 1.
 """
 
 from __future__ import annotations
@@ -51,45 +47,66 @@ UNITS = {
 }
 HARMONIC_T_MAX = (1.05, 1.1, 1.15, 1.56)
 OVERFLOW = {"experiment": "hierarchy-convergence", "model": "free", "hbar": 3.0, "order": 5, "t_max": 2.0}
-TRUNCATION = {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10}
+SPEED_OVERFLOW = {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10}
+
+# Prefixes of an outcome line, "exit=<code> status=<status> error=<error>".
+OK = "exit=0 status=ok error=None"
+ABORTED = "exit=3 status=aborted error="
+REJECTED = "exit=2 status=None error=None"
 
 
-def reference_configs(config) -> list[tuple[str, dict]]:
-    """(tag, config document) for each reference run of the `wkbohm.config` module given."""
+def reference_configs(config) -> list[tuple[str, dict, str]]:
+    """(tag, config document, expected outcome prefix) for each reference run.
+
+    `config` is the `wkbohm.config` module whose `MODELS` gives the pairs.
+    """
     pairs = [(e, m) for m, (_, defined, _) in config.MODELS.items() for e in defined]
     out = []
     for experiment, model in pairs:
-        out.append((f"defaults/{experiment}-{model}", {"experiment": experiment, "model": model}))
+        out.append((f"defaults/{experiment}-{model}", {"experiment": experiment, "model": model}, OK))
     for experiment, model in pairs:
         doc = {"experiment": experiment, "model": model, **UNITS[model]}
-        out.append((f"units/{experiment}-{model}", doc))
+        out.append((f"units/{experiment}-{model}", doc, OK))
+    # Each order-3 run aborts, by design, on a caustic or a CFL violation.
     for t_max in HARMONIC_T_MAX:
         doc = {"experiment": "hierarchy-convergence", "model": "harmonic", "order": 3, "t_max": t_max}
-        out.append((f"harmonic-order3/t_max={t_max}", doc))
-    out.append(("overflow/hbar=3", OVERFLOW))
-    out.append(("truncation/a=1e300", TRUNCATION))
+        out.append((f"harmonic-order3/t_max={t_max}", doc, ABORTED))
+    # u = 3 at t_max = 2 lies far past the series' radius: the order-7
+    # amplitude overflows, so the run writes orders 1 and 5, then aborts
+    # rather than write the overflowed amplitude as data.
+    out.append(("overflow/hbar=3", OVERFLOW, ABORTED + "NumericalAbort: "))
+    # The speed scale a omega overflows, so the model cannot be built.
+    out.append(("rejected/a=1e300", SPEED_OVERFLOW, REJECTED))
     return out
 
 
-def digest_lines(cli, config, workdir: Path) -> list[str]:
-    lines = []
-    for i, (tag, doc) in enumerate(reference_configs(config)):
+def digest_lines(cli, config, workdir: Path) -> tuple[list[str], list[str]]:
+    """The digest lines of every reference run, and one line per missed expectation."""
+    lines, misses = [], []
+    for i, (tag, doc, expected) in enumerate(reference_configs(config)):
         cfg_path = workdir / f"config-{i}.json"
         cfg_path.write_text(json.dumps(doc))
         out_dir = workdir / f"run-{i}"
         echo, sink = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(echo), contextlib.redirect_stderr(sink):
-            cli.main(["validate", str(cfg_path)])
+        with contextlib.redirect_stdout(echo), contextlib.redirect_stderr(echo):
+            validated = cli.main(["validate", str(cfg_path)])
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = cli.main(["run", str(cfg_path), "--output-dir", str(out_dir)])
         run_dir = out_dir / doc["experiment"]
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        lines.append(f"{tag} exit={code} status={manifest['status']} error={manifest['error']}")
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text()) if manifest_path.is_file() else {}
+        outcome = f"exit={code} status={manifest.get('status')} error={manifest.get('error')}"
+        lines.append(f"{tag} {outcome}")
         lines.append(f"{tag}/echo {hashlib.sha256(echo.getvalue().encode()).hexdigest()}")
         for csv_path in sorted(run_dir.glob("*.csv")):
             digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
             lines.append(f"{tag}/{csv_path.name} {digest}")
-    return lines
+        if not outcome.startswith(expected):
+            misses.append(f"{tag}: outcome {outcome!r} does not start with {expected!r}")
+        want = 2 if expected.startswith("exit=2 ") else 0
+        if validated != want:
+            misses.append(f"{tag}: validate exited {validated}, expected {want}")
+    return lines, misses
 
 
 def oracle_lines(analytic, numerics, potentials, tdse, trajectories) -> list[str]:
@@ -137,10 +154,12 @@ def main(argv: list[str] | None = None) -> int:
     from wkbohm import analytic, cli, config, numerics, potentials, tdse, trajectories
 
     with tempfile.TemporaryDirectory() as tmp:
-        lines = digest_lines(cli, config, Path(tmp))
+        lines, misses = digest_lines(cli, config, Path(tmp))
     lines += oracle_lines(analytic, numerics, potentials, tdse, trajectories)
     print("\n".join(lines))
-    return 0
+    for miss in misses:
+        print(f"missed expectation: {miss}", file=sys.stderr)
+    return 1 if misses else 0
 
 
 if __name__ == "__main__":
