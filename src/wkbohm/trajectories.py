@@ -4,16 +4,17 @@ A velocity-field provider must define `evaluate(x, t)` (vectorized
 over x), the validity windows `x_window` and `t_window` as (lo, hi)
 pairs, and `source`, its trajectories' tag in `SOURCES`. Analytic
 providers wrap closed forms and are valid everywhere; gridded providers
-interpolate stored field snapshots (cubic in x, linear in t) inside
-their grid and time range. The time rule: t lies in a t window when
-lo <= t <= hi up to 1e-9 of the span hi - lo, wherever t = 0 sits. The
-integrator checks its first and last stage times by it before the
-first step, the gridded provider each query. A provider may also
-define a private `_evaluate_unchecked(x, t)` that skips its own check
-of x: the integrator, which passes only float arrays inside `x_window`,
-calls it in place of `evaluate`; a provider with only the four
-attributes above integrates through `evaluate`. The gridded provider
-has one, which skips its grid check. A provider whose field does not
+interpolate stored field snapshots (cubic in x, and cubic in t through
+the four snapshots around the query time) inside their grid and time
+range. The time rule: t lies in a t window when lo <= t <= hi up to
+1e-9 of the span hi - lo, wherever t = 0 sits. The integrator checks
+its first and last stage times by it before the first step, the
+gridded provider each query. A provider may also define a private
+`_evaluate_unchecked(x, t)` that skips its own check of x: the
+integrator, which passes only float arrays inside `x_window`, calls it
+in place of `evaluate`; a provider with only the four attributes above
+integrates through `evaluate`. The gridded provider has one, which
+skips its grid check. A provider whose field does not
 depend on x may define a private `_speeds(t)` that returns the field's
 value at each time of a float array; with the x window (-inf, inf) the
 integrator then moves the whole ensemble in one pass over the time
@@ -83,7 +84,6 @@ class Ensemble:
     """
 
     members: list[Trajectory]
-    sampling: str = "quantile"
 
     def __post_init__(self):
         if len(self.members) < 2:
@@ -125,25 +125,33 @@ class OscillatorVelocityField:
 
 @dataclass(frozen=True)
 class GriddedVelocityField:
-    """Velocity snapshots on a grid: cubic in x, linear blend in t.
+    """Velocity snapshots on a grid: cubic in x, cubic Lagrange blend in t.
 
-    Each snapshot's cubic is stored per cell (`cubic_cell_table`) the
-    first time a query time falls next to it, and only the two tables
-    bracketing the latest query are kept. The bracketing interval is
-    found by bisecting the snapshot times. The pair is blended once per
-    distinct query time, and only the latest blend is kept: an rk4 step
-    queries t, t + dt/2 twice and t + dt, and the next step starts at
-    that same t + dt, so no query asks for an older blend. The cubic is
-    linear in the samples, so blending tables gives the same field as
-    blending the snapshots. The tables stay lazy although one
-    `cubic_cell_table` call over the whole stack gives the same bits:
-    on the benchmark's oracle workload (101 snapshots x 2001 nodes,
-    6.5 MB of tables) that raised `peak_rss_mib` from 68.7-69.2 to
-    79.2-79.4 MiB. Snapshots are read lazily, so the array passed as
-    `fields` must not change afterwards; the provider's own view of it
-    is read-only. The x window keeps two nodes of margin so the cubic
-    stencil never leans on boundary values; the t window is the
-    snapshot span.
+    A query time t is served by the Lagrange polynomial in t through m =
+    min(4, S) of the S snapshots: those around the interval whose left
+    end is the last snapshot time <= t, shifted inward at the ends as
+    `cubic_cell_table` does in x. The interval is found by bisecting the
+    snapshot times. Each snapshot's cubic in x is stored per cell
+    (`cubic_cell_table`) the first time a window holds it, in slot i % m
+    of an (m, n, 4) ring, so a window that moves by one interval builds
+    one table and memory stays O(n). The weights are products of ratios
+    (t - t_r)/(t_q - t_r) of the window's times, at t clamped into the
+    snapshot span, so at a snapshot time they are exactly 1 and 0 and
+    the field is that snapshot's cubic bit for bit. The ring is blended
+    by one matvec once per distinct query time, into one buffer, so only
+    the latest blend is kept: an rk4 step queries t, t + dt/2 twice and
+    t + dt, and the next step starts at that same t + dt, so no query
+    asks for an older blend. The cubic is linear in the samples, so
+    blending tables gives the same field as blending the snapshots. The
+    tables stay lazy although one `cubic_cell_table` call over the whole
+    stack gives the same bits: on the benchmark's oracle workload (101
+    snapshots x 2001 nodes, 6.5 MB of tables) that raised
+    `peak_rss_mib` from 68.7-69.2 to 79.2-79.4 MiB. Snapshots are read
+    lazily, so the array passed as `fields` must not change afterwards;
+    the provider's own view of it is read-only, and its values must be
+    finite, since a weight of 0 spreads a NaN. The x window keeps two
+    nodes of margin so the cubic stencil never leans on boundary values;
+    the t window is the snapshot span.
     """
 
     grid: Grid1D
@@ -161,13 +169,20 @@ class GriddedVelocityField:
             raise ValueError("fields must be (n_times, n_points)")
         if not np.all(np.isfinite(t)):
             raise ValueError(f"snapshot times must be finite, got {t[~np.isfinite(t)][0]}")
+        if not np.isfinite(f).all():
+            i, k = divmod(int(np.argmin(np.isfinite(f))), f.shape[1])
+            raise ValueError(f"snapshot values must be finite, got {f[i, k]} "
+                             f"at snapshot {i} (t={t[i]}), node {k} (x={self.grid.nodes[k]})")
         if t.size < 2 or not np.all(np.diff(t) > 0):
             raise ValueError("need at least 2 strictly increasing snapshot times")
+        m, n = min(4, t.size), self.grid.n_points
         # (x_min, dx), bound once for the unchecked evaluation.
         object.__setattr__(self, "_axis", (self.grid.x_min, self.grid.dx))
         object.__setattr__(self, "_time_list", t.tolist())
-        object.__setattr__(self, "_snapshot_cells", {})  # snapshot index -> (n, 4) cell table
-        object.__setattr__(self, "_blend", (np.nan, None))  # (query time, blended cell table)
+        object.__setattr__(self, "_ring", np.empty((m, n, 4)))  # slot i % m: snapshot i's cell table
+        # (first snapshot of the window in the ring, its (t_r, t_q - t_r) pairs per slot)
+        object.__setattr__(self, "_window", (-m, None))
+        object.__setattr__(self, "_blend", (np.nan, np.empty((n, 4))))  # (query time, blended cell table)
 
     @property
     def x_window(self) -> tuple[float, float]:
@@ -191,18 +206,32 @@ class GriddedVelocityField:
         if t == t_blend:
             return table
         times = self._time_list
-        if not _covers((times[0], times[-1]), t):
-            raise ValueError(f"t={t} outside stored snapshot range [{times[0]}, {times[-1]}]")
-        # The interval whose left end is the last time <= t; the end
-        # intervals also take the slack past the span.
-        j = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
-        t0, t1 = times[j], times[j + 1]
-        w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
-        kept = self._snapshot_cells
-        pair = [kept[i] if i in kept else cubic_cell_table(self.fields[i]) for i in (j, j + 1)]
-        kept.clear()
-        kept.update(zip((j, j + 1), pair))
-        table = (1.0 - w) * pair[0] + w * pair[1]
+        lo, hi = times[0], times[-1]
+        if not _covers((lo, hi), t):
+            raise ValueError(f"t={t} outside stored snapshot range [{lo}, {hi}]")
+        ring = self._ring
+        m = ring.shape[0]
+        # The window starts one snapshot before the interval whose left
+        # end is the last time <= t; the end windows are one-sided and
+        # also take the slack past the span.
+        start = min(max(bisect_right(times, t) - 2, 0), len(times) - m)
+        held, pairs = self._window
+        if start != held:
+            for i in range(start, start + m):
+                if not held <= i < held + m:
+                    ring[i % m] = cubic_cell_table(self.fields[i])
+            window = times[start:start + m]
+            k = m - start % m  # slot 0 holds window[k % m]
+            pairs = [[(t_r, t_q - t_r) for t_r in window if t_r != t_q] for t_q in window[k:] + window[:k]]
+            object.__setattr__(self, "_window", (start, pairs))
+        s = min(max(t, lo), hi)
+        weights = []
+        for ratios in pairs:
+            w = 1.0
+            for t_r, d in ratios:
+                w *= (s - t_r) / d
+            weights.append(w)
+        np.dot(np.array(weights), ring.reshape(m, -1), out=table.reshape(-1))
         object.__setattr__(self, "_blend", (t, table))
         return table
 
@@ -228,9 +257,9 @@ def integrate_bohmian(provider, x0: float, t_grid: np.ndarray) -> Trajectory:
     return _integrate_members(provider, [x0], t_grid)[0]
 
 
-def integrate_ensemble(provider, x0s, t_grid, sampling: str = "quantile") -> Ensemble:
+def integrate_ensemble(provider, x0s, t_grid) -> Ensemble:
     """Member-wise integration over a shared time grid (vectorized)."""
-    return Ensemble(members=_integrate_members(provider, x0s, t_grid), sampling=sampling)
+    return Ensemble(members=_integrate_members(provider, x0s, t_grid))
 
 
 def _integrate_members(provider, x0s, t_grid) -> list[Trajectory]:

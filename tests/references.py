@@ -7,7 +7,7 @@ arithmetic is unchanged.
 
 import numpy as np
 
-from wkbohm.numerics import _CELL_WEIGHTS, _D1_CENTER, _D1_EDGES, _D2_CENTER, _D2_EDGES
+from wkbohm.numerics import _CELL_WEIGHTS, _D1_CENTER, _D1_EDGES, _D2_CENTER, _D2_EDGES, cubic_cell_table
 
 
 def _inside(window, x):
@@ -35,6 +35,56 @@ def cubic_cell_columns(values):
     first, last = windows[..., :1], windows[..., -1:]
     parts = ((0, first), (1, windows), (2, last), (3, last))
     return np.concatenate([np.matmul(_CELL_WEIGHTS[o], w) for o, w in parts], axis=-1)
+
+
+def lagrange_weights(times, t):
+    """(first snapshot, weights) of the Lagrange blend in t through min(4, S) snapshot times.
+
+    The window starts one snapshot before the interval whose left end is
+    the last time <= t and is shifted inward at the ends; t is clamped
+    into the span, and each weight is a product of ratios in window order.
+    """
+    times = [float(v) for v in times]
+    m = min(4, len(times))
+    j = int(np.searchsorted(times, t, side="right")) - 1
+    start = min(max(j - 1, 0), len(times) - m)
+    window = times[start:start + m]
+    s = min(max(t, times[0]), times[-1])
+    weights = []
+    for q, t_q in enumerate(window):
+        w = 1.0
+        for r, t_r in enumerate(window):
+            if r != q:
+                w *= (s - t_r) / (t_q - t_r)
+        weights.append(w)
+    return start, weights
+
+
+def lagrange_blend(times, values, t):
+    """Snapshot values (S, ...) blended in t by the Lagrange weights, one product per snapshot."""
+    start, weights = lagrange_weights(times, t)
+    return sum(w * values[start + q] for q, w in enumerate(weights))
+
+
+def lagrange_cell_table(times, fields, t):
+    """The gridded provider's blended cell table at t, built from scratch.
+
+    The window's `cubic_cell_table`s are stacked in ring order (snapshot
+    i in slot i % m) and blended by one matvec.
+    """
+    start, weights = lagrange_weights(times, t)
+    m = len(weights)
+    order = sorted(range(m), key=lambda q: (start + q) % m)
+    tables = np.stack([cubic_cell_table(fields[start + q]) for q in order])
+    return (np.array([weights[q] for q in order]) @ tables.reshape(m, -1)).reshape(tables.shape[1:])
+
+
+def linear_blend(times, values, t):
+    """Snapshot values (S, ...) blended linearly in t between the two times around it, t clamped."""
+    j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+    t0, t1 = float(times[j]), float(times[j + 1])
+    w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+    return (1.0 - w) * values[j] + w * values[j + 1]
 
 
 def member_loop_positions(provider, x0s, t_grid):

@@ -316,7 +316,7 @@ def test_criterion_8_equivariance():
     xs = sample_initial_positions(rho0, 10_000, "random", seed=2024)
     t_end = time_for_u(spec, 1.0)
     t = np.linspace(0.0, t_end, 2001)
-    ens = integrate_ensemble(FreePacketVelocityField(spec), xs, t, sampling="random")
+    ens = integrate_ensemble(FreePacketVelocityField(spec), xs, t)
     rho_t = RealField(grid, free_packet_modulus(spec, x, t_end) ** 2, t_end)
     ks_free = equivariance_check(ens, rho_t)
 
@@ -334,7 +334,7 @@ def test_criterion_8_equivariance():
     for frac in (0.25, 0.5, 0.75, 1.0):
         tt = frac * osc.period
         tg = np.linspace(0.0, tt, 1001)
-        ens = integrate_ensemble(OscillatorVelocityField(osc), xs, tg, sampling="random")
+        ens = integrate_ensemble(OscillatorVelocityField(osc), xs, tg)
         ks_ho = max(ks_ho, equivariance_check(ens, density(tt)))
 
     ok = ks_free < 0.02 and ks_ho < 0.02

@@ -32,7 +32,7 @@ def test_a_run_that_ends_as_declared_passes(tool, monkeypatch, capsys):
     assert code == 0 and err == []
     assert lines[0] == "ok/figure1 exit=0 status=ok error=None"
     assert [line.split()[0] for line in lines[1:]] == [
-        "ok/figure1/echo", "ok/figure1/trajectories.csv", "oracle/cn", "oracle/trajectories"]
+        "ok/figure1/echo", "ok/figure1/trajectories.csv", "oracle/cn", "oracle/trajectories", "oracle/max_error"]
 
 
 def test_a_run_that_misses_its_expectation_exits_1_and_is_named(tool, monkeypatch, capsys):
@@ -40,7 +40,7 @@ def test_a_run_that_misses_its_expectation_exits_1_and_is_named(tool, monkeypatc
     code, lines, err = run(tool, monkeypatch, capsys, configs)
     assert code == 1
     assert "wrong/figure1 exit=0 status=ok error=None" in lines
-    assert len(lines) == 2 * 3 + 2  # every line is still printed
+    assert len(lines) == 2 * 3 + 3  # every line is still printed
     assert err == [f"missed expectation: wrong/figure1: outcome 'exit=0 status=ok error=None' "
                    f"does not start with {tool.ABORTED!r}"]
 

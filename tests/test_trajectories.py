@@ -92,6 +92,17 @@ class TestGriddedProvider:
         with pytest.raises(ValueError, match=f"^snapshot times must be finite, got {bad}$"):
             GriddedVelocityField(grid, np.array([0.0, 1.0, bad]), np.zeros((3, 51)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snapshot_value_rejected(self, bad):
+        # A weight of 0 times NaN is NaN: the cubic blend would spread one
+        # bad value over up to four intervals.
+        grid = Grid1D(-1.0, 1.0, 51)
+        fields = np.zeros((3, 51))
+        fields[1, 7] = bad
+        with pytest.raises(ValueError, match=rf"^snapshot values must be finite, got {bad} "
+                                             rf"at snapshot 1 \(t=0\.5\), node 7 \(x=-0\.72\)$"):
+            GriddedVelocityField(grid, np.array([0.0, 0.5, 1.0]), fields)
+
     def test_blend_then_interpolate_matches_interpolate_then_blend(self):
         rng = np.random.default_rng(11)
         grid = Grid1D(-3.0, 4.0, 141)
@@ -100,13 +111,10 @@ class TestGriddedProvider:
         provider = GriddedVelocityField(grid, times, fields)
         lo, hi = provider.x_window
         x = np.concatenate([rng.uniform(lo, hi, 200), [lo, hi, grid.x_min, grid.x_max], grid.nodes])
+        snapshots = np.stack([cubic_interpolate(grid, f, x) for f in fields])
         queries = np.concatenate([rng.uniform(times[0], times[-1], 40), times])
         for t in queries:
-            j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
-            w = (t - times[j]) / (times[j + 1] - times[j])
-            reference = (1.0 - w) * cubic_interpolate(grid, fields[j], x) + w * cubic_interpolate(
-                grid, fields[j + 1], x
-            )
+            reference = references.lagrange_blend(times, snapshots, float(t))
             assert np.max(np.abs(provider.evaluate(x, t) - reference)) <= 1e-14
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -120,9 +128,7 @@ class TestGriddedProvider:
         # Forward, backward and repeated times: the cached tables must not leak between queries.
         queries = np.concatenate([rng.uniform(times[0], times[-1], 30), times, times[::-1], times[:3]])
         for t in queries:
-            j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
-            w = (t - times[j]) / (times[j + 1] - times[j])
-            blended = (1.0 - w) * fields[j] + w * fields[j + 1]
+            blended = references.lagrange_blend(times, fields, float(t))
             assert np.max(np.abs(provider.evaluate(x, t) - newton_cubic(grid, blended, x))) <= 1e-13
             fresh = GriddedVelocityField(grid, times, fields)
             assert np.array_equal(provider.evaluate(x, t), fresh.evaluate(x, t))
@@ -144,16 +150,84 @@ class TestGriddedProvider:
             *mids, *times,  # forward
             *mids[::-1], *times[::-1],  # backward
             mids[3], mids[3], times[4], times[4],  # repeated
+            mids[0], mids[-1], mids[1], mids[-2],  # window jumps
             times[0], times[-1], times[0] - end_slack, times[-1] + end_slack,  # the ends
         ]
         for t in map(float, queries):
-            j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
-            t0, t1 = float(times[j]), float(times[j + 1])
-            w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
-            blended = (1.0 - w) * cubic_cell_table(fields[j]) + w * cubic_cell_table(fields[j + 1])
-            expected = cubic_cell_evaluate(grid, blended, x)
+            expected = cubic_cell_evaluate(grid, references.lagrange_cell_table(times, fields, t), x)
             assert provider.evaluate(x, t).tobytes() == expected.tobytes()
             assert provider.evaluate(x[7], t) == expected[7]
+
+    def test_field_cubic_in_x_and_t_is_reproduced(self):
+        grid = Grid1D(-2.0, 3.0, 61)
+        times = np.array([0.0, 0.13, 0.2, 0.45, 0.6, 0.95, 1.0, 1.4])
+
+        def field(x, t):
+            return ((0.3 - 0.7 * x + 0.2 * x**2 + 0.05 * x**3) * (1.0 - 0.5 * t + 0.8 * t**2 - 0.3 * t**3)
+                    + (x**3 - x) * (0.2 * t**3 - t))
+
+        provider = GriddedVelocityField(grid, times, field(grid.nodes[None, :], times[:, None]))
+        x = np.concatenate([np.linspace(grid.x_min, grid.x_max, 97), grid.nodes])
+        rng = np.random.default_rng(14)
+        queries = [
+            *rng.uniform(times[0], times[-1], 30),
+            *np.linspace(times[0], times[1], 5), *np.linspace(times[-2], times[-1], 5),  # one-sided windows
+            *times,
+        ]
+        for t in map(float, queries):
+            assert np.max(np.abs(provider.evaluate(x, t) - field(x, t))) <= 1e-13
+
+    def test_three_snapshots_give_the_quadratic_and_two_the_line(self):
+        grid = Grid1D(-1.0, 1.0, 41)
+        shape = np.cos(grid.nodes)
+        x = np.linspace(-1.0, 1.0, 53)
+        # Three snapshots of a quadratic in t: the blend is that quadratic.
+        times = np.array([0.0, 0.3, 1.0])
+        quadratic = 0.4 - 1.1 * times + 0.9 * times**2
+        provider = GriddedVelocityField(grid, times, quadratic[:, None] * shape)
+        for t in np.linspace(0.0, 1.0, 23):
+            exact = (0.4 - 1.1 * t + 0.9 * t**2) * cubic_interpolate(grid, shape, x)
+            assert np.max(np.abs(provider.evaluate(x, t) - exact)) <= 1e-14
+        # Two snapshots of the same quadratic: the blend is the line between them.
+        times = np.array([0.0, 1.0])
+        fields = (0.4 - 1.1 * times + 0.9 * times**2)[:, None] * shape
+        provider = GriddedVelocityField(grid, times, fields)
+        snapshots = np.stack([cubic_interpolate(grid, f, x) for f in fields])
+        for t in np.linspace(0.0, 1.0, 23):
+            line = references.linear_blend(times, snapshots, float(t))
+            assert np.max(np.abs(provider.evaluate(x, t) - line)) <= 1e-15
+
+    def test_smooth_field_error_is_below_a_tenth_of_the_linear_blends(self):
+        grid = Grid1D(-3.0, 3.0, 121)
+        times = np.linspace(0.0, 2.0, 11)
+
+        def field(x, t):
+            return np.sin(x - 0.7 * t) * np.exp(-0.1 * t)
+
+        fields = field(grid.nodes[None, :], times[:, None])
+        provider = GriddedVelocityField(grid, times, fields)
+        x = np.linspace(-2.5, 2.5, 101)
+        snapshots = np.stack([cubic_interpolate(grid, f, x) for f in fields])
+        cubic_err = linear_err = 0.0
+        for t in map(float, np.linspace(0.0, 2.0, 97)):
+            cubic_err = max(cubic_err, np.max(np.abs(provider.evaluate(x, t) - field(x, t))))
+            linear = references.linear_blend(times, snapshots, t)
+            linear_err = max(linear_err, np.max(np.abs(linear - field(x, t))))
+        assert cubic_err <= 0.1 * linear_err
+
+    def test_snapshot_times_give_the_snapshot_cubic_bit_for_bit(self):
+        # The weights there are exactly 1 and 0, whatever window the ring held before.
+        rng = np.random.default_rng(15)
+        grid = Grid1D(-3.0, 4.0, 141)
+        times = np.cumsum(rng.uniform(0.05, 0.2, size=7))
+        fields = np.sin(grid.nodes[None, :] * rng.uniform(0.5, 2.0, size=(7, 1)) + times[:, None])
+        provider = GriddedVelocityField(grid, times, fields)
+        x = np.concatenate([rng.uniform(grid.x_min, grid.x_max, 100), grid.nodes])
+        mids = 0.5 * (times[1:] + times[:-1])
+        for k in [*range(7), *range(6, -1, -1), 3, 0, 6, 2]:
+            provider.evaluate(x, mids[(5 * k) % 6])  # move the window elsewhere first
+            expected = cubic_cell_evaluate(grid, cubic_cell_table(fields[k]), x)
+            assert provider.evaluate(x, times[k]).tobytes() == expected.tobytes()
 
     def test_point_outside_the_grid_raises(self):
         grid = Grid1D(-1.0, 1.0, 21)
@@ -568,7 +642,7 @@ class TestNoCrossing:
         t = np.array([0.0, 1.0, 2.0, 3.0])
         a = Trajectory(times=t, positions=np.array([0.0, 0.1, 0.6, 0.9]), x0=0.0, source="series")
         b = Trajectory(times=t, positions=np.array([0.5, 0.6, 0.4, 0.2]), x0=0.5, source="series")
-        report = check_no_crossing(Ensemble(members=[a, b], sampling="random"))
+        report = check_no_crossing(Ensemble(members=[a, b]))
         assert not report.ok
         assert report.time == 2.0
         assert report.pair == (0, 1)
@@ -665,7 +739,7 @@ class TestEquivariance:
         xs = sample_initial_positions(density_field(spec, grid), 10_000, "random", seed=42)
         t_end = time_for_u(spec, 1.0)
         t = np.linspace(0.0, t_end, 2001)
-        ens = integrate_ensemble(FreePacketVelocityField(spec), xs, t, sampling="random")
+        ens = integrate_ensemble(FreePacketVelocityField(spec), xs, t)
         ks = equivariance_check(ens, density_field(spec, grid, t_end))
         assert ks < 0.02
 
@@ -685,7 +759,7 @@ class TestEquivariance:
         for frac in (0.25, 0.5, 0.75, 1.0):
             t_end = frac * spec.period
             t = np.linspace(0, t_end, 800)
-            ens = integrate_ensemble(OscillatorVelocityField(spec), xs, t, sampling="random")
+            ens = integrate_ensemble(OscillatorVelocityField(spec), xs, t)
             assert equivariance_check(ens, density(t_end)) < 0.02
 
     def test_truncated_member_rejected(self):

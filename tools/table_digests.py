@@ -11,14 +11,16 @@ runs chosen to end in an abort or a config error.
 For each config it prints one line with the exit code, manifest status
 and error (None for a run that writes no manifest), one `<tag>/echo`
 line with the sha256 of its `validate` output, stdout and stderr
-together, then one line per CSV with its sha256. Two lines follow for
+together, then one line per CSV with its sha256. Three lines follow for
 the Crank-Nicolson oracle path, which no CLI experiment runs:
 `oracle/cn` over the raw bytes of the snapshots of a small harmonic
-Crank-Nicolson run, and `oracle/trajectories` over a 16-member ensemble
+Crank-Nicolson run, `oracle/trajectories` over a 16-member ensemble
 integrated through a `GriddedVelocityField` of those snapshots'
-`oracle_velocity`. Output depends only on the tables' and arrays' bytes
-and the runs' outcomes (no paths, no timestamps), so two checkouts
-compare by one diff:
+`oracle_velocity`, and `oracle/max_error`, that ensemble's worst
+deviation from `ho_trajectory` in units of sigma0, so a moved
+trajectory digest shows whether the paths came closer. Output depends
+only on the tables' and arrays' bytes and the runs' outcomes (no paths,
+no timestamps), so two checkouts compare by one diff:
 
     diff <(python3 tools/table_digests.py --src A) <(python3 tools/table_digests.py --src B)
 
@@ -110,7 +112,7 @@ def digest_lines(cli, config, workdir: Path) -> tuple[list[str], list[str]]:
 
 
 def oracle_lines(analytic, numerics, potentials, tdse, trajectories) -> list[str]:
-    """Digests of a harmonic Crank-Nicolson run and an ensemble on its velocity snapshots.
+    """Digests of a harmonic Crank-Nicolson run and an ensemble on its velocity snapshots, and its error.
 
     The coherent packet (hbar = m = omega = a = 1) on 401 nodes spanning
     13 widths past each turning point, one period in 600 steps with a
@@ -137,7 +139,10 @@ def oracle_lines(analytic, numerics, potentials, tdse, trajectories) -> list[str
     positions, n_valid = trajectories.integrate_ensemble_positions(provider, x0, t_grid)
     cn = hashlib.sha256(b"".join(snap.psi.values.tobytes() for snap in snaps))
     paths = hashlib.sha256(positions.tobytes() + n_valid.astype(np.int64).tobytes())
-    return [f"oracle/cn sha256={cn.hexdigest()}", f"oracle/trajectories sha256={paths.hexdigest()}"]
+    err = np.abs(positions - analytic.ho_trajectory(spec, x0[:, None], t_grid[None, :])) / spec.sigma0
+    worst = float(np.max(err, where=np.isfinite(err), initial=0.0))  # truncated members end in NaN
+    return [f"oracle/cn sha256={cn.hexdigest()}", f"oracle/trajectories sha256={paths.hexdigest()}",
+            f"oracle/max_error sigma0={worst:.17g}"]
 
 
 def main(argv: list[str] | None = None) -> int:
