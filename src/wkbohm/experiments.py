@@ -156,8 +156,8 @@ def _write_manifest(path, head: dict, finished, out: RunOutput, status: str) -> 
         fh.write("\n")
 
 
-def _emit(out: RunOutput, run_dir: Path, name: str, columns, rows) -> None:
-    path = emit_table(run_dir / name, columns, rows)
+def _emit(out: RunOutput, run_dir: Path, name: str, columns) -> None:
+    path = emit_table(run_dir / name, columns)
     out.files[name] = path
 
 
@@ -186,67 +186,73 @@ def _comparison_window(model: Model, x: np.ndarray, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectory-fan figures
 
-_TRAJ_COLUMNS = [("t", "time"), ("u", "1"), ("x", "length"), ("source", "-"), ("x0", "length")]
+def _fan_columns(cfg: RunConfig, model: Model, u_grid: np.ndarray):
+    """Times, each fan member's quantum positions, and the trajectory table's columns.
 
-
-def _fan_rows(cfg: RunConfig, model: Model, u_grid: np.ndarray):
-    """Times, each fan member's quantum positions, and the table rows."""
+    Each member contributes, at each time, an analytic-free row and then a
+    classical one.
+    """
     spec = model.spec
     t_grid = u_grid * model.time_scale
-    rows = []
-    fan = []
-    for x0 in cfg.x0_fan:
-        xq = free_packet_trajectory(spec, float(x0), t_grid)
-        fan.append(xq)
-        xc = x0 + spec.v0 * t_grid
-        for t, u, xa, xb in zip(t_grid, u_grid, xq, xc):
-            rows.append([float(t), float(u), float(xa), "analytic-free", float(x0)])
-            rows.append([float(t), float(u), float(xb), "classical", float(x0)])
-    return t_grid, fan, rows
+    x0s = np.asarray(cfg.x0_fan, dtype=float)
+    fan = [free_packet_trajectory(spec, float(x0), t_grid) for x0 in x0s]
+    paths = np.stack([np.stack([xq, x0 + spec.v0 * t_grid], axis=-1) for x0, xq in zip(x0s, fan)])
+    columns = [
+        ("t", "time", np.tile(np.repeat(t_grid, 2), x0s.size)),
+        ("u", "1", np.tile(np.repeat(u_grid, 2), x0s.size)),
+        ("x", "length", paths.reshape(-1)),
+        ("source", "-", np.tile(np.array(["analytic-free", "classical"]), x0s.size * t_grid.size)),
+        ("x0", "length", np.repeat(x0s, 2 * t_grid.size)),
+    ]
+    return t_grid, fan, columns
 
 
 def _run_figure1_short(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
     u_grid = np.linspace(0.0, FIGURE_SHORT_U_MAX, 301)
-    _, _, rows = _fan_rows(cfg, model, u_grid)
-    _emit(out, run_dir, "trajectories.csv", _TRAJ_COLUMNS, rows)
+    _, _, columns = _fan_columns(cfg, model, u_grid)
+    _emit(out, run_dir, "trajectories.csv", columns)
     out.metrics = {"u_max": FIGURE_SHORT_U_MAX, "center_member_present": 0.0 in cfg.x0_fan}
 
 
 def _run_figure1_asymptotic(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) -> None:
     u_grid = np.linspace(0.0, FIGURE_ASYMPTOTIC_U_MAX, 1001)
     spec = model.spec
-    t_grid, fan, rows = _fan_rows(cfg, model, u_grid)
-    _emit(out, run_dir, "trajectories.csv", _TRAJ_COLUMNS, rows)
+    t_grid, fan, columns = _fan_columns(cfg, model, u_grid)
+    _emit(out, run_dir, "trajectories.csv", columns)
 
-    asym_rows = []
-    fit_rows = []
     ts = model.time_scale
     window = (FIT_WINDOW_U[0] * ts, FIT_WINDOW_U[1] * ts)
-    rel_errors = []
-    for x0, xq in zip(cfg.x0_fan, fan):
-        v_pred = free_packet_asymptotic_velocity(spec, float(x0))
-        for t, u in zip(t_grid, u_grid):
-            asym_rows.append([float(t), float(u), float(v_pred * t), float(x0)])
-        traj = Trajectory(times=t_grid, positions=xq, x0=float(x0), source="analytic-free")
-        fit = fit_asymptotic_velocity(traj, window, packet=spec)
-        err = abs(fit.velocity - v_pred) / abs(v_pred) if v_pred != 0 else abs(fit.velocity)
-        rel_errors.append(err)
-        fit_rows.append(
-            [float(x0), fit.velocity, v_pred, err, fit.intercept, fit.residual, fit.n_samples]
-        )
+    x0s = [float(x0) for x0 in cfg.x0_fan]
+    v_preds = [free_packet_asymptotic_velocity(spec, x0) for x0 in x0s]
+    fits = [
+        fit_asymptotic_velocity(Trajectory(times=t_grid, positions=xq, x0=x0, source="analytic-free"),
+                                window, packet=spec)
+        for x0, xq in zip(x0s, fan)
+    ]
+    rel_errors = [
+        abs(fit.velocity - v_pred) / abs(v_pred) if v_pred != 0 else abs(fit.velocity)
+        for fit, v_pred in zip(fits, v_preds)
+    ]
     _emit(
         out, run_dir, "asymptotes.csv",
-        [("t", "time"), ("u", "1"), ("x", "length"), ("x0", "length")],
-        asym_rows,
+        [
+            ("t", "time", np.tile(t_grid, len(x0s))),
+            ("u", "1", np.tile(u_grid, len(x0s))),
+            ("x", "length", np.concatenate([v_pred * t_grid for v_pred in v_preds])),
+            ("x0", "length", np.repeat(x0s, t_grid.size)),
+        ],
     )
     _emit(
         out, run_dir, "slopes.csv",
         [
-            ("x0", "length"), ("fitted_velocity", "velocity"), ("predicted_velocity", "velocity"),
-            ("rel_error", "1"), ("intercept", "length"), ("rms_residual", "length"),
-            ("n_samples", "1"),
+            ("x0", "length", x0s),
+            ("fitted_velocity", "velocity", [fit.velocity for fit in fits]),
+            ("predicted_velocity", "velocity", v_preds),
+            ("rel_error", "1", rel_errors),
+            ("intercept", "length", [fit.intercept for fit in fits]),
+            ("rms_residual", "length", [fit.residual for fit in fits]),
+            ("n_samples", "1", [fit.n_samples for fit in fits]),
         ],
-        fit_rows,
     )
     out.metrics = {
         "u_max": FIGURE_ASYMPTOTIC_U_MAX,
@@ -291,8 +297,7 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
                 raise
             top, failure = below[-1], exc
 
-    field_rows = []
-    summary_rows = []
+    done, fields = [], []
     errors = {}
     for order in (o for o in orders if o <= top):
         state = HierarchyState(grid, stack.values[: order + 1], time=stack.time)
@@ -315,28 +320,32 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
             (np.max(ds[window]) - np.min(ds[window])) / 2.0
         )
         err_r = float(np.max(np.abs(polar.R.values - r_exact)[window]))
-        summary_rows.append([order, err_s, err_s_offset_free, err_r])
+        done.append(order)
         errors[str(order)] = {"S": err_s, "S_offset_free": err_s_offset_free, "R": err_r}
-        columns = zip(x.tolist(), polar.S.values.tolist(), s_exact.tolist(),
-                      polar.R.values.tolist(), r_exact.tolist())
-        field_rows.extend([order, *cells] for cells in columns)
+        fields.append((x, polar.S.values, s_exact, polar.R.values, r_exact))
     # Every order that finished is written, also when a higher one aborted.
+    stacked = np.concatenate(fields, axis=1) if fields else np.empty((5, 0))
     _emit(
         out, run_dir, "fields.csv",
         [
-            ("order", "1"), ("x", "length"), ("S_reconstructed", "action"),
-            ("S_exact", "action"), ("R_reconstructed", "1/sqrt(length)"),
-            ("R_exact", "1/sqrt(length)"),
+            ("order", "1", np.repeat(np.array(done, dtype=int), x.size)),
+            ("x", "length", stacked[0]),
+            ("S_reconstructed", "action", stacked[1]),
+            ("S_exact", "action", stacked[2]),
+            ("R_reconstructed", "1/sqrt(length)", stacked[3]),
+            ("R_exact", "1/sqrt(length)", stacked[4]),
         ],
-        field_rows,
     )
     _emit(
         out, run_dir, "summary.csv",
-        [
-            ("order", "1"), ("max_err_S", "action"),
-            ("max_err_S_offset_free", "action"), ("max_err_R", "1/sqrt(length)"),
+        [("order", "1", done)] + [
+            (name, unit, [errors[str(order)][key] for order in done])
+            for name, unit, key in (
+                ("max_err_S", "action", "S"),
+                ("max_err_S_offset_free", "action", "S_offset_free"),
+                ("max_err_R", "1/sqrt(length)", "R"),
+            )
         ],
-        summary_rows,
     )
     if failure is not None:
         raise failure
@@ -373,23 +382,25 @@ def _run_equivariance(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutpu
         )
 
     checkpoints = [0.25, 0.5, 0.75, 1.0]
-    ks_rows = []
-    ks_values = {}
-    for frac in checkpoints:
-        idx = int(round(frac * n_steps))
-        t = float(t_grid[idx])
-        ks = ks_distance(positions[:, idx], RealField(grid, model.density(x, t), t))
-        ks_rows.append([t, t / model.time_scale, ks, cfg.ensemble_n])
-        ks_values[f"{frac:.2f}"] = ks
+    steps = [int(round(frac * n_steps)) for frac in checkpoints]
+    times = [float(t_grid[i]) for i in steps]
+    ks = [
+        ks_distance(positions[:, i], RealField(grid, model.density(x, t), t)) for i, t in zip(steps, times)
+    ]
+    ks_values = {f"{frac:.2f}": value for frac, value in zip(checkpoints, ks)}
     _emit(
         out, run_dir, "ks.csv",
-        [("t", "time"), ("t_over_scale", "1"), ("ks", "1"), ("n", "1")],
-        ks_rows,
+        [
+            ("t", "time", times),
+            ("t_over_scale", "1", [t / model.time_scale for t in times]),
+            ("ks", "1", ks),
+            ("n", "1", [cfg.ensemble_n] * len(times)),
+        ],
     )
     _emit(
         out, run_dir, "positions.csv",
-        [("member", "1"), ("x0", "length"), ("x_final", "length")],
-        [[i, float(x0s[i]), float(positions[i, -1])] for i in range(cfg.ensemble_n)],
+        [("member", "1", np.arange(cfg.ensemble_n)), ("x0", "length", x0s),
+         ("x_final", "length", positions[:, -1])],
     )
     out.metrics = {
         "ks": ks_values,
@@ -417,8 +428,8 @@ def _run_residuals(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) 
 
     _emit(
         out, run_dir, "residuals.csv",
-        [("x", "length"), ("qhj_residual", "energy"), ("velocity_residual", "acceleration")],
-        [[float(xi), float(q), float(c)] for xi, q, c in zip(x, qhj.values, cv.values)],
+        [("x", "length", x), ("qhj_residual", "energy", qhj.values),
+         ("velocity_residual", "acceleration", cv.values)],
     )
 
     # Order-0 plane-wave state: linear action, exactly stationary residual.

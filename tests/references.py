@@ -5,8 +5,11 @@ the tests require the library to agree with it, bit for bit where the
 arithmetic is unchanged.
 """
 
+from pathlib import Path
+
 import numpy as np
 
+from wkbohm.errors import WkbohmError
 from wkbohm.numerics import _CELL_WEIGHTS, _D1_CENTER, _D1_EDGES, _D2_CENTER, _D2_EDGES, cubic_cell_table
 
 
@@ -331,3 +334,43 @@ class ForwardProductSolver:
         y[1:] += off * psi[:-1]
         y[:-1] += off * psi[1:]
         return self._zgttrs(*self._lu, y, overwrite_b=1)[0]
+
+
+def format_value(value) -> str:
+    """One table cell's text, the way `emit_table` wrote each cell of a row."""
+    if type(value) is float:  # the common cell, tested first
+        return format(value, ".17g")
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, str):
+        if "," in value or "\n" in value:
+            raise WkbohmError(f"string cell may not contain delimiter or newline: {value!r}")
+        return value
+    try:
+        return format(float(value), ".17g")
+    except (TypeError, ValueError):
+        raise WkbohmError(f"cannot format table cell {value!r}")
+
+
+def emit_rows(path, columns, rows) -> Path:
+    """`emit_table` in its former row form: (name, unit) columns, one `format_value` call per cell."""
+    out = Path(path)
+    header = ",".join(f"{name} [{unit}]" for name, unit in columns)
+    lines = [header]
+    for row in rows:
+        if len(row) != len(columns):
+            raise WkbohmError(f"row has {len(row)} cells for {len(columns)} columns")
+        lines.append(",".join(map(format_value, row)))
+    text = "\n".join(lines) + "\n"
+    if text.find("nan", len(header)) >= 0 or text.find("inf", len(header)) >= 0:
+        for i, line in enumerate(lines[1:]):
+            for (name, _), cell in zip(columns, line.split(",")):
+                if cell in ("nan", "inf", "-inf"):  # a float that is not finite
+                    raise WkbohmError(f"non-finite cell in {out}: row {i}, column {name!r}: {cell}")
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return out

@@ -22,7 +22,7 @@ from wkbohm.config import (
 )
 from wkbohm.errors import ConfigError, WkbohmError
 from wkbohm.experiments import run_experiment
-from wkbohm.tables import emit_table, format_value, sha256_of
+from wkbohm.tables import sha256_of
 
 # The non-default units of the reference runs in tools/table_digests.py.
 UNITS = {
@@ -234,69 +234,6 @@ def test_parse_returns_a_config_that_echoes_as_strict_json_or_raises_config_erro
     json.loads(echo, parse_constant=_reject_constant)
     assert parse_config(echo) == cfg
     assert resolve_config(cfg)[0] == cfg
-
-
-class TestTables:
-    def test_seventeen_significant_digits(self):
-        assert format_value(1.0 / 3.0) == "0.33333333333333331"
-        assert format_value(1.0) == "1"
-        assert float(format_value(0.1)) == 0.1
-        assert (format_value(True), format_value(False)) == ("true", "false")
-        assert format_value(np.float32(0.1)) == "0.10000000149011612"
-        # numpy's bools and integers read as Python's, every digit kept.
-        assert (format_value(np.True_), format_value(np.False_)) == ("true", "false")
-        assert format_value(np.int64(2**62)) == format_value(2**62) == "4611686018427387904"
-        assert format_value(np.uint64(2**64 - 1)) == "18446744073709551615"
-
-    def test_empty_records_header_only(self, tmp_path):
-        path = emit_table(tmp_path / "empty.csv", [("t", "time"), ("x", "length")], [])
-        assert path.read_text() == "t [time],x [length]\n"
-
-    def test_trajectory_rows(self, tmp_path):
-        rows = [
-            [0.0, 1.0, "analytic-free", 1.0],
-            [0.5, 1.1, "analytic-free", 1.0],
-            [1.0, 1.4, "analytic-free", 1.0],
-        ]
-        cols = [("t", "time"), ("x", "length"), ("source", "-"), ("x0", "length")]
-        path = emit_table(tmp_path / "traj.csv", cols, rows)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 4
-        assert lines[0] == "t [time],x [length],source [-],x0 [length]"
-        assert lines[1] == "0,1,analytic-free,1"
-
-    def test_unwritable_path_reports_path(self, tmp_path):
-        target = tmp_path / "missing-dir" / "t.csv"
-        with pytest.raises(WkbohmError) as exc:
-            emit_table(target, [("a", "1")], [])
-        assert "t.csv" in str(exc.value)
-
-    def test_row_width_checked(self, tmp_path):
-        with pytest.raises(WkbohmError):
-            emit_table(tmp_path / "w.csv", [("a", "1")], [[1, 2]])
-        for cell, message in [
-            ("a,b", "may not contain delimiter or newline"),
-            ("a\nb", "may not contain delimiter or newline"),
-            (None, "cannot format table cell None"),
-            ([1.0], r"cannot format table cell \[1.0\]"),
-        ]:
-            with pytest.raises(WkbohmError, match=message):
-                emit_table(tmp_path / "w.csv", [("a", "1")], [[cell]])
-        assert not (tmp_path / "w.csv").exists()
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)], ids=str)
-    def test_non_finite_cell_refused_before_writing(self, tmp_path, bad):
-        target = tmp_path / "t.csv"
-        cols = [("t", "time"), ("x", "length"), ("source", "-")]
-        rows = [[0.0, 1.0, "info"], [0.5, bad, "nan-free"]]
-        with pytest.raises(WkbohmError) as exc:
-            emit_table(target, cols, rows)
-        assert str(exc.value) == f"non-finite cell in {target}: row 1, column 'x': {format_value(bad)}"
-        assert not target.exists()
-
-    def test_string_cells_spelling_nan_or_inf_inside_are_kept(self, tmp_path):
-        path = emit_table(tmp_path / "s.csv", [("name", "-"), ("x", "1")], [["info", 1.0], ["nano", 2.0]])
-        assert path.read_text() == "name [-],x [1]\ninfo,1\nnano,2\n"
 
 
 def run_cfg(tmp_path, name="a", **overrides):
@@ -674,9 +611,9 @@ class TestHierarchyConvergence:
         written = []
         original = experiments.emit_table
 
-        def counted(path, columns, rows):
+        def counted(path, columns):
             written.append(Path(path).name)
-            return original(path, columns, rows)
+            return original(path, columns)
 
         monkeypatch.setattr(experiments, "emit_table", counted)
         self.run_counted(tmp_path, monkeypatch, doc)
@@ -1282,36 +1219,6 @@ class TestKeyRule:
         assert cli_main(["run", str(path)]) == 2
         assert capsys.readouterr().err == message * 2
         assert not out_dir.exists()
-
-
-class TestFieldSnapshotSerialization:
-    def test_wavefunction_snapshot_round_trips(self, tmp_path):
-        # Grid states serialize through the same table format the
-        # experiments use; 17 significant digits round-trip doubles.
-        from wkbohm.analytic import GaussianPacketSpec, PhysParams, free_packet_wavefunction
-        from wkbohm.numerics import ComplexField, Grid1D
-
-        grid = Grid1D(-5, 5, 101)
-        spec = GaussianPacketSpec(params=PhysParams(1.0, 1.0), sigma0=1.0, p0=0.4)
-        psi = ComplexField(grid, free_packet_wavefunction(spec, grid.nodes, 0.7), 0.7)
-        rows = [
-            [float(x), float(v.real), float(v.imag)]
-            for x, v in zip(grid.nodes, psi.values)
-        ]
-        path = emit_table(
-            tmp_path / "state.csv",
-            [("x", "length"), ("re_psi", "1/sqrt(length)"), ("im_psi", "1/sqrt(length)")],
-            rows,
-        )
-        lines = path.read_text().splitlines()[1:]
-        parsed = np.array([[float(c) for c in line.split(",")] for line in lines])
-        assert np.array_equal(parsed[:, 0], grid.nodes)
-        assert np.array_equal(parsed[:, 1] + 1j * parsed[:, 2], psi.values)
-
-
-@pytest.mark.parametrize("value", [1 / 3, 0.1, -7.25e-13, 3.0, 6.02214076e23])
-def test_float_format_round_trips_exactly(value):
-    assert float(format_value(value)) == value
 
 
 class TestFigureStructure:

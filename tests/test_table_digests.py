@@ -59,3 +59,36 @@ def test_validate_must_exit_as_declared(tool, monkeypatch, capsys):
     code, _, err = run(tool, monkeypatch, capsys, [("ok/a=1e300", tool.SPEED_OVERFLOW, tool.OK)])
     assert code == 1
     assert err[-1] == "missed expectation: ok/a=1e300: validate exited 2, expected 0"
+
+
+def test_a_failed_run_names_its_cell_but_not_its_run_directory(tool, monkeypatch, tmp_path):
+    from wkbohm import cli, config
+
+    monkeypatch.setattr(tool, "reference_configs", lambda config: [
+        ("failed/nonfinite-cell", tool.NON_FINITE_FAN, tool.FAILED + "WkbohmError: non-finite cell")])
+    lines, misses = tool.digest_lines(cli, config, tmp_path)
+    assert misses == []
+    assert lines[0] == ("failed/nonfinite-cell exit=3 status=failed error=WkbohmError: non-finite cell in "
+                        "<out>/figure1-short/trajectories.csv: row 598, column 'x': inf")
+    assert [line.split()[0] for line in lines[1:]] == ["failed/nonfinite-cell/echo"]  # no table written
+
+
+def test_the_signed_zero_run_keeps_both_zeros_in_its_digested_table(tool, monkeypatch, tmp_path):
+    from wkbohm import cli, config
+
+    monkeypatch.setattr(tool, "reference_configs", lambda config: [
+        ("signed-zero/figure1-short", tool.SIGNED_ZERO_FAN, tool.OK)])
+    lines, misses = tool.digest_lines(cli, config, tmp_path)
+    assert misses == []
+    table = tmp_path / "run-0" / "figure1-short" / "trajectories.csv"
+    assert lines[2] == f"signed-zero/figure1-short/trajectories.csv {hashlib.sha256(table.read_bytes()).hexdigest()}"
+    x0 = [line.rsplit(",", 1)[1] for line in table.read_text().splitlines()[1:]]
+    assert (x0.count("-0"), x0.count("0"), len(x0)) == (602, 602, 1204)
+
+
+def test_the_reference_runs_end_with_the_failed_and_signed_zero_runs(tool):
+    from wkbohm import config
+
+    tags = [tag for tag, _, _ in tool.reference_configs(config)]
+    assert tags[-2:] == ["failed/nonfinite-cell", "signed-zero/figure1-short"]
+    assert len(tags) == len(set(tags))

@@ -6,10 +6,12 @@ Runs each config of `reference_configs` in-process through
 `wkbohm.cli.main`, with the package imported from DIR/src (default:
 this checkout): every runnable (experiment, model) pair of
 `wkbohm.config.MODELS` at the defaults and at non-default units, then
-runs chosen to end in an abort or a config error.
+runs chosen to end in an abort, a config error or a failed run, and a
+fan whose table holds both signed zeros.
 
 For each config it prints one line with the exit code, manifest status
-and error (None for a run that writes no manifest), one `<tag>/echo`
+and error (None for a run that writes no manifest; the run's output
+directory, which an error may name, reads `<out>`), one `<tag>/echo`
 line with the sha256 of its `validate` output, stdout and stderr
 together, then one line per CSV with its sha256. Three lines follow for
 the Crank-Nicolson oracle path, which no CLI experiment runs:
@@ -50,11 +52,14 @@ UNITS = {
 HARMONIC_T_MAX = (1.05, 1.1, 1.15, 1.56)
 OVERFLOW = {"experiment": "hierarchy-convergence", "model": "free", "hbar": 3.0, "order": 5, "t_max": 2.0}
 SPEED_OVERFLOW = {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10}
+NON_FINITE_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [1e308, -1e308]}
+SIGNED_ZERO_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [-0.0, 0.0]}
 
 # Prefixes of an outcome line, "exit=<code> status=<status> error=<error>".
 OK = "exit=0 status=ok error=None"
 ABORTED = "exit=3 status=aborted error="
 REJECTED = "exit=2 status=None error=None"
+FAILED = "exit=3 status=failed error="
 
 
 def reference_configs(config) -> list[tuple[str, dict, str]]:
@@ -79,6 +84,11 @@ def reference_configs(config) -> list[tuple[str, dict, str]]:
     out.append(("overflow/hbar=3", OVERFLOW, ABORTED + "NumericalAbort: "))
     # The speed scale a omega overflows, so the model cannot be built.
     out.append(("rejected/a=1e300", SPEED_OVERFLOW, REJECTED))
+    # The member at 1e308 moves past the double range: its trajectory
+    # table is refused, naming the first non-finite cell, and not written.
+    out.append(("failed/nonfinite-cell", NON_FINITE_FAN, FAILED + "WkbohmError: non-finite cell"))
+    # Members at -0.0 and 0.0: the x0 column keeps each zero's sign.
+    out.append(("signed-zero/figure1-short", SIGNED_ZERO_FAN, OK))
     return out
 
 
@@ -98,6 +108,7 @@ def digest_lines(cli, config, workdir: Path) -> tuple[list[str], list[str]]:
         manifest_path = run_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text()) if manifest_path.is_file() else {}
         outcome = f"exit={code} status={manifest.get('status')} error={manifest.get('error')}"
+        outcome = outcome.replace(str(out_dir), "<out>")
         lines.append(f"{tag} {outcome}")
         lines.append(f"{tag}/echo {hashlib.sha256(echo.getvalue().encode()).hexdigest()}")
         for csv_path in sorted(run_dir.glob("*.csv")):
