@@ -185,17 +185,19 @@ def free_packet_modulus(spec: GaussianPacketSpec, x, t: float):
 def free_packet_velocity(spec: GaussianPacketSpec, x, t: float):
     """Bohmian velocity field grad(S)/m of the free packet.
 
-    The width sigma_t is formed as in `spreading`, without the record
-    and its complex width: the field is evaluated at every rk4 stage.
+    v = v0 + rate u / (1 + u^2) (x - v0 t), with rate = hbar / (2 m
+    sigma0^2) and u = rate t: no factor underflows where sigma0^2
+    sigma_t^2 would. It is evaluated at every rk4 stage, so it does
+    without the `spreading` record.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     p = spec.params
-    u = p.hbar * float(t) / (2.0 * p.mass * spec.sigma0**2)
-    sigma_t = spec.sigma0 * math.sqrt(1.0 + u * u)
+    rate = p.hbar / (2.0 * p.mass * spec.sigma0**2)
+    u = rate * float(t)
     v0 = spec.v0
     xr = np.asarray(x, dtype=float) - v0 * t
-    return v0 + p.hbar**2 * t / (4.0 * p.mass**2 * spec.sigma0**2 * sigma_t**2) * xr
+    return v0 + (rate * u / (1.0 + u * u)) * xr
 
 
 def free_packet_trajectory(spec: GaussianPacketSpec, x0: float, t):

@@ -52,9 +52,9 @@ CFL_SAFETY = 0.5
 class PolarFields:
     """Amplitude R > 0 and real action S of a nodeless state.
 
-    `invalid_nodes` is normally None; reconstruction marks nodes whose
-    amplitude overflowed, or underflowed to zero, instead of silently
-    clipping them.
+    `invalid_nodes` is normally None; reconstruction lists the nodes
+    whose amplitude underflowed to zero, which hold the smallest normal
+    double instead.
     """
 
     R: RealField
@@ -64,7 +64,7 @@ class PolarFields:
     def __post_init__(self):
         if self.R.grid != self.S.grid:
             raise ValueError("R and S must share one grid")
-        if self.invalid_nodes is None and not np.all(self.R.values > 0):
+        if not np.all(self.R.values > 0):
             bad = int(np.flatnonzero(~(self.R.values > 0))[0])
             raise ValueError(f"amplitude must be strictly positive (node {bad})")
 
@@ -249,9 +249,11 @@ def reconstruct_polar(state: HierarchyState, params: PhysParams) -> PolarFields:
 
     Odd orders build ln R with alternating hbar^2 weights, even orders
     build S. Truncation at order 1 is the plain WKB pair
-    (R = exp(s1), S = s0). Amplitude overflow and underflow to zero
-    are flagged per node in `invalid_nodes`; such nodes hold the
-    largest or the smallest positive double instead of inf or 0.
+    (R = exp(s1), S = s0). An amplitude that overflows is not data: the
+    first such node raises `NumericalAbort` with the order, node, x, t,
+    ln R there as `value` and ln of the largest double as `limit`.
+    Nodes whose amplitude underflows to zero are listed in
+    `invalid_nodes` and hold the smallest normal double instead.
     """
     if state.order < 1:
         raise ValueError("amplitude reconstruction needs order >= 1")
@@ -259,16 +261,21 @@ def reconstruct_polar(state: HierarchyState, params: PhysParams) -> PolarFields:
     log_r = _hbar_series(state.values[1::2], params.hbar)
     with np.errstate(over="ignore", under="ignore"):
         r = np.exp(log_r)
-    over, under = ~np.isfinite(r), r == 0.0
-    bad = over | under
-    invalid = None
-    if bad.any():
-        invalid = np.flatnonzero(bad)
-        r = np.where(over, np.finfo(float).max, np.where(under, np.finfo(float).tiny, r))
+    over = ~np.isfinite(r)
+    if over.any():
+        node = int(np.argmax(over))
+        x = float(state.grid.nodes[node])
+        raise NumericalAbort(
+            f"order {state.order} amplitude exp(ln R) overflows at node {node} "
+            f"(x = {x:g}, t = {state.time:g})",
+            order=state.order, node=node, x=x, t=state.time,
+            value=float(log_r[node]), limit=float(np.log(np.finfo(float).max)),
+        )
+    under = r == 0.0
     return PolarFields(
-        R=RealField(state.grid, r, state.time),
+        R=RealField(state.grid, np.where(under, np.finfo(float).tiny, r), state.time),
         S=RealField(state.grid, s, state.time),
-        invalid_nodes=invalid,
+        invalid_nodes=np.flatnonzero(under) if under.any() else None,
     )
 
 

@@ -244,13 +244,14 @@ def propagate_hierarchy(state, potential, dt, n_steps, params=None):
 
 
 def free_packet_velocity(spec, x, t):
-    """Free-packet field through the `SpreadingFactors` record."""
+    """Free-packet field v0 + term through the `SpreadingFactors` record, and its term."""
     from wkbohm.analytic import spreading
 
     s = spreading(spec, t)
     p = spec.params
     xr = np.asarray(x, dtype=float) - spec.v0 * t
-    return spec.v0 + p.hbar**2 * t / (4.0 * p.mass**2 * spec.sigma0**2 * s.sigma_t**2) * xr
+    term = p.hbar**2 * t / (4.0 * p.mass**2 * spec.sigma0**2 * s.sigma_t**2) * xr
+    return spec.v0 + term, term
 
 
 def ho_velocity(spec, t):

@@ -425,7 +425,8 @@ class TestRunOutputs:
         out = run_cfg(tmp_path, experiment="figure1-asymptotic")
         assert out.status == "ok"
         fan = json.loads(out.manifest_path.read_text())["config"]["x0_fan"]
-        assert len(calls) == len(fan) == 5
+        # One call moves the whole fan, each member once.
+        assert len(calls) == 1 and np.ravel(calls[0]).tolist() == fan and len(fan) == 5
 
     def test_runner_error_recorded_as_failed(self, tmp_path):
         # A configured grid far from the packet: the comparison window
@@ -655,8 +656,9 @@ class TestHierarchyConvergence:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "aborted"
         assert manifest["error"].startswith("NumericalAbort: order 7 amplitude")
-        assert sorted(manifest["abort"]) == ["node", "order", "t", "x"]
+        assert sorted(manifest["abort"]) == ["limit", "node", "order", "t", "value", "x"]
         assert manifest["abort"]["order"] == 7
+        assert manifest["abort"]["value"] > manifest["abort"]["limit"] == np.log(np.finfo(float).max)
         assert manifest["abort"]["t"] == pytest.approx(2.0)
         summary = (run_dir / "summary.csv").read_text().splitlines()[1:]
         assert [line.split(",")[0] for line in summary] == ["1", "5"]
@@ -702,6 +704,19 @@ class TestUnitCoherence:
             out_dir=str(tmp_path / "si2"),
         )
         assert abs(nat.metrics["max_rel_slope_error"] - si.metrics["max_rel_slope_error"]) <= 1e-12
+
+    def test_free_equivariance_runs_where_sigma0_squared_sigma_t_squared_underflows(self, tmp_path, capsys):
+        # sigma0^2 sigma_t^2 ~ 1e-600 underflows to 0; the velocity field,
+        # formed in dimensionless groups, does not divide by it.
+        out_dir = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "equivariance", "model": "free", "p0": 1e150,
+                                    "sigma0": 1e-150, "output_dir": str(out_dir)}))
+        assert cli_main(["run", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((out_dir / "equivariance" / "manifest.json").read_text())
+        assert manifest["status"] == "ok" and manifest["error"] is None
+        assert manifest["metrics"]["ks_max"] == pytest.approx(0.0556, abs=5e-5)
 
 
 class TestCli:

@@ -440,23 +440,26 @@ class TestReconstruction:
         np.testing.assert_allclose(polar.R.values, np.exp(state.values[1]), rtol=1e-15)
         np.testing.assert_allclose(polar.S.values, state.values[0], rtol=1e-15)
 
-    def test_overflow_flagged_per_node(self):
+    def test_overflow_aborts_at_the_first_node(self):
         grid = Grid1D(-5, 5, 64)
-        values = np.zeros((2, grid.n_points))
-        values[1, 20] = 800.0  # exp overflows double range
-        polar = reconstruct_polar(HierarchyState(grid, values), NATURAL)
-        assert polar.invalid_nodes is not None
-        assert 20 in polar.invalid_nodes
+        values = np.zeros((4, grid.n_points))
+        values[1, [20, 30]] = 800.0  # exp overflows double range
+        values[1, 5] = -900.0  # an underflow does not abort
+        with pytest.raises(NumericalAbort) as exc:
+            reconstruct_polar(HierarchyState(grid, values, time=0.25), NATURAL)
+        abort = exc.value
+        x = float(grid.nodes[20])
+        assert (abort.order, abort.node, abort.x, abort.t) == (3, 20, x, 0.25)
+        assert (abort.value, abort.limit) == (800.0, np.log(np.finfo(float).max))
+        assert str(abort) == f"order 3 amplitude exp(ln R) overflows at node 20 (x = {x:g}, t = 0.25)"
 
     def test_underflow_flagged_per_node(self):
         grid = Grid1D(-5, 5, 64)
         values = np.zeros((2, grid.n_points))
         values[1, [0, 20]] = -900.0  # exp underflows to zero
-        values[1, 30] = 800.0
         polar = reconstruct_polar(HierarchyState(grid, values), NATURAL)
-        assert polar.invalid_nodes.tolist() == [0, 20, 30]
+        assert polar.invalid_nodes.tolist() == [0, 20]
         assert polar.R.values[0] == polar.R.values[20] == np.finfo(float).tiny
-        assert polar.R.values[30] == np.finfo(float).max
         assert np.all(polar.R.values > 0)
 
     def test_modulus_error_scales_with_hbar_squared(self):

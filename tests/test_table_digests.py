@@ -86,9 +86,9 @@ def test_the_signed_zero_run_keeps_both_zeros_in_its_digested_table(tool, monkey
     assert (x0.count("-0"), x0.count("0"), len(x0)) == (602, 602, 1204)
 
 
-def test_the_reference_runs_end_with_the_failed_and_signed_zero_runs(tool):
+def test_the_reference_runs_end_with_the_failed_signed_zero_and_scale_runs(tool):
     from wkbohm import config
 
     tags = [tag for tag, _, _ in tool.reference_configs(config)]
-    assert tags[-2:] == ["failed/nonfinite-cell", "signed-zero/figure1-short"]
+    assert tags[-3:] == ["failed/nonfinite-cell", "signed-zero/figure1-short", "scale/equivariance-free"]
     assert len(tags) == len(set(tags))

@@ -14,7 +14,8 @@ from wkbohm.tables import emit_table
 SUBNORMAL = 2.2250738585072014e-308 / 3
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, SUBNORMAL, -SUBNORMAL, 1e308, -1e308,
                   1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5, 1.0]
-STRINGS = ["info", "nano", "nan", "inf", "-inf", "analytic-free", "classical", ""]
+STRINGS = ["info", "nano", "analytic-free", "classical", ""]
+NOT_A_COLUMN = "column 'a' of {target} is not a 1-D array of floats, integers or strings"
 
 
 class TestTables:
@@ -22,15 +23,14 @@ class TestTables:
         path = emit_table(tmp_path / "k.csv", [
             ("f", "1", [1.0 / 3.0, 1.0]),
             ("f32", "1", np.array([0.1, 1.0], dtype=np.float32)),
-            ("b", "-", np.array([True, False])),
             ("i", "1", np.array([2**62, -3], dtype=np.int64)),
             ("u", "1", np.array([2**64 - 1, 0], dtype=np.uint64)),
             ("s", "-", ["info", "nano"]),
         ])
         assert path.read_text().splitlines() == [
-            "f [1],f32 [1],b [-],i [1],u [1],s [-]",
-            "0.33333333333333331,0.10000000149011612,true,4611686018427387904,18446744073709551615,info",
-            "1,1,false,-3,0,nano",
+            "f [1],f32 [1],i [1],u [1],s [-]",
+            "0.33333333333333331,0.10000000149011612,4611686018427387904,18446744073709551615,info",
+            "1,1,-3,0,nano",
         ]
 
     def test_signed_zeros_keep_their_sign(self, tmp_path):
@@ -68,20 +68,22 @@ class TestTables:
         assert not target.exists()
 
     @pytest.mark.parametrize("cells, message", [
-        (["a,b"], "may not contain delimiter or newline"),
-        (["a\nb"], "may not contain delimiter or newline"),
-        ([None], "cannot format table cell None"),
-        ([[1.0]], r"cannot format table cell \[1.0\]"),
-        ([[1.0], 2.0], r"cannot format table cell \[1.0\]"),
-        ([1.0, None], "cannot format table cell None"),
-        (np.array([1 + 2j]), r"cannot format table cell \(1\+2j\)"),
-        (["a", 0.1], "table column 'a' mixes strings with other cells"),
-        (3.0, "table column 'a' is not a sequence of cells: 3.0"),
+        (["a,b"], "string cell may not contain delimiter or newline: 'a,b'"),
+        (["a\nb"], "string cell may not contain delimiter or newline: 'a\\nb'"),
+        (np.array([True, False]), NOT_A_COLUMN),
+        ([None], NOT_A_COLUMN),
+        ([[1.0]], NOT_A_COLUMN),
+        ([[1.0], 2.0], NOT_A_COLUMN),
+        ([1.0, None], NOT_A_COLUMN),
+        (np.array([1 + 2j]), NOT_A_COLUMN),
+        (3.0, NOT_A_COLUMN),
     ], ids=repr)
     def test_unformattable_column_refused(self, tmp_path, cells, message):
-        with pytest.raises(WkbohmError, match=message):
-            emit_table(tmp_path / "w.csv", [("a", "1", cells)])
-        assert not (tmp_path / "w.csv").exists()
+        target = tmp_path / "w.csv"
+        with pytest.raises(WkbohmError) as exc:
+            emit_table(target, [("x", "1", ["b"]), ("a", "1", cells)])
+        assert str(exc.value) == message.format(target=target)
+        assert not target.exists()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)], ids=str)
     def test_non_finite_cell_refused_before_writing(self, tmp_path, bad):
@@ -96,20 +98,13 @@ class TestTables:
         path = emit_table(tmp_path / "s.csv", [("name", "-", ["info", "nano"]), ("x", "1", [1.0, 2.0])])
         assert path.read_text() == "name [-],x [1]\ninfo,1\nnano,2\n"
 
-    def test_string_cell_reading_nan_is_refused_as_non_finite(self, tmp_path):
-        target = tmp_path / "s.csv"
-        with pytest.raises(WkbohmError) as exc:
-            emit_table(target, [("x", "1", [1.0, 2.0, np.inf]), ("name", "-", ["info", "-inf", "nan"])])
-        assert str(exc.value) == f"non-finite cell in {target}: row 1, column 'name': -inf"
-        assert not target.exists()
-
 
 def _column(kind, cells):
     """A column of one cell kind, as the list or array a caller hands over, and its cells for a row."""
     if kind == "float64-list":
         return cells, cells
     dtype = {"float64": np.float64, "float32": np.float32, "int64": np.int64,
-             "uint64": np.uint64, "bool": np.bool_}.get(kind)
+             "uint64": np.uint64}.get(kind)
     if dtype is None:  # strings
         return cells, cells
     values = np.array(cells, dtype=dtype)
@@ -122,7 +117,6 @@ CELLS = {
     "float32": st.floats(width=32, allow_nan=False, allow_infinity=False),
     "int64": st.integers(-(2**63), 2**63 - 1),
     "uint64": st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
-    "bool": st.booleans(),
     "str": st.sampled_from(STRINGS),
 }
 

@@ -6,8 +6,9 @@ Runs each config of `reference_configs` in-process through
 `wkbohm.cli.main`, with the package imported from DIR/src (default:
 this checkout): every runnable (experiment, model) pair of
 `wkbohm.config.MODELS` at the defaults and at non-default units, then
-runs chosen to end in an abort, a config error or a failed run, and a
-fan whose table holds both signed zeros.
+runs chosen to end in an abort, a config error or a failed run, a
+fan whose table holds both signed zeros, and a free equivariance run at
+extreme units.
 
 For each config it prints one line with the exit code, manifest status
 and error (None for a run that writes no manifest; the run's output
@@ -54,6 +55,7 @@ OVERFLOW = {"experiment": "hierarchy-convergence", "model": "free", "hbar": 3.0,
 SPEED_OVERFLOW = {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10}
 NON_FINITE_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [1e308, -1e308]}
 SIGNED_ZERO_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [-0.0, 0.0]}
+SCALED_FREE = {"experiment": "equivariance", "model": "free", "p0": 1e150, "sigma0": 1e-150}
 
 # Prefixes of an outcome line, "exit=<code> status=<status> error=<error>".
 OK = "exit=0 status=ok error=None"
@@ -89,6 +91,9 @@ def reference_configs(config) -> list[tuple[str, dict, str]]:
     out.append(("failed/nonfinite-cell", NON_FINITE_FAN, FAILED + "WkbohmError: non-finite cell"))
     # Members at -0.0 and 0.0: the x0 column keeps each zero's sign.
     out.append(("signed-zero/figure1-short", SIGNED_ZERO_FAN, OK))
+    # A unit rescaling of the default free run whose sigma0^2 sigma_t^2
+    # underflows: the velocity field stays finite in dimensionless groups.
+    out.append(("scale/equivariance-free", SCALED_FREE, OK))
     return out
 
 
