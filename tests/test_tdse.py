@@ -1,4 +1,5 @@
 import ast
+import importlib.machinery
 import os
 import subprocess
 import sys
@@ -91,7 +92,7 @@ class TestCrankNicolson:
         _, state = free_state(half_width=8.0, n=161)
         with pytest.raises(ValueError, match="^n_steps must be >= 0$"):
             propagate(state, 1e-3, -3)
-        for dt in (0.0, -1e-3, np.nan):
+        for dt in (0.0, -1e-3, np.nan, np.inf):
             with pytest.raises(ValueError, match="^dt must be positive"):
                 propagate(state, dt, 3)
 
@@ -282,28 +283,74 @@ class TestTridiagonalStep:
         solver.step_values(psi, 0.0)
         np.testing.assert_array_equal(psi, before)
 
+    BUILD_SOLVER = (
+        "from wkbohm.analytic import PhysParams\n"
+        "from wkbohm.numerics import Grid1D\n"
+        "from wkbohm.potentials import Potential\n"
+        "from wkbohm.tdse import CrankNicolsonSolver\n"
+        "solver = CrankNicolsonSolver(Grid1D(-1.0, 1.0, 16), Potential.free(), PhysParams(1.0, 1.0), 0.1)\n"
+    )
+
     @staticmethod
-    def _loaded_scipy_modules(code):
-        # A fresh interpreter that finds the same wkbohm this test imported.
-        script = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    def _run_fresh(script):
+        # A fresh interpreter that finds the same wkbohm this test imported;
+        # returns the literal the script prints last.
         source_root = str(Path(wkbohm.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
         return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
+    @classmethod
+    def _loaded_scipy_modules(cls, code):
+        script = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        return cls._run_fresh(script)
+
     def test_package_import_loads_no_scipy(self):
         assert self._loaded_scipy_modules("import wkbohm, wkbohm.tdse") == []
 
-    def test_solver_loads_lapack_but_not_scipy_sparse(self):
-        loaded = self._loaded_scipy_modules(
-            "from wkbohm.analytic import PhysParams\n"
-            "from wkbohm.numerics import Grid1D\n"
-            "from wkbohm.potentials import Potential\n"
-            "from wkbohm.tdse import CrankNicolsonSolver\n"
-            "CrankNicolsonSolver(Grid1D(-1.0, 1.0, 16), Potential.free(), PhysParams(1.0, 1.0), 0.1)"
+    def test_solver_loads_only_the_lapack_extension(self):
+        assert self._loaded_scipy_modules(self.BUILD_SOLVER) == ["scipy.linalg._flapack"]
+
+    @pytest.mark.parametrize("solver_first", [True, False], ids=["solver-first", "lapack-first"])
+    def test_solver_uses_scipy_lapack_functions(self, solver_first):
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
+        rng = np.random.default_rng(29)
+        z = rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
+        dl, d, du, b = z[0, 1:], z[1] + 4.0, z[2, 1:], z[3]
+        x, info = zgttrs(*zgttrf(dl, d, du)[:-1], b)
+        assert info == 0
+        steps = [self.BUILD_SOLVER, "from scipy.linalg import lapack\n"]
+        script = "".join(steps if solver_first else steps[::-1]) + (
+            "import sys\n"
+            "import numpy as np\n"
+            "flapack = sys.modules['scipy.linalg._flapack']\n"
+            f"dl, d, du, b = (np.array(v) for v in {[v.tolist() for v in (dl, d, du, b)]!r})\n"
+            "x, info = solver._zgttrs(*flapack.zgttrf(dl, d, du)[:-1], b)\n"
+            "print((lapack._flapack is flapack, solver._zgttrs is lapack.zgttrs,\n"
+            "       flapack.zgttrf is lapack.zgttrf, info, x.tobytes()))\n"
         )
-        assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.sparse")]
+        assert self._run_fresh(script) == (True, True, True, 0, x.tobytes())
+
+    @pytest.mark.parametrize("missing", ["scipy", "extension"])
+    def test_missing_lapack_extension_raises_import_error(self, tmp_path, missing):
+        directory = tmp_path / "scipy" / "linalg"
+        if missing == "scipy":
+            hide = "sys.path[:] = [p for p in sys.path if not os.path.isdir(os.path.join(p or '.', 'scipy'))]"
+        else:
+            directory.mkdir(parents=True)
+            (tmp_path / "scipy" / "__init__.py").write_text("")
+            hide = f"sys.path.insert(0, {str(tmp_path)!r})"
+        *imports, build = self.BUILD_SOLVER.splitlines()
+        script = "\n".join(
+            ["import os, sys", *imports, hide, "try:", f"    {build}", "except ImportError as e:", "    print(repr(str(e)))"]
+        )
+        message = self._run_fresh(script)
+        if missing == "scipy":
+            assert message == "the Crank-Nicolson solver needs scipy/linalg/_flapack; scipy is not installed"
+        else:
+            names = ", ".join(f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+            assert message == f"no scipy LAPACK extension in {directory} (looked for {names})"
 
 
 class TestOracleVelocity:
