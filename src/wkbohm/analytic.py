@@ -6,15 +6,8 @@ right and as oracles for the field-propagation and grid-solver
 modules. Natural units (hbar = m = sigma0 = 1) are the default
 throughout the package but nothing here assumes them.
 
-Conventions worth knowing:
-
-* The free packet's energy parameter is stored as p0^2/m and enters
-  the action only through the space-independent term E*t, so it never
-  affects gradients, velocities, or trajectories. Phase-level
-  cross-checks are therefore made modulo space-independent offsets.
-* The complex fourth root in the packet prefactor uses the principal
-  branch; 1 + i*u never crosses the negative real axis, so no branch
-  tracking is needed.
+Each packet's psi is |psi| exp(i S / hbar), and its S solves the
+quantum Hamilton-Jacobi equation.
 """
 
 from __future__ import annotations
@@ -59,7 +52,7 @@ class GaussianPacketSpec:
             finite = False
         if not finite:
             raise ValueError(f"p0={self.p0} and mass={self.params.mass} give a velocity p0/mass or "
-                             "an energy p0^2/mass that is not finite")
+                             "an energy p0^2/(2 mass) that is not finite")
 
     @property
     def v0(self) -> float:
@@ -67,9 +60,9 @@ class GaussianPacketSpec:
 
     @property
     def energy(self) -> float:
-        # Literal model convention (p0^2/m); space-independent in the
-        # action, so it has no dynamical consequence.
-        return self.p0**2 / self.params.mass
+        """Kinetic energy p0^2/(2m) of the packet's centre; space-independent
+        in the action, so it moves no velocity or trajectory."""
+        return self.p0**2 / (2.0 * self.params.mass)
 
 
 @dataclass(frozen=True)
@@ -107,12 +100,10 @@ class SpreadingFactors:
     """Width evolution of the free packet at one instant.
 
     sigma_t = sigma0 * sqrt(1 + u^2) with the dimensionless time
-    u = hbar t / (2 m sigma0^2); the complex spreading is
-    sigma0 * (1 + i u), whose modulus equals sigma_t.
+    u = hbar t / (2 m sigma0^2).
     """
 
     sigma_t: float
-    sigma_tilde_t: complex
     u: float
 
 
@@ -132,47 +123,25 @@ def spreading(spec: GaussianPacketSpec, t: float) -> SpreadingFactors:
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     u = float(dimensionless_time(spec, t))
-    return SpreadingFactors(
-        sigma_t=spec.sigma0 * float(np.sqrt(1.0 + u * u)),
-        sigma_tilde_t=spec.sigma0 * (1.0 + 1j * u),
-        u=u,
-    )
+    return SpreadingFactors(sigma_t=spec.sigma0 * float(np.sqrt(1.0 + u * u)), u=u)
 
 
 def free_packet_wavefunction(spec: GaussianPacketSpec, x, t: float):
-    """Complex amplitude of the spreading packet.
-
-    (2 pi sigma_tilde^2)^(-1/4) exp[-(x-v0 t)^2 / (4 sigma_tilde sigma0)
-    + i p0 (x - v0 t)/hbar + i E t/hbar], principal-branch root.
-    """
-    s = spreading(spec, t)
-    p = spec.params
-    xr = np.asarray(x, dtype=float) - spec.v0 * t
-    pref = (2.0 * np.pi * s.sigma_tilde_t**2) ** (-0.25)
-    expo = (
-        -(xr**2) / (4.0 * s.sigma_tilde_t * spec.sigma0)
-        + 1j * spec.p0 * xr / p.hbar
-        + 1j * spec.energy * t / p.hbar
-    )
-    return pref * np.exp(expo)
+    """Complex amplitude |psi| exp(i S / hbar) of the spreading packet."""
+    return free_packet_modulus(spec, x, t) * np.exp(1j * free_packet_action(spec, x, t) / spec.params.hbar)
 
 
 def free_packet_action(spec: GaussianPacketSpec, x, t: float):
-    """Real (Bohmian) action of the spreading packet.
+    """Real (Bohmian) action of the spreading packet, E = p0^2/(2m).
 
-    -(hbar/2) arctan(u) + E t + p0 x
+    -(hbar/2) arctan(u) + E t + p0 (x - v0 t)
     + [hbar^2 t / (8 m sigma0^2 sigma_t^2)] (x - v0 t)^2.
     """
     s = spreading(spec, t)
     p = spec.params
     xr = np.asarray(x, dtype=float) - spec.v0 * t
     quad = p.hbar**2 * t / (8.0 * p.mass * spec.sigma0**2 * s.sigma_t**2)
-    return (
-        -(p.hbar / 2.0) * np.arctan(s.u)
-        + spec.energy * t
-        + spec.p0 * np.asarray(x, dtype=float)
-        + quad * xr**2
-    )
+    return -(p.hbar / 2.0) * np.arctan(s.u) + spec.energy * t + spec.p0 * xr + quad * xr**2
 
 
 def free_packet_modulus(spec: GaussianPacketSpec, x, t: float):
@@ -258,31 +227,16 @@ def free_packet_asymptotic_velocity(spec: GaussianPacketSpec, x0: float) -> floa
     return spec.v0 + p.hbar * x0 / (2.0 * p.mass * spec.sigma0**2)
 
 
-def _ho_gaussian(spec: OscillatorSpec, x, t: float):
-    """Prefactor and real exponent of the coherent packet's rigid Gaussian."""
-    s0 = spec.sigma0
-    xr = np.asarray(x, dtype=float)
-    return (2.0 * np.pi * s0**2) ** (-0.25), -((xr - spec.a * np.cos(spec.omega * t)) ** 2) / (4.0 * s0**2)
-
-
 def ho_wavefunction(spec: OscillatorSpec, x, t: float):
-    """Coherent packet: rigid Gaussian whose center rides a*cos(omega t)."""
-    p = spec.params
-    w, a = spec.omega, spec.a
-    xr = np.asarray(x, dtype=float)
-    pref, gauss = _ho_gaussian(spec, x, t)
-    expo = (
-        gauss
-        - 1j * w * t / 2.0
-        - 1j * p.mass * w * (4.0 * xr * a * np.sin(w * t) - a**2 * np.sin(2.0 * w * t)) / (4.0 * p.hbar)
-    )
-    return pref * np.exp(expo)
+    """Coherent packet |psi| exp(i S / hbar): a rigid Gaussian whose center rides a*cos(omega t)."""
+    return ho_modulus(spec, x, t) * np.exp(1j * ho_action(spec, x, t) / spec.params.hbar)
 
 
 def ho_modulus(spec: OscillatorSpec, x, t: float):
     """|psi| of the coherent packet: a width-sigma0 Gaussian profile."""
-    pref, gauss = _ho_gaussian(spec, x, t)
-    return pref * np.exp(gauss)
+    s0 = spec.sigma0
+    xr = np.asarray(x, dtype=float) - spec.a * np.cos(spec.omega * t)
+    return (2.0 * np.pi * s0**2) ** (-0.25) * np.exp(-(xr**2) / (4.0 * s0**2))
 
 
 def ho_action(spec: OscillatorSpec, x, t: float):

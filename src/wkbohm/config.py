@@ -124,6 +124,11 @@ class Model:
     def density(self, x, t):
         return self.modulus(x, t) ** 2
 
+    def log_modulus(self, x, t):
+        """ln |psi| of the Gaussian packet, finite where |psi| underflows."""
+        c, w = self.center(t), self.width(t)
+        return -0.25 * np.log(2.0 * np.pi * w**2) - (x - c) ** 2 / (4.0 * w**2)
+
 
 def _free_model(cfg: RunConfig) -> Model:
     spec = GaussianPacketSpec(params=cfg.phys_params(), sigma0=cfg.sigma0, p0=cfg.p0)

@@ -413,7 +413,7 @@ def _run_residuals(cfg: RunConfig, model: Model, run_dir: Path, out: RunOutput) 
     times = cfg.t_max + delta * np.array([-2, -1, 0, 1, 2])
     # Closed-form complex action S - i hbar ln R at each instant.
     stack = [
-        ComplexField(grid, model.action(x, t) - 1j * cfg.hbar * np.log(model.modulus(x, t)), t)
+        ComplexField(grid, model.action(x, t) - 1j * cfg.hbar * model.log_modulus(x, t), t)
         for t in map(float, times)
     ]
     qhj = qhj_residual_from_series(stack, model.potential, params, delta)

@@ -357,12 +357,26 @@ class TestRunOutputs:
         errs = out.metrics["errors"]
         assert errs["5"]["S"] < errs["3"]["S"] < errs["1"]["S"]
 
-    def test_residuals_experiment(self, tmp_path):
-        cfg = parse_config(json.dumps({"experiment": "residuals", "model": "free"}))
-        out = run_experiment(cfg, out_dir=str(tmp_path))
-        assert out.status == "ok"
-        assert out.metrics["qhj_max_window"] <= 1e-5
-        assert out.metrics["plane_wave_qhj_max"] == 0.0
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            {"model": "free"},
+            # A moving packet's action carries its energy term p0^2 t / (2m).
+            {"model": "free", "p0": 1.0},
+            {"model": "free", **UNITS["free"]},
+            # |psi| underflows to 0 at the grid's edge nodes; ln |psi| is taken in closed form.
+            {"model": "free", "p0": 30},
+            {"model": "harmonic", "grid_x_min": -60, "grid_x_max": 60},
+        ],
+    )
+    def test_residuals_experiment(self, tmp_path, keys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "residuals", **keys}))
+        assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        metrics = json.loads((tmp_path / "out" / "residuals" / "manifest.json").read_text())["metrics"]
+        assert metrics["qhj_max_window"] <= 1e-8
+        # Exact at rest; a moving plane wave's residual is round-off in its energy.
+        assert metrics["plane_wave_qhj_max"] <= 1e-11 * keys.get("p0", 0.0) ** 2
 
     def test_numerical_abort_recorded_with_partial_outputs(self, tmp_path):
         # Driving the oscillator stack into its focusing caustic: the
@@ -950,7 +964,7 @@ class TestCli:
         assert cli_main(["run", path]) == 2
         assert capsys.readouterr().err == (
             f"config error: model 'free' cannot be built from this config: ValueError: {message} "
-            "give a velocity p0/mass or an energy p0^2/mass that is not finite\n"
+            "give a velocity p0/mass or an energy p0^2/(2 mass) that is not finite\n"
         ) * 2
         assert not out_dir.exists()
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -86,9 +87,25 @@ def test_the_signed_zero_run_keeps_both_zeros_in_its_digested_table(tool, monkey
     assert (x0.count("-0"), x0.count("0"), len(x0)) == (602, 602, 1204)
 
 
-def test_the_reference_runs_end_with_the_failed_signed_zero_and_scale_runs(tool):
+def test_a_residuals_run_prints_its_qhj_residual_after_its_table(tool, monkeypatch, tmp_path):
+    from wkbohm import cli, config
+
+    monkeypatch.setattr(tool, "reference_configs", lambda config: [
+        ("moving/residuals-free", tool.MOVING_FREE, tool.OK)])
+    lines, misses = tool.digest_lines(cli, config, tmp_path)
+    assert misses == []
+    manifest = json.loads((tmp_path / "run-0" / "residuals" / "manifest.json").read_text())
+    qhj = manifest["metrics"]["qhj_max_window"]
+    assert [line.split()[0] for line in lines] == [
+        "moving/residuals-free", "moving/residuals-free/echo", "moving/residuals-free/residuals.csv",
+        "moving/residuals-free/qhj_max_window"]
+    assert lines[-1] == f"moving/residuals-free/qhj_max_window {qhj:.17g}" and qhj <= 1e-8
+
+
+def test_the_reference_runs_end_with_the_failed_signed_zero_scale_and_far_grid_runs(tool):
     from wkbohm import config
 
     tags = [tag for tag, _, _ in tool.reference_configs(config)]
-    assert tags[-3:] == ["failed/nonfinite-cell", "signed-zero/figure1-short", "scale/equivariance-free"]
-    assert len(tags) == len(set(tags))
+    assert tags[-5:] == ["failed/nonfinite-cell", "signed-zero/figure1-short", "scale/equivariance-free",
+                         "moving/residuals-free", "wide/residuals-harmonic"]
+    assert len(tags) == len(set(tags)) == 27

@@ -7,14 +7,18 @@ Runs each config of `reference_configs` in-process through
 this checkout): every runnable (experiment, model) pair of
 `wkbohm.config.MODELS` at the defaults and at non-default units, then
 runs chosen to end in an abort, a config error or a failed run, a
-fan whose table holds both signed zeros, and a free equivariance run at
-extreme units.
+fan whose table holds both signed zeros, a free equivariance run at
+extreme units, and two residuals runs whose grids reach far past the
+packet.
 
 For each config it prints one line with the exit code, manifest status
 and error (None for a run that writes no manifest; the run's output
 directory, which an error may name, reads `<out>`), one `<tag>/echo`
 line with the sha256 of its `validate` output, stdout and stderr
-together, then one line per CSV with its sha256. Three lines follow for
+together, then one line per CSV with its sha256, and for a residuals
+run the `<tag>/qhj_max_window` line with the largest quantum
+Hamilton-Jacobi residual on its comparison window, so a closed form
+that stops solving its equation shows in a diff. Three lines follow for
 the Crank-Nicolson oracle path, which no CLI experiment runs:
 `oracle/cn` over the raw bytes of the snapshots of a small harmonic
 Crank-Nicolson run, `oracle/trajectories` over a 16-member ensemble
@@ -56,6 +60,8 @@ SPEED_OVERFLOW = {"experiment": "equivariance", "model": "harmonic", "a": 1e300,
 NON_FINITE_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [1e308, -1e308]}
 SIGNED_ZERO_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [-0.0, 0.0]}
 SCALED_FREE = {"experiment": "equivariance", "model": "free", "p0": 1e150, "sigma0": 1e-150}
+MOVING_FREE = {"experiment": "residuals", "model": "free", "p0": 30}
+WIDE_HARMONIC = {"experiment": "residuals", "model": "harmonic", "grid_x_min": -60, "grid_x_max": 60}
 
 # Prefixes of an outcome line, "exit=<code> status=<status> error=<error>".
 OK = "exit=0 status=ok error=None"
@@ -94,6 +100,10 @@ def reference_configs(config) -> list[tuple[str, dict, str]]:
     # A unit rescaling of the default free run whose sigma0^2 sigma_t^2
     # underflows: the velocity field stays finite in dimensionless groups.
     out.append(("scale/equivariance-free", SCALED_FREE, OK))
+    # Residuals on grids reaching over 60 packet widths from the centre,
+    # where |psi| underflows to 0 but its closed-form log does not.
+    out.append(("moving/residuals-free", MOVING_FREE, OK))
+    out.append(("wide/residuals-harmonic", WIDE_HARMONIC, OK))
     return out
 
 
@@ -119,6 +129,9 @@ def digest_lines(cli, config, workdir: Path) -> tuple[list[str], list[str]]:
         for csv_path in sorted(run_dir.glob("*.csv")):
             digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
             lines.append(f"{tag}/{csv_path.name} {digest}")
+        qhj = manifest.get("metrics", {}).get("qhj_max_window")
+        if qhj is not None:
+            lines.append(f"{tag}/qhj_max_window {qhj:.17g}")
         if not outcome.startswith(expected):
             misses.append(f"{tag}: outcome {outcome!r} does not start with {expected!r}")
         want = 2 if expected.startswith("exit=2 ") else 0
