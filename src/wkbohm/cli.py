@@ -5,8 +5,9 @@
     wkbohm list-experiments
 
 Exit codes: 0 success, 2 configuration error ("config error: ...",
-nothing written: an unreadable file, an unknown key or a key that the
-run does not read, a value against its key's rule, or a model that
+nothing written: an unreadable file, an unknown key, a key given twice
+or a key that the run does not read, a value against its key's rule
+(such as an `output_dir` that holds a NUL character), or a model that
 cannot be built, such as one whose time scale or width is not positive
 and finite, whose velocity or energy is not finite, or whose speed scale
 a omega is not finite), 3 numerical abort

@@ -1,18 +1,21 @@
 """Run configuration: strict flat key-value parsing with derived fields.
 
 Configs are flat JSON objects (string/number/boolean values, plus one
-list-valued key for the trajectory fan). A run reads the keys of every
-run, its experiment's (`EXPERIMENTS`) and its model's (`MODELS`); any
-other key is rejected, so a typo in a physics parameter can never
-silently fall back to a default. Each settable key has one rule in
-`_RULES`; every error names the key and the violated rule. One check,
-`resolve_config`, applies the rules and fills in each unset key but a
-grid bound, whether the config was parsed or built in code.
+list-valued key for the trajectory fan), each key given once. A run
+reads the keys of every run, its experiment's (`EXPERIMENTS`) and its
+model's (`MODELS`); any other key is rejected, so a typo in a physics
+parameter can never silently fall back to a default. Each settable key
+has one rule in `_RULES`; every error names the key and the violated
+rule. In a `RunConfig` None leaves a key unset. One check,
+`resolve_config`, rejects a given key that the run does not read,
+applies the rules and fills in each unset key but a grid bound from the
+tables, whether the config was parsed or built in code.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Callable
 
@@ -37,52 +40,50 @@ _DT = lambda m: 1e-3 * m.time_scale
 _GRID = {"grid_x_min": None, "grid_x_max": None}  # unset: 10 packet widths around the centre
 # Each experiment name maps to the run keys it reads, and each key to
 # the default that `resolve_config` fills in when the config leaves it
-# unset: a function of the run's `Model`, or None for the `RunConfig`
-# field's own.
+# unset: a constant, a function of the run's `Model`, or None for no default.
 EXPERIMENTS = {
     "figure1-short": _FAN,
     "figure1-asymptotic": _FAN,
     "hierarchy-convergence": {
-        "order": None, "t_max": lambda m: 0.2 * m.time_scale, "dt": _DT, **_GRID,
-        "grid_points": lambda m: 401,
+        "order": 3, "t_max": lambda m: 0.2 * m.time_scale, "dt": _DT, **_GRID, "grid_points": 401,
     },
     "equivariance": {
-        "t_max": lambda m: m.equivariance_t, "dt": _DT, "ensemble_n": None, "ensemble_mode": None,
-        **_GRID, "grid_points": lambda m: 2001,
+        "t_max": lambda m: m.equivariance_t, "dt": _DT, "ensemble_n": 9, "ensemble_mode": "quantile",
+        **_GRID, "grid_points": 2001,
     },
     # Its time step is 1e-3 time scales, so it does not read dt.
-    "residuals": {"t_max": lambda m: m.residuals_t, **_GRID, "grid_points": lambda m: 401},
+    "residuals": {"t_max": lambda m: m.residuals_t, **_GRID, "grid_points": 401},
 }
-# The keys every run reads. Only a random-mode ensemble draws from
-# `seed`, but one seeded config document must serve every experiment:
-# the benchmark's cli-suite passes `seed` to all of its pairs.
-_RUN_KEYS = ("experiment", "model", "hbar", "mass", "output_dir", "seed")
+# The keys every run reads besides `experiment` and `model`, with their
+# defaults. Only a random-mode ensemble draws from `seed`, but one
+# seeded config document must serve every experiment: the benchmark's
+# cli-suite passes `seed` to all of its pairs.
+_RUN_KEYS = {"hbar": 1.0, "mass": 1.0, "output_dir": "runs", "seed": 12345}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated experiment configuration with defaults resolved."""
+    """An experiment configuration; None leaves a key unset (`resolve_config` resolves it)."""
 
     experiment: str
     model: str
-    hbar: float = 1.0
-    mass: float = 1.0
-    sigma0: float = 1.0          # MODELS names the keys each model reads;
-    p0: float = 0.0              # the harmonic sigma0 is the width that
-    omega: float = 1.0           # resolve_config derives
-    a: float = 1.0
-    # resolve_config sets each key its run reads; only unset grid bounds stay None.
-    x0_fan: tuple = ()
+    hbar: float | None = None
+    mass: float | None = None
+    sigma0: float | None = None
+    p0: float | None = None
+    omega: float | None = None
+    a: float | None = None
+    x0_fan: tuple | None = None
     grid_x_min: float | None = None
     grid_x_max: float | None = None
     grid_points: int | None = None
-    order: int = 3
+    order: int | None = None
     t_max: float | None = None
     dt: float | None = None
-    ensemble_n: int = 9
-    ensemble_mode: str = "quantile"
-    seed: int = 12345
-    output_dir: str = "runs"
+    ensemble_n: int | None = None
+    ensemble_mode: str | None = None
+    seed: int | None = None
+    output_dir: str | None = None
 
     def phys_params(self) -> PhysParams:
         return PhysParams(hbar=self.hbar, mass=self.mass)
@@ -169,21 +170,22 @@ def _harmonic_model(cfg: RunConfig) -> Model:
 
 
 # Each model name maps to its builder, the experiments defined for it
-# and the physical keys it reads.
+# and the physical keys it reads, each with its default.
 MODELS = {
-    "free": (_free_model, tuple(EXPERIMENTS), ("sigma0", "p0")),
-    "harmonic": (_harmonic_model, ("hierarchy-convergence", "equivariance", "residuals"), ("omega", "a")),
+    "free": (_free_model, tuple(EXPERIMENTS), {"sigma0": 1.0, "p0": 0.0}),
+    "harmonic": (_harmonic_model, ("hierarchy-convergence", "equivariance", "residuals"),
+                 {"omega": 1.0, "a": 1.0}),
 }
 
 
-def _run_keys(experiment: str, model: str) -> tuple:
-    """The keys a run of this experiment on this model reads."""
-    return (*_RUN_KEYS, *EXPERIMENTS[experiment], *MODELS[model][2])
+def _defaults(experiment: str, model: str) -> dict:
+    """The keys a run of this experiment on this model reads but the pair, each with its default."""
+    return {**_RUN_KEYS, **EXPERIMENTS[experiment], **MODELS[model][2]}
 
 
 # Each settable key's rule, in the order given keys are checked: "real",
 # "positive", an integer's smallest value, "fan" (a non-empty list of
-# reals), a choice's options, or "name" (a non-empty string).
+# reals), a choice's options, or "name" (a non-empty string that is a path).
 _RULES = {
     "hbar": "positive", "mass": "positive", "sigma0": "positive", "p0": "real",
     "omega": "positive", "a": "real", "grid_x_min": "real", "grid_x_max": "real",
@@ -203,7 +205,12 @@ def _value(key: str, value):
     if rule == "name":
         if not isinstance(value, str) or not value:
             raise ConfigError(f"key {key!r} must be a non-empty string")
-        return value
+        try:  # the bytes the OS gets: no NUL, and no lone surrogate that cannot be encoded
+            if b"\0" not in os.fsencode(value):
+                return value
+        except UnicodeEncodeError:
+            pass
+        raise ConfigError(f"key {key!r} must be a path without NUL or lone surrogates, got {value!r}")
     if isinstance(rule, tuple):
         return _choice(key, value, rule)
     return _number(key, value, rule)
@@ -237,30 +244,10 @@ def _choice(key: str, value, options) -> str:
     return value
 
 
-# Each key a config may leave unset, and the field default that does: None, or the empty fan.
-_UNSET = {f.name: f.default for f in dc_fields(RunConfig) if f.default is None or f.default == ()}
-
-
-def _is_unset(key: str, value) -> bool:
-    # By kind, not `value in (None, ())`: `np.int64(401) == ()` raises.
-    return key in _UNSET and (value is None if _UNSET[key] is None else type(value) is tuple and not value)
-
-
-def _check_run(experiment, model) -> None:
-    """Raise `ConfigError` unless both are known and the experiment is defined for the model."""
-    _choice("experiment", experiment, EXPERIMENTS)
-    defined = MODELS[_choice("model", model, MODELS)][1]
-    if experiment not in defined:
-        raise ConfigError(
-            f"experiment {experiment!r} is not defined for model {model!r}; "
-            f"pick one of {', '.join(defined)}"
-        )
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse a flat JSON config document and resolve it (`resolve_config`)."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -272,39 +259,55 @@ def parse_config(text: str) -> RunConfig:
     for key in ("experiment", "model"):
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
-    experiment, model = raw["experiment"], raw["model"]
-    _check_run(experiment, model)
-    keys = _run_keys(experiment, model)
-    unread = sorted(set(raw).difference(keys))
-    if unread:
-        raise ConfigError(
-            f"experiment {experiment!r} on model {model!r} does not read key(s) "
-            f"{', '.join(unread)}; it reads {', '.join(keys)}"
-        )
-
-    for key, unset in _UNSET.items():  # None leaves a key unset, but a JSON null is of the wrong kind
-        if unset is None and key in raw and raw[key] is None:
-            _value(key, None)
+    for key, value in raw.items():  # None leaves a key unset, but a JSON null is of the wrong kind
+        if value is None and key in _RULES:
+            _value(key, value)
     return resolve_config(RunConfig(**raw))[0]
 
 
-def resolve_config(cfg: RunConfig) -> tuple[RunConfig, Model]:
-    """`cfg` checked by the rule of each key its run reads and resolved, with its model.
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises `ConfigError`."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config key {key!r} is given more than once")
+        out[key] = value
+    return out
 
-    Each unset key (None, or an empty fan) the run reads but a grid bound
-    gets its model default, the harmonic `sigma0` the derived width; the
-    result resolves to itself. Raises `ConfigError` for an undefined pair,
-    a value or default against its key's rule (numpy scalars pass), a
-    lone or reversed grid bound, an unbuildable model, or `dt > t_max`.
+
+def resolve_config(cfg: RunConfig) -> tuple[RunConfig, Model]:
+    """`cfg` checked as a config document is and resolved, with its model.
+
+    Each given key (not None) must be one the run reads and pass its
+    rule (numpy scalars pass). Each unset key the run reads but a grid
+    bound then gets its default: the constants first, then the model,
+    then the defaults that depend on it. The result resolves to itself.
+    Raises `ConfigError` for an undefined pair, a key the run does not
+    read, a value or default against its key's rule, a lone or reversed
+    grid bound, an unbuildable model, or `dt > t_max`.
     """
-    _check_run(cfg.experiment, cfg.model)
-    keys = _run_keys(cfg.experiment, cfg.model)
-    held = {key: getattr(cfg, key) for key in _RULES if key in keys}
-    cfg = replace(cfg, **{key: _value(key, v) for key, v in held.items() if not _is_unset(key, v)})
+    _choice("experiment", cfg.experiment, EXPERIMENTS)
+    defined = MODELS[_choice("model", cfg.model, MODELS)][1]
+    if cfg.experiment not in defined:
+        raise ConfigError(
+            f"experiment {cfg.experiment!r} is not defined for model {cfg.model!r}; "
+            f"pick one of {', '.join(defined)}"
+        )
+    defaults = _defaults(cfg.experiment, cfg.model)
+    given = {key: getattr(cfg, key) for key in _RULES if getattr(cfg, key) is not None}
+    unread = sorted(set(given).difference(defaults))
+    if unread:
+        raise ConfigError(
+            f"experiment {cfg.experiment!r} on model {cfg.model!r} does not read key(s) "
+            f"{', '.join(unread)}; it reads experiment, model, {', '.join(defaults)}"
+        )
+    cfg = replace(cfg, **{key: _value(key, value) for key, value in given.items()})
     if (cfg.grid_x_min is None) != (cfg.grid_x_max is None):
         raise ConfigError("keys 'grid_x_min' and 'grid_x_max' must be given together")
     if cfg.grid_x_min is not None and not cfg.grid_x_min < cfg.grid_x_max:
         raise ConfigError("key 'grid_x_min' must be < 'grid_x_max'")
+    unset = {key: d for key, d in defaults.items() if d is not None and key not in given}
+    cfg = replace(cfg, **{key: d for key, d in unset.items() if not callable(d)})
     # The model's derived scales (sigma0^2, m omega^2, the coherent
     # width, ...) can overflow or underflow for finite keys; such a
     # config is invalid, not a failed run.
@@ -314,11 +317,7 @@ def resolve_config(cfg: RunConfig) -> tuple[RunConfig, Model]:
         raise ConfigError(
             f"model {cfg.model!r} cannot be built from this config: {type(exc).__name__}: {exc}"
         ) from exc
-    defaults = {
-        key: _value(key, default(model)) for key, default in EXPERIMENTS[cfg.experiment].items()
-        if default is not None and _is_unset(key, getattr(cfg, key))
-    }
-    cfg = replace(cfg, **defaults, sigma0=model.spec.sigma0)
+    cfg = replace(cfg, **{key: _value(key, d(model)) for key, d in unset.items() if callable(d)})
     # Checked with the defaults set, so a default dt past a short t_max is named too.
     if cfg.dt is not None and cfg.t_max is not None and not cfg.dt <= cfg.t_max:
         raise ConfigError(f"key 'dt' must be <= 't_max', got {cfg.dt!r} > {cfg.t_max!r}")
@@ -336,12 +335,9 @@ def load_config(path) -> RunConfig:
 
 def config_dict(cfg: RunConfig) -> dict:
     """The run's set keys, JSON-ready: the `validate` echo and the manifest's `config` block."""
-    out = {}
-    for key in _run_keys(cfg.experiment, cfg.model):
-        value = getattr(cfg, key)
-        if value is not None:
-            out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+    keys = ("experiment", "model", *_defaults(cfg.experiment, cfg.model))
+    held = {key: getattr(cfg, key) for key in keys}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in held.items() if v is not None}
 
 
 def serialize_config(cfg: RunConfig) -> str:

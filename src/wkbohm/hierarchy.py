@@ -16,6 +16,15 @@ phase, complex action, or velocity:
     R = exp( s1 - hbar^2 s3 + hbar^4 s5 - ... )
     S =      s0 - hbar^2 s2 + hbar^4 s4 - ...
 
+The partial sums converge only up to a horizon. For a Gaussian of
+width sigma0 at rest in V = m omega^2 x^2 / 2, with kappa =
+hbar / (2 m omega sigma0^2) (1 for the coherent packet), the velocity is
+rational in kappa^2 with its pole at kappa tan(omega t) = 1: each pair
+of orders multiplies its error by kappa^2 tan^2(omega t), and the series
+converges only while kappa tan(omega t) < 1 (u < 1 for the free packet,
+the limit omega -> 0). Whatever hbar is, the order-0 rays of the packet
+at rest focus at omega t = pi/2, a caustic that propagation aborts on.
+
 Initialization is the unique hbar-independent split of a state given
 by one amplitude and one phase: s0 = S(0), s1 = ln R(0), all higher
 orders zero, which makes the reconstruction exact at t = 0.

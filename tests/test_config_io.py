@@ -45,9 +45,8 @@ def run_keys(experiment, model):
 class TestParsing:
     def test_minimal_config_gets_defaults(self):
         cfg = parse_config(MINIMAL_FREE)
-        assert cfg.order == 3
-        assert cfg.ensemble_mode == "quantile"
-        assert cfg.ensemble_n == 9
+        # A figure1 run reads no order or ensemble key, so none is filled in.
+        assert cfg.order is None and cfg.ensemble_mode is None and cfg.ensemble_n is None
         assert cfg.hbar == 1.0 and cfg.mass == 1.0 and cfg.sigma0 == 1.0
         assert cfg.x0_fan == (-2.0, -1.0, 0.0, 1.0, 2.0)
 
@@ -68,10 +67,12 @@ class TestParsing:
             parse_config(json.dumps({"experiment": "residuals", "model": model}))
 
     def test_harmonic_width_is_derived(self):
-        cfg = parse_config(
-            json.dumps({"experiment": "residuals", "model": "harmonic", "omega": 4.0})
+        cfg, model = resolve_config(
+            parse_config(json.dumps({"experiment": "residuals", "model": "harmonic", "omega": 4.0}))
         )
-        assert cfg.sigma0 == pytest.approx(np.sqrt(1.0 / 8.0), rel=1e-14)
+        # The harmonic run does not read sigma0: its width lives on the model.
+        assert cfg.sigma0 is None
+        assert model.spec.sigma0 == pytest.approx(np.sqrt(1.0 / 8.0), rel=1e-14)
 
     def test_inconsistent_harmonic_width_rejected(self, tmp_path, capsys):
         # The width is derived from hbar, mass and omega, so the model
@@ -126,6 +127,13 @@ class TestParsing:
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_a_key_given_twice_exits_2_naming_it(self, tmp_path, capsys):
+        # The last value does not silently win.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"experiment": "residuals", "model": "free", "hbar": 0.5, "hbar": 2.0}')
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: config key 'hbar' is given more than once\n"
+
     def test_not_json_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("experiment = residuals")
@@ -159,7 +167,7 @@ class TestParsing:
     def test_unset_keys_get_the_experiments_defaults(self, experiment, model):
         cfg = parse_config(json.dumps({"experiment": experiment, "model": model, **UNITS[model]}))
         m = resolve_config(cfg)[1]
-        fan = {"x0_fan": tuple(k * cfg.sigma0 for k in (-2.0, -1.0, 0.0, 1.0, 2.0))}
+        fan = {"x0_fan": tuple(k * m.spec.sigma0 for k in (-2.0, -1.0, 0.0, 1.0, 2.0))}
         dt = 1e-3 * m.time_scale
         expected = {
             "figure1-short": fan,
@@ -225,10 +233,21 @@ _DOCS = st.builds(
 @example({"experiment": "residuals", "model": "free", "hbar": 10**400})
 @example({"experiment": "residuals", "model": "harmonic", "mass": 1e-200, "omega": 1e-200})
 @example({"experiment": "residuals", "model": "harmonic", "hbar": 1e300, "mass": 1e-10, "omega": 1e-10})
+@example({"experiment": "figure1-short", "model": "free", "a": 1.0})
 def test_parse_returns_a_config_that_echoes_as_strict_json_or_raises_config_error(doc):
     try:
         cfg = parse_config(json.dumps(doc))
-    except ConfigError:
+    except ConfigError as exc:
+        cfg = str(exc)
+    # Built in code, a document resolves to its parse or raises the same
+    # error; a null is left out, since in code None leaves a key unset.
+    if None not in doc.values():
+        try:
+            built = resolve_config(RunConfig(**doc))[0]
+        except ConfigError as exc:
+            built = str(exc)
+        assert built == cfg
+    if isinstance(cfg, str):
         return
     echo = serialize_config(cfg)
     json.loads(echo, parse_constant=_reject_constant)
@@ -301,13 +320,12 @@ class TestRunOutputs:
         (RunConfig("residuals", "free", t_max=-1.0), "key 't_max' must be > 0, got -1.0"),
         (RunConfig("equivariance", "free", ensemble_n=1), "key 'ensemble_n' must be >= 2, got 1"),
         (RunConfig("hierarchy-convergence", "free", dt=np.nan), "key 'dt' must be finite, got nan"),
-        # None leaves only a key whose field default is None unset.
-        (RunConfig("residuals", "free", hbar=None), "key 'hbar' must be a number, got None"),
-        (RunConfig("figure1-short", "free", x0_fan=None), "key 'x0_fan' must be a non-empty list of numbers"),
+        # None leaves a key unset, but an empty fan is given.
+        (RunConfig("figure1-short", "free", x0_fan=()), "key 'x0_fan' must be a non-empty list of numbers"),
     ], ids=["default-dt-underflows", "one-grid-bound", "figure1-harmonic", "ensemble-mode",
             "grid-points-below-8", "order-0", "negative-seed", "fan-string", "fan-inf",
             "grid-x-min-inf", "grid-points-not-integer", "negative-t-max", "ensemble-n-1", "dt-nan",
-            "hbar-none", "fan-none"])
+            "fan-empty"])
     def test_a_broken_config_built_in_code_raises_before_anything_is_written(self, tmp_path, cfg, message):
         out_dir = tmp_path / "out"
         with pytest.raises(ConfigError) as info:
@@ -759,6 +777,10 @@ class TestCli:
             (["residuals", "free"], "config must be a flat JSON object"),
             ({"experiment": "residuals", "model": "free", "grid_x_min": 5.0, "grid_x_max": 5.0,
               "output_dir": str(out_dir)}, "key 'grid_x_min' must be < 'grid_x_max'"),
+            # mkdir once raised ValueError on each name: a traceback and exit 1.
+            *(({"experiment": "residuals", "model": "free", "output_dir": name},
+               f"key 'output_dir' must be a path without NUL or lone surrogates, got {name!r}")
+              for name in ("a\0b", "\ud800")),
         ]:
             path = self.write_cfg(tmp_path, doc)
             assert cli_main(["validate", path]) == 2
@@ -970,7 +992,7 @@ class TestCli:
 
     @pytest.mark.parametrize("key", sorted(FIELDS - {"experiment", "model"}))
     def test_a_null_exits_2_on_every_run_that_reads_the_key(self, tmp_path, capsys, key):
-        # None leaves some keys unset in a RunConfig built in code; a JSON null never does.
+        # None leaves any key unset in a RunConfig built in code; a JSON null never does.
         message = {
             "x0_fan": "key 'x0_fan' must be a non-empty list of numbers",
             "ensemble_mode": "key 'ensemble_mode' must be one of quantile, random; got None",
@@ -1247,6 +1269,10 @@ class TestKeyRule:
         assert cli_main(["validate", str(path)]) == 2
         assert cli_main(["run", str(path)]) == 2
         assert capsys.readouterr().err == message * 2
+        # Built in code, the same config raises the same error.
+        with pytest.raises(ConfigError) as info:
+            run_experiment(RunConfig(experiment, model, **{key: self.VALUES[key]}), out_dir=str(out_dir))
+        assert f"config error: {info.value}\n" == message
         assert not out_dir.exists()
 
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import references
-from wkbohm.analytic import PhysParams, free_packet_wavefunction, GaussianPacketSpec
+from wkbohm.analytic import (
+    GaussianPacketSpec,
+    OscillatorSpec,
+    PhysParams,
+    free_packet_wavefunction,
+    ho_velocity,
+)
 from wkbohm.errors import CausticDetected, CflViolation, NumericalAbort
 from wkbohm.hierarchy import (
     GRADIENT_BLOWUP_LIMIT,
@@ -298,6 +304,26 @@ class TestPropagation:
         )
         assert np.max(np.abs(state.values[0] - s0_exact)) <= 1e-8
         assert np.max(np.abs(state.values[1] - s1_exact)) <= 1e-8
+
+    def test_harmonic_velocity_series_converges_by_tan_squared(self):
+        # The velocity of a Gaussian at rest in the well is rational in
+        # kappa^2, kappa = hbar/(2 m omega sigma0^2), with its pole at
+        # kappa tan(wt) = 1; so each pair of orders cuts the error by
+        # kappa^2 tan^2(wt). The coherent packet has kappa = 1.
+        spec = OscillatorSpec(NATURAL, omega=1.0, a=1.0)
+        grid = Grid1D(-6, 6, 201)
+        state = init_hierarchy(gaussian_polar(grid, sigma0=spec.sigma0, center=spec.a), 5)
+        for steps in (400, 200):  # to wt = 0.4, then 0.6
+            state = propagate_hierarchy(state, Potential.harmonic(1.0, spec.omega), 1e-3, steps, params=NATURAL)
+            t = state.time
+            window = np.abs(grid.nodes - spec.a * np.cos(spec.omega * t)) <= 2 * spec.sigma0
+            errs = [
+                np.max(np.abs(truncated_velocity_field(state, NATURAL, pairs).values - ho_velocity(spec, t))[window])
+                for pairs in (0, 1, 2)
+            ]
+            ratio = np.tan(spec.omega * t) ** 2
+            assert errs[1] / errs[0] == pytest.approx(ratio, rel=0.01)
+            assert errs[2] / errs[1] == pytest.approx(ratio, rel=0.01)
 
     def test_harmonic_rest_state_hits_caustic_before_quarter_period(self):
         # Classical characteristics of the zero-phase seed all focus at

@@ -44,7 +44,7 @@ ALLOWED = {
 # Public methods and properties whose name another class also uses, each
 # with the function ("path:qualified name") that reaches it.
 SHARED = {
-    "analytic.OscillatorSpec.sigma0": "src/wkbohm/config.py:resolve_config",
+    "analytic.OscillatorSpec.sigma0": "src/wkbohm/config.py:_harmonic_model",
     "hierarchy.HierarchyState.order": "src/wkbohm/hierarchy.py:reconstruct_polar",
     "potentials.Potential.value": "src/wkbohm/hierarchy.py:hierarchy_rhs",
     "tdse.TdseState.time": "bench/workloads.py:Oracle.run_pass",

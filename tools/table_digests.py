@@ -6,10 +6,10 @@ Runs each config of `reference_configs` in-process through
 `wkbohm.cli.main`, with the package imported from DIR/src (default:
 this checkout): every runnable (experiment, model) pair of
 `wkbohm.config.MODELS` at the defaults and at non-default units, then
-runs chosen to end in an abort, a config error or a failed run, a
-fan whose table holds both signed zeros, a free equivariance run at
-extreme units, and two residuals runs whose grids reach far past the
-packet.
+runs chosen to end in an abort, a config error (a model that cannot be
+built, a key the run does not read) or a failed run, a fan whose table
+holds both signed zeros, a free equivariance run at extreme units, and
+two residuals runs whose grids reach far past the packet.
 
 For each config it prints one line with the exit code, manifest status
 and error (None for a run that writes no manifest; the run's output
@@ -57,6 +57,7 @@ UNITS = {
 HARMONIC_T_MAX = (1.05, 1.1, 1.15, 1.56)
 OVERFLOW = {"experiment": "hierarchy-convergence", "model": "free", "hbar": 3.0, "order": 5, "t_max": 2.0}
 SPEED_OVERFLOW = {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10}
+UNREAD_KEY = {"experiment": "residuals", "model": "free", "dt": 0.5}
 NON_FINITE_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [1e308, -1e308]}
 SIGNED_ZERO_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [-0.0, 0.0]}
 SCALED_FREE = {"experiment": "equivariance", "model": "free", "p0": 1e150, "sigma0": 1e-150}
@@ -92,6 +93,8 @@ def reference_configs(config) -> list[tuple[str, dict, str]]:
     out.append(("overflow/hbar=3", OVERFLOW, ABORTED + "NumericalAbort: "))
     # The speed scale a omega overflows, so the model cannot be built.
     out.append(("rejected/a=1e300", SPEED_OVERFLOW, REJECTED))
+    # A key the run does not read: its echo pins the message that names it.
+    out.append(("rejected/unread-key", UNREAD_KEY, REJECTED))
     # The member at 1e308 moves past the double range: its trajectory
     # table is refused, naming the first non-finite cell, and not written.
     out.append(("failed/nonfinite-cell", NON_FINITE_FAN, FAILED + "WkbohmError: non-finite cell"))
