@@ -90,7 +90,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunOutput:
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(manifest_path, head, None, out, status="running")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise WkbohmError(f"cannot create run directory {str(run_dir)!r}: {exc}") from exc
 
     runner = {

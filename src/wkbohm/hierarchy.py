@@ -10,8 +10,8 @@ equation and each higher order is driven by the orders below it,
               -(1/2m) lap s(n-1)          for n >= 1.
 
 hbar never appears in these equations: one propagation serves every
-hbar. It only enters when fields are recombined into amplitude,
-phase, complex action, or velocity:
+hbar. It only enters when fields are recombined into amplitude, phase
+or velocity:
 
     R = exp( s1 - hbar^2 s3 + hbar^4 s5 - ... )
     S =      s0 - hbar^2 s2 + hbar^4 s4 - ...
@@ -145,17 +145,6 @@ def _rhs_values(
     return out
 
 
-def hierarchy_rhs(state: HierarchyState, potential: Potential, params: PhysParams | None = None) -> np.ndarray:
-    """Field time-derivatives for the current stack.
-
-    Returns an (order+1, n_points) array. The equations contain no
-    hbar; mass enters the kinetic terms only.
-    """
-    mass = params.mass if params is not None else 1.0
-    grads, laps = derivative_pair(state.values, state.grid.dx)
-    return _rhs_values(state.values, grads, laps, potential.value(state.grid.nodes), mass)
-
-
 def _check_cfl(grads0: np.ndarray, grid: Grid1D, dt: float, mass: float, time: float) -> None:
     vmax = float(np.max(np.abs(grads0))) / mass
     if not vmax > 0:
@@ -197,14 +186,16 @@ def propagate_hierarchy(
 ) -> HierarchyState:
     """Advance the stack by n_steps rk4 steps of size dt.
 
-    Before each step the advective CFL bound (safety 0.5) is checked
-    against the current order-0 gradient; after each step all fields
-    must stay finite with gradients below the blow-up threshold. Each
-    rk4 stage takes the stack's first and second derivatives from one
-    `derivative_pair` call; the post-step pair is the blow-up check's
-    gradient, the next step's CFL input and its first stage, so a step
-    makes 4 calls. The whole stack is tested at once; only a failing
-    test walks the orders to name the first one that failed.
+    Of `params` only `mass` is read (1 when `params` is None): one
+    propagation serves every hbar. Before each step the advective CFL
+    bound (safety 0.5) is checked against the current order-0 gradient;
+    after each step all fields must stay finite with gradients below
+    the blow-up threshold. Each rk4 stage takes the stack's first and
+    second derivatives from one `derivative_pair` call; the post-step
+    pair is the blow-up check's gradient, the next step's CFL input and
+    its first stage, so a step makes 4 calls. The whole stack is tested
+    at once; only a failing test walks the orders to name the first one
+    that failed.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -260,14 +251,15 @@ def reconstruct_polar(state: HierarchyState, params: PhysParams) -> PolarFields:
     build S. Truncation at order 1 is the plain WKB pair
     (R = exp(s1), S = s0). An amplitude that overflows is not data: the
     first such node raises `NumericalAbort` with the order, node, x, t,
-    ln R there as `value` and ln of the largest double as `limit`.
+    ln R there as `value` and ln of the largest double as `limit`; an
+    hbar^(2p) weight past the double range raises it with the order and t.
     Nodes whose amplitude underflows to zero are listed in
     `invalid_nodes` and hold the smallest normal double instead.
     """
     if state.order < 1:
         raise ValueError("amplitude reconstruction needs order >= 1")
-    s = _hbar_series(state.values[0::2], params.hbar)
-    log_r = _hbar_series(state.values[1::2], params.hbar)
+    s = _hbar_series(state.values[0::2], params.hbar, state.order, state.time)
+    log_r = _hbar_series(state.values[1::2], params.hbar, state.order, state.time)
     with np.errstate(over="ignore", under="ignore"):
         r = np.exp(log_r)
     over = ~np.isfinite(r)
@@ -288,28 +280,14 @@ def reconstruct_polar(state: HierarchyState, params: PhysParams) -> PolarFields:
     )
 
 
-def complex_action(state: HierarchyState, params: PhysParams) -> ComplexField:
-    """Complex action sum (hbar/i)^n sn = even-row series - i hbar * odd-row series."""
-    if state.order < 1:
-        raise ValueError("complex action needs order >= 1")
-    even = _hbar_series(state.values[0::2], params.hbar)
-    odd = _hbar_series(state.values[1::2], params.hbar)
-    return ComplexField(state.grid, even - 1j * params.hbar * odd, state.time)
-
-
-def hierarchy_wavefunction(state: HierarchyState, params: PhysParams) -> ComplexField:
-    """psi = exp(i S / hbar) from the recombined complex action."""
-    sbar = complex_action(state, params)
-    return ComplexField(state.grid, np.exp(1j * sbar.values / params.hbar), state.time)
-
-
 def truncated_velocity_field(
     state: HierarchyState, params: PhysParams, max_pair_index: int
 ) -> RealField:
     """Classical velocity field dressed with even-order corrections.
 
     v = grad(s0)/m + (1/m) sum_{n=1..M} (-1)^n hbar^(2n) grad(s2n);
-    M = 0 is the purely classical field.
+    M = 0 is the purely classical field. An hbar^(2n) weight past the
+    double range raises `NumericalAbort` naming order 2M and t.
     """
     if max_pair_index < 0:
         raise ValueError("max_pair_index must be >= 0")
@@ -319,15 +297,19 @@ def truncated_velocity_field(
             f"state has {state.order}"
         )
     grads = derivative_values(state.values[: 2 * max_pair_index + 1 : 2], state.grid.dx)
-    v = _hbar_series(grads, params.hbar)
+    v = _hbar_series(grads, params.hbar, 2 * max_pair_index, state.time)
     return RealField(state.grid, v / params.mass, state.time)
 
 
-def _hbar_series(rows: np.ndarray, hbar: float) -> np.ndarray:
+def _hbar_series(rows: np.ndarray, hbar: float, order: int, time: float) -> np.ndarray:
     """sum_p (-hbar^2)^p rows[p], added in increasing p from zero."""
     out = np.zeros(rows.shape[1:])
     for p, row in enumerate(rows):
-        out += (-1.0) ** p * hbar ** (2 * p) * row
+        try:
+            out += (-1.0) ** p * hbar ** (2 * p) * row
+        except OverflowError:  # hbar ** (2 * p) of a Python float
+            message = f"order {order} weight hbar^{2 * p} overflows (hbar = {hbar:g}, t = {time:g})"
+            raise NumericalAbort(message, order=order, t=time) from None
     return out
 
 

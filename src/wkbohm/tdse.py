@@ -24,9 +24,11 @@ took about 220 ms and peaked at 57 MiB (2-vCPU x86-64 Linux, Python
 
 The solver refuses to run once the wavefunction stops being
 negligible at the grid edges: a contaminated (reflecting) run is
-worthless as an oracle. Grids should span the packet center by at
-least 8 final-time widths; comfortably more is cheaper than a
-surprise abort.
+worthless as an oracle. A unit-peak Gaussian's modulus
+exp(-x^2 / 4 sigma^2) falls below `EDGE_AMPLITUDE_LIMIT` = 1e-12 about
+10.5 widths sigma from its center, so a grid should span the packet
+center by more than that at every step; comfortably more is cheaper
+than a surprise abort.
 """
 
 from __future__ import annotations
@@ -139,20 +141,6 @@ class CrankNicolsonSolver:
             raise NumericalAbort(f"Crank-Nicolson solve failed (LAPACK info {info}) at t={t:g}", t=t)
         psi_new -= psi
         return psi_new
-
-
-def ensure_oracle_domain(grid: Grid1D, final_center: float, final_sigma: float) -> None:
-    """Run-setup guard: the grid must span the final center by 8 widths.
-
-    This is a floor, not a target; the per-step edge-amplitude guard
-    needs roughly 10.5 widths for a Gaussian tail to sit below 1e-12,
-    so comfortable setups use more.
-    """
-    if grid.x_min > final_center - 8.0 * final_sigma or grid.x_max < final_center + 8.0 * final_sigma:
-        raise ValueError(
-            f"grid [{grid.x_min}, {grid.x_max}] does not span the final packet center "
-            f"{final_center} by 8 widths ({final_sigma} each)"
-        )
 
 
 def tdse_propagate(state: TdseState, dt: float, n_steps: int) -> TdseState:

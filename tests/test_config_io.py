@@ -697,6 +697,27 @@ class TestHierarchyConvergence:
         for name in ("fields.csv", "summary.csv"):
             assert repr(float(np.finfo(float).max)) not in (run_dir / name).read_text()
 
+    def test_series_weight_that_overflows_aborts_the_order(self, tmp_path, capsys):
+        # hbar^4 = 1e312 is past the double range: order 5 aborts, naming
+        # itself and t, after orders 1 and 3 are written.
+        out_dir = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"experiment": "hierarchy-convergence", "model": "free", "hbar": 1e78,
+             "output_dir": str(out_dir)}
+        ))
+        assert cli_main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical abort: NumericalAbort: order 5 weight hbar^4")
+        run_dir = out_dir / "hierarchy-convergence"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "aborted"
+        assert sorted(manifest["abort"]) == ["order", "t"] and manifest["abort"]["order"] == 5
+        summary = (run_dir / "summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in summary] == ["1", "3"]
+        assert sorted(fields_by_order(run_dir)) == [1, 3]
+
 
 class TestUnitCoherence:
     def test_dimensionless_reports_invariant_under_unit_change(self, tmp_path):
@@ -1065,20 +1086,32 @@ class TestCli:
         assert manifest["error"] == "MemoryError: Unable to allocate 45.6 TiB for an array"
         assert manifest["finished_utc"] is not None
 
-    def test_overflow_in_the_runner_fails_with_exit_3(self, tmp_path, capsys):
+    def test_overflow_in_the_runner_fails_with_exit_3(self, tmp_path, capsys, monkeypatch):
+        # Stands in for a float overflow that no guard turns into an abort.
+        from wkbohm import experiments
+
+        def overflowing(*args, **kwargs):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr(experiments, "propagate_hierarchy", overflowing)
         out_dir = tmp_path / "out"
         path = self.write_cfg(
             tmp_path,
-            {"experiment": "hierarchy-convergence", "model": "free", "hbar": 1e300,
-             "output_dir": str(out_dir)},
+            {"experiment": "hierarchy-convergence", "model": "free", "output_dir": str(out_dir)},
         )
-        assert cli_main(["validate", path]) == 0
-        capsys.readouterr()
         assert cli_main(["run", path]) == 3
         assert capsys.readouterr().err.startswith("run failed: OverflowError")
         manifest = json.loads((out_dir / "hierarchy-convergence" / "manifest.json").read_text())
-        assert manifest["status"] == "failed"
+        assert manifest["status"] == "failed" and manifest["abort"] is None
         assert manifest["error"].startswith("OverflowError")
+
+    @pytest.mark.parametrize("out_dir", ["a\0b", "\ud800"], ids=["null-byte", "lone-surrogate"])
+    def test_output_directory_the_os_cannot_name_raises_wkbohm_error(self, out_dir):
+        # Neither argv nor the environment can carry these paths.
+        cfg = parse_config(json.dumps({"experiment": "residuals", "model": "free"}))
+        with pytest.raises(WkbohmError, match="cannot create run directory") as exc:
+            run_experiment(cfg, out_dir=out_dir)
+        assert repr(str(Path(out_dir) / "residuals")) in str(exc.value)
 
     def test_run_directory_that_cannot_be_created_exits_3(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("")

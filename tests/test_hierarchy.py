@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import references
+from wkbohm import hierarchy
 from wkbohm.analytic import (
     GaussianPacketSpec,
     OscillatorSpec,
@@ -14,10 +15,7 @@ from wkbohm.hierarchy import (
     GRADIENT_BLOWUP_LIMIT,
     HierarchyState,
     PolarFields,
-    complex_action,
     complex_velocity_residual,
-    hierarchy_rhs,
-    hierarchy_wavefunction,
     init_hierarchy,
     propagate_collecting,
     propagate_hierarchy,
@@ -30,12 +28,19 @@ from wkbohm.numerics import (
     ComplexField,
     Grid1D,
     RealField,
+    derivative_pair,
     derivative_values,
     second_derivative_values,
 )
 from wkbohm.potentials import Potential
 
 NATURAL = PhysParams(1.0, 1.0)
+
+
+def stack_rates(state, potential, mass=1.0):
+    """d sn/dt of the whole stack from the hierarchy equations, as propagation forms it."""
+    grads, laps = derivative_pair(state.values, state.grid.dx)
+    return hierarchy._rhs_values(state.values, grads, laps, potential.value(state.grid.nodes), mass)
 
 
 def gaussian_polar(grid, sigma0=1.0, p0=0.0, center=0.0):
@@ -132,8 +137,6 @@ class TestInit:
         order0 = HierarchyState(grid, np.zeros((1, grid.n_points)))
         with pytest.raises(ValueError, match="needs order >= 1"):
             reconstruct_polar(order0, NATURAL)
-        with pytest.raises(ValueError, match="needs order >= 1"):
-            complex_action(order0, NATURAL)
 
 
 class TestRhs:
@@ -155,7 +158,7 @@ class TestRhs:
             for k in range(n + 1):
                 conv += grads[k] * grads[n - k]
             expected[n] = -(conv + laps[n - 1]) / (2.0 * mass)
-        rhs = hierarchy_rhs(state, potential, PhysParams(1.0, mass))
+        rhs = stack_rates(state, potential, mass)
         assert np.array_equal(rhs, expected)
 
     def test_free_gaussian_hand_values(self):
@@ -168,7 +171,7 @@ class TestRhs:
         x = grid.nodes
         p0, s0 = 1.0, 1.0
         state = init_hierarchy(gaussian_polar(grid, sigma0=s0, p0=p0), 3)
-        rates = hierarchy_rhs(state, Potential.free(), NATURAL)
+        rates = stack_rates(state, Potential.free())
         inner = slice(4, -4)
         np.testing.assert_allclose(rates[0][inner], -(p0**2) / 2, atol=1e-10)
         np.testing.assert_allclose(rates[1][inner], p0 * x[inner] / (2 * s0**2), atol=1e-10)
@@ -181,7 +184,7 @@ class TestRhs:
         grid = Grid1D(-5, 5, 64)
         values = np.tile(np.array([[1.5], [0.3], [-2.0]]), (1, grid.n_points))
         state = HierarchyState(grid, values)
-        rates = hierarchy_rhs(state, Potential.free(), NATURAL)
+        rates = stack_rates(state, Potential.free())
         assert np.max(np.abs(rates)) == 0.0
 
     def test_harmonic_rest_state(self):
@@ -190,7 +193,7 @@ class TestRhs:
         sigma0 = np.sqrt(1.0 / (2 * omega))
         grid = Grid1D(-6, 6, 241)
         state = init_hierarchy(gaussian_polar(grid, sigma0=sigma0), 2)
-        rates = hierarchy_rhs(state, Potential.harmonic(1.0, omega), NATURAL)
+        rates = stack_rates(state, Potential.harmonic(1.0, omega))
         x = grid.nodes
         np.testing.assert_allclose(rates[0], -0.5 * omega**2 * x**2, atol=1e-11)
         np.testing.assert_allclose(rates[1], 0.0, atol=1e-11)
@@ -212,6 +215,18 @@ class TestPropagation:
         for dt in (0.0, -1e-3):
             with pytest.raises(ValueError, match="^dt must be positive"):
                 propagate(state, Potential.free(), dt, 5)
+
+    def test_propagation_never_reads_hbar(self):
+        # The stack is hbar-free: two hbar values at one mass give the same bits.
+        state = init_hierarchy(gaussian_polar(Grid1D(-8, 8, 161), p0=0.3), 5)
+        potential = Potential.harmonic(1.3, 0.7)
+        stacks = []
+        for params in (PhysParams(0.3, 1.3), PhysParams(7.0, 1.3)):
+            final = propagate_hierarchy(state, potential, 1e-3, 40, params=params)
+            snaps = propagate_collecting(state, potential, 1e-3, 40, every=10, params=params)
+            stacks.append([final.values.tobytes()] + [snap.values.tobytes() for snap in snaps])
+        assert len(stacks[0]) == 6
+        assert stacks[0] == stacks[1]
 
     def test_free_fields_match_closed_forms(self):
         grid = Grid1D(-8, 8, 401)
@@ -479,6 +494,23 @@ class TestReconstruction:
         assert (abort.value, abort.limit) == (800.0, np.log(np.finfo(float).max))
         assert str(abort) == f"order 3 amplitude exp(ln R) overflows at node 20 (x = {x:g}, t = 0.25)"
 
+    def test_series_weight_that_overflows_aborts_naming_order_and_time(self):
+        # hbar^2 = 1e156 fits a double, hbar^4 = 1e312 does not.
+        grid = Grid1D(-5, 5, 64)
+        params = PhysParams(1e78, 1.0)
+        state = HierarchyState(grid, np.zeros((6, grid.n_points)), time=0.25)
+        reconstruct_polar(HierarchyState(grid, state.values[:4], time=0.25), params)
+        truncated_velocity_field(state, params, 1)
+        for reconstruct, order in [
+            (lambda: reconstruct_polar(state, params), 5),
+            (lambda: truncated_velocity_field(state, params, 2), 4),
+        ]:
+            with pytest.raises(NumericalAbort) as exc:
+                reconstruct()
+            abort = exc.value
+            assert (abort.order, abort.node, abort.t) == (order, None, 0.25)
+            assert str(abort) == f"order {order} weight hbar^4 overflows (hbar = 1e+78, t = 0.25)"
+
     def test_underflow_flagged_per_node(self):
         grid = Grid1D(-5, 5, 64)
         values = np.zeros((2, grid.n_points))
@@ -536,28 +568,12 @@ class TestReconstruction:
 
 
 class TestComplexAction:
-    def test_modulus_identity_with_polar(self):
-        grid = Grid1D(-6, 6, 201)
-        state = init_hierarchy(gaussian_polar(grid, p0=0.3), 4)
-        state = propagate_hierarchy(state, Potential.free(), 1e-3, 100, params=NATURAL)
-        psi = hierarchy_wavefunction(state, NATURAL)
-        polar = reconstruct_polar(state, NATURAL)
-        assert np.max(np.abs(np.abs(psi.values) - polar.R.values)) <= 1e-12
-
-    def test_equals_the_sum_over_powers_of_hbar_over_i(self):
-        grid = Grid1D(-6, 6, 201)
-        state = propagate_hierarchy(
-            init_hierarchy(gaussian_polar(grid, p0=0.3), 5), Potential.free(), 1e-3, 50, params=NATURAL
-        )
-        params = PhysParams(0.7, 1.0)
-        expected = sum((params.hbar / 1j) ** n * state.values[n] for n in range(6))
-        np.testing.assert_allclose(complex_action(state, params).values, expected, rtol=1e-14, atol=1e-14)
-
     def test_matches_packet_at_t0_up_to_global_phase(self):
+        # exp(i S / hbar) of the complex action is R exp(i S / hbar) of the polar pair.
         grid = Grid1D(-8, 8, 321)
         spec = GaussianPacketSpec(params=NATURAL, sigma0=1.0, p0=1.0)
-        state = init_hierarchy(gaussian_polar(grid, p0=1.0), 3)
-        psi_h = hierarchy_wavefunction(state, NATURAL).values
+        polar = reconstruct_polar(init_hierarchy(gaussian_polar(grid, p0=1.0), 3), NATURAL)
+        psi_h = polar.R.values * np.exp(1j * polar.S.values / NATURAL.hbar)
         psi_a = free_packet_wavefunction(spec, grid.nodes, 0.0)
         k = np.argmax(np.abs(psi_a))
         phase = psi_a[k] / psi_h[k]
@@ -578,10 +594,16 @@ def analytic_sbar_stack(grid, times, hbar=1.0, sigma0=1.0):
     ]
 
 
+def complex_action(state, params):
+    """S = sum_n (hbar/i)^n sn, as a field."""
+    weights = (params.hbar / 1j) ** np.arange(state.order + 1)
+    return ComplexField(state.grid, np.tensordot(weights, state.values, axes=(0, 0)), state.time)
+
+
 def complex_action_rate(state, potential, params):
     """dS/dt = sum_n (hbar/i)^n dsn/dt, from the hierarchy equations."""
     weights = (params.hbar / 1j) ** np.arange(state.order + 1)
-    return np.tensordot(weights, hierarchy_rhs(state, potential, params), axes=(0, 0))
+    return np.tensordot(weights, stack_rates(state, potential, params.mass), axes=(0, 0))
 
 
 class TestResiduals:

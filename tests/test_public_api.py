@@ -13,7 +13,9 @@ from `dataclasses`) cannot stand in for `HierarchyState.field`. A
 method or property whose name is also a field, a class constant or a
 method of another class is proven by no attribute at all: it counts only
 when `SHARED` names the function that reaches it. The name's own
-`def`/`class` does not count, and neither do plain imports.
+`def`/`class` does not count, and neither do plain imports. The rule
+has no exceptions: a name that only tests call is not public, and the
+tests reach what it did through the code that stays.
 
 The README's `python` code blocks run here too, so its library example
 keeps to the public surface.
@@ -31,22 +33,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wkbohm"
 
-# Public on purpose although only tests reach them today, with the reason.
-ALLOWED = {
-    "hierarchy_wavefunction": "the planned hbar-sweep experiment's oracle scoring calls it "
-    "(ROADMAP, the pipeline as a `wkbohm run` experiment, `oracle_hbars`)",
-    "hierarchy_rhs": "the hierarchy equations in public form; the physics tests check them through it",
-    "ensure_oracle_domain": "the planned hbar-sweep experiment's oracle scoring calls it "
-    "(ROADMAP, the pipeline as a `wkbohm run` experiment, `oracle_hbars`)",
-}
-
-
 # Public methods and properties whose name another class also uses, each
 # with the function ("path:qualified name") that reaches it.
 SHARED = {
     "analytic.OscillatorSpec.sigma0": "src/wkbohm/config.py:_harmonic_model",
     "hierarchy.HierarchyState.order": "src/wkbohm/hierarchy.py:reconstruct_polar",
-    "potentials.Potential.value": "src/wkbohm/hierarchy.py:hierarchy_rhs",
+    "potentials.Potential.value": "src/wkbohm/hierarchy.py:propagate_hierarchy",
     "tdse.TdseState.time": "bench/workloads.py:Oracle.run_pass",
     "trajectories.FreePacketVelocityField.evaluate":
         "src/wkbohm/trajectories.py:integrate_ensemble_positions",
@@ -181,7 +173,6 @@ def test_every_public_function_class_and_method_has_a_caller_outside_the_tests()
             qualified in SHARED if method and is_shared(qualified, members)
             else name in (attributes if method else used)
         )
-        and name not in ALLOWED
     ]
     assert not unused, f"public but reached only from tests: {unused}"
 
@@ -197,10 +188,3 @@ def test_shared_entry_is_public_still_shared_and_reached_by_its_caller(qualified
         isinstance(node, ast.Attribute) and node.attr == name
         for node in ast.walk(definition(ROOT / path, caller))
     ), f"{SHARED[qualified]} does not refer to .{name}"
-
-
-def test_allowlist_is_public_and_still_needed():
-    public = {name for _, name, _ in public_definitions()}
-    assert set(ALLOWED) <= public
-    used, _ = referenced_names()
-    assert not set(ALLOWED) & used, "an allowlisted name has a caller now; drop it"

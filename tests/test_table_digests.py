@@ -108,4 +108,4 @@ def test_the_reference_runs_end_with_the_failed_signed_zero_scale_and_far_grid_r
     tags = [tag for tag, _, _ in tool.reference_configs(config)]
     assert tags[-5:] == ["failed/nonfinite-cell", "signed-zero/figure1-short", "scale/equivariance-free",
                          "moving/residuals-free", "wide/residuals-harmonic"]
-    assert len(tags) == len(set(tags)) == 28
+    assert len(tags) == len(set(tags)) == 29

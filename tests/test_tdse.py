@@ -31,7 +31,6 @@ from wkbohm.tdse import (
     NORM_DRIFT_LIMIT,
     CrankNicolsonSolver,
     TdseState,
-    ensure_oracle_domain,
     oracle_velocity,
     tdse_propagate,
     tdse_propagate_collecting,
@@ -40,11 +39,9 @@ from wkbohm.tdse import (
 NATURAL = PhysParams(1.0, 1.0)
 
 
-def free_state(half_width=20.0, n=2001, p0=0.0, final_sigma=None):
+def free_state(half_width=20.0, n=2001, p0=0.0):
     grid = Grid1D(-half_width, half_width, n)
     spec = GaussianPacketSpec(params=NATURAL, sigma0=1.0, p0=p0)
-    if final_sigma is not None:
-        ensure_oracle_domain(grid, 0.0, final_sigma)
     psi = ComplexField(grid, free_packet_wavefunction(spec, grid.nodes, 0.0))
     return spec, TdseState(psi=psi, potential=Potential.free(), params=NATURAL)
 
@@ -54,8 +51,6 @@ def ho_state(dx_frac=50):
     half = spec.a + 13 * spec.sigma0
     n = int(np.ceil(2 * half / (spec.sigma0 / dx_frac))) + 1
     grid = Grid1D(-half, half, n)
-    ensure_oracle_domain(grid, -spec.a, spec.sigma0)
-    ensure_oracle_domain(grid, spec.a, spec.sigma0)
     psi = ComplexField(grid, ho_wavefunction(spec, grid.nodes, 0.0))
     return spec, TdseState(psi=psi, potential=Potential.harmonic(1.0, spec.omega), params=NATURAL)
 
@@ -96,14 +91,10 @@ class TestCrankNicolson:
             with pytest.raises(ValueError, match="^dt must be positive"):
                 propagate(state, dt, 3)
 
-    def test_undersized_domain_rejected_at_setup(self):
-        with pytest.raises(ValueError):
-            free_state(half_width=5.0, n=301, final_sigma=np.sqrt(2.0))
-
     def test_free_packet_spreading_law(self):
         # Width of the propagated density matches the closed-form
         # spreading to 0.1% at u = 1 (dx = sigma0/50, dt = 1e-3).
-        spec, state = free_state(half_width=13 * np.sqrt(2), n=1840, final_sigma=np.sqrt(2.0))
+        spec, state = free_state(half_width=13 * np.sqrt(2), n=1840)
         out = tdse_propagate(state, 1e-3, 2000)
         x = out.psi.grid.nodes
         rho = np.abs(out.psi.values) ** 2

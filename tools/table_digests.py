@@ -6,10 +6,12 @@ Runs each config of `reference_configs` in-process through
 `wkbohm.cli.main`, with the package imported from DIR/src (default:
 this checkout): every runnable (experiment, model) pair of
 `wkbohm.config.MODELS` at the defaults and at non-default units, then
-runs chosen to end in an abort, a config error (a model that cannot be
-built, a key the run does not read) or a failed run, a fan whose table
-holds both signed zeros, a free equivariance run at extreme units, and
-two residuals runs whose grids reach far past the packet.
+runs chosen to end in an abort (a caustic, a CFL violation, an
+amplitude or an hbar^(2p) series weight that overflows), a config error
+(a model that cannot be built, a key the run does not read) or a failed
+run, a fan whose table holds both signed zeros, a free equivariance run
+at extreme units, and two residuals runs whose grids reach far past the
+packet.
 
 For each config it prints one line with the exit code, manifest status
 and error (None for a run that writes no manifest; the run's output
@@ -56,6 +58,7 @@ UNITS = {
 }
 HARMONIC_T_MAX = (1.05, 1.1, 1.15, 1.56)
 OVERFLOW = {"experiment": "hierarchy-convergence", "model": "free", "hbar": 3.0, "order": 5, "t_max": 2.0}
+WEIGHT_OVERFLOW = {"experiment": "hierarchy-convergence", "model": "free", "hbar": 1e78}
 SPEED_OVERFLOW = {"experiment": "equivariance", "model": "harmonic", "a": 1e300, "omega": 1e10}
 UNREAD_KEY = {"experiment": "residuals", "model": "free", "dt": 0.5}
 NON_FINITE_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [1e308, -1e308]}
@@ -91,6 +94,9 @@ def reference_configs(config) -> list[tuple[str, dict, str]]:
     # amplitude overflows, so the run writes orders 1 and 5, then aborts
     # rather than write the overflowed amplitude as data.
     out.append(("overflow/hbar=3", OVERFLOW, ABORTED + "NumericalAbort: "))
+    # hbar^4 = 1e312 passes the double range: the order-5 series weight
+    # overflows, so the run writes orders 1 and 3, then aborts.
+    out.append(("overflow/hbar=1e78", WEIGHT_OVERFLOW, ABORTED + "NumericalAbort: "))
     # The speed scale a omega overflows, so the model cannot be built.
     out.append(("rejected/a=1e300", SPEED_OVERFLOW, REJECTED))
     # A key the run does not read: its echo pins the message that names it.
