@@ -1,20 +1,26 @@
 """Grid Schrodinger solver used as an independent brute-force oracle.
 
-Crank-Nicolson stepping of i hbar d(psi)/dt = H psi with
-H = -hbar^2 lap / 2m + V discretized at 2nd order. The update
+Numerov-Crank-Nicolson stepping of i hbar d(psi)/dt = H psi with
+H = -hbar^2 lap / 2m + V, the Laplacian discretized at 4th order by the
+compact (Numerov) operator B^-1 delta^2 / dx^2, where delta^2 is the
+3-point difference (1, -2, 1) and B = (1, 10, 1)/12 (Lele, J. Comput.
+Phys. 103, 16 (1992)). Multiplied through by B, the Hamiltonian becomes
+the tridiagonal K = -(hbar^2 / 2m) delta^2 / dx^2 + B diag(V): row i
+holds V_{i-1}/12, 10 V_i/12 and V_{i+1}/12. With a = i dt / 2 hbar and
+A = B + aK the update
 
-    (1 + i dt H / 2 hbar) psi_new = (1 - i dt H / 2 hbar) psi_old
+    A psi_new = (B - aK) psi_old = (2B - A) psi_old,
+    psi_new = 2 A^-1 B psi_old - psi_old,
 
-is a Cayley transform of a Hermitian tridiagonal matrix, so it is
-unconditionally stable and unitary to solver tolerance. With
-A = 1 + i dt H / 2 hbar the forward matrix is 2 - A, so
-
-    psi_new = 2 A^-1 psi_old - psi_old
-
-and no forward product is formed (Goldberg, Schey & Schwartz, Am. J.
-Phys. 35, 177 (1967)). A/2 is LU-factorized once per (grid, potential,
-dt) by LAPACK's tridiagonal `zgttrf` and reused; each step makes one
-`zgttrs` solve, which returns 2 A^-1 psi_old, and one subtraction.
+forms no forward product (Goldberg, Schey & Schwartz, Am. J. Phys. 35,
+177 (1967)). B and delta^2 commute on the Dirichlet grid, so B^-1 K is
+real symmetric and the step is its Cayley transform: unconditionally
+stable and unitary to solver tolerance. A symmetrised V term would
+make B^-1 K non-symmetric, and the norm would drift. 6A is LU-factorized
+once per (grid, potential, dt) by LAPACK's tridiagonal `zgttrf` and
+reused; each step forms 12 B psi_old from integer weights, makes one
+`zgttrs` solve in place, which returns 2 A^-1 B psi_old, and one
+subtraction.
 Importing the package loads no scipy module. The first solver built
 loads scipy's f2py LAPACK extension, `scipy.linalg._flapack`, on its
 own and no other scipy module: in a fresh interpreter that build takes
@@ -99,26 +105,26 @@ def _flapack():
 
 
 class CrankNicolsonSolver:
-    """Factorized Crank-Nicolson stepper for one (grid, V, dt) triple."""
+    """Factorized Numerov-Crank-Nicolson stepper for one (grid, V, dt) triple."""
 
     def __init__(self, grid: Grid1D, potential: Potential, params: PhysParams, dt: float):
         if not 0 < dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         self.grid = grid
         self.dt = dt
-        n = grid.n_points
-        dx = grid.dx
-        x = grid.nodes
         hbar, m = params.hbar, params.mass
-        main = hbar**2 / (m * dx**2) + potential.value(x)
-        off = np.full(n - 1, -(hbar**2) / (2.0 * m * dx**2))
+        kinetic = hbar**2 / (m * grid.dx**2)
+        v = potential.value(grid.nodes)
         a = 1j * dt / (2.0 * hbar)
         lapack = _flapack()
 
-        # Halving is exact, so solving with A/2 gives the bits of
-        # solving A chi = 2 psi, without forming 2 psi.
-        diag, off = 0.5 * (1.0 + a * main), 0.5 * (a * off)
-        *lu, info = lapack.zgttrf(off, diag, off)
+        # Solving 6A chi = 12 B psi gives chi = 2 A^-1 B psi. Column j of
+        # B diag(V) carries V_j: the subdiagonal takes V[:-1], the
+        # superdiagonal V[1:].
+        diag = 5.0 + a * (6.0 * kinetic + 5.0 * v)
+        lower = 0.5 + a * (0.5 * v[:-1] - 3.0 * kinetic)
+        upper = 0.5 + a * (0.5 * v[1:] - 3.0 * kinetic)
+        *lu, info = lapack.zgttrf(lower, diag, upper)
         if info != 0:
             raise NumericalAbort(f"Crank-Nicolson factorization failed (LAPACK info {info})")
         self._lu = lu
@@ -134,8 +140,11 @@ class CrankNicolsonSolver:
                 node=node, x=float(self.grid.nodes[node]), t=float(time), value=float(edge),
                 limit=EDGE_AMPLITUDE_LIMIT,
             )
-        # Solved on a copy: psi itself is left unchanged.
-        psi_new, info = self._zgttrs(*self._lu, psi, overwrite_b=0)
+        # 12 B psi, solved in place: psi itself is left unchanged.
+        b = 10.0 * psi
+        b[1:] += psi[:-1]
+        b[:-1] += psi[1:]
+        psi_new, info = self._zgttrs(*self._lu, b, overwrite_b=1)
         if info != 0:
             t = float(time)
             raise NumericalAbort(f"Crank-Nicolson solve failed (LAPACK info {info}) at t={t:g}", t=t)

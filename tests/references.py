@@ -309,31 +309,34 @@ def trajectory_series_coefficient(n):
 
 
 class ForwardProductSolver:
-    """Crank-Nicolson stepper that forms (1 - i dt H / 2 hbar) psi from three diagonals.
+    """Numerov-Crank-Nicolson stepper that forms (B - aK) psi from three diagonals.
 
-    The backward matrix 1 + i dt H / 2 hbar is LU-factorized by LAPACK's
-    `zgttrf`; each step makes the forward product and one `zgttrs` solve.
-    No edge or `info` checks: the library's guards are tested on their own.
+    With B = (1, 10, 1)/12, a = i dt / 2 hbar and
+    K = -(hbar^2 / 2m) delta^2 / dx^2 + B diag(V), the backward matrix
+    B + aK is LU-factorized by LAPACK's `zgttrf`; each step makes the
+    forward product and one `zgttrs` solve. No edge or `info` checks:
+    the library's guards are tested on their own.
     """
 
     def __init__(self, grid, potential, params, dt):
         from scipy.linalg.lapack import zgttrf, zgttrs
 
-        n, dx = grid.n_points, grid.dx
         hbar, m = params.hbar, params.mass
-        main = hbar**2 / (m * dx**2) + potential.value(grid.nodes)
-        off = np.full(n - 1, -(hbar**2) / (2.0 * m * dx**2))
+        kinetic = hbar**2 / (2.0 * m * grid.dx**2)
+        v = potential.value(grid.nodes)
+        main = 2.0 * kinetic + 10.0 * v / 12.0
+        lower, upper = v[:-1] / 12.0 - kinetic, v[1:] / 12.0 - kinetic
         a = 1j * dt / (2.0 * hbar)
         self.dt = dt
-        self._forward = (1.0 - a * main, -a * off)
-        *self._lu, _ = zgttrf(a * off, 1.0 + a * main, a * off)
+        self._forward = (10.0 / 12.0 - a * main, 1.0 / 12.0 - a * lower, 1.0 / 12.0 - a * upper)
+        *self._lu, _ = zgttrf(1.0 / 12.0 + a * lower, 10.0 / 12.0 + a * main, 1.0 / 12.0 + a * upper)
         self._zgttrs = zgttrs
 
     def step_values(self, psi):
-        diag, off = self._forward
+        diag, lower, upper = self._forward
         y = diag * psi
-        y[1:] += off * psi[:-1]
-        y[:-1] += off * psi[1:]
+        y[1:] += lower * psi[:-1]
+        y[:-1] += upper * psi[1:]
         return self._zgttrs(*self._lu, y, overwrite_b=1)[0]
 
 
