@@ -22,9 +22,7 @@ from .config import Model, RunConfig, config_dict, resolve_config
 from .errors import NumericalAbort, WkbohmError
 from .hierarchy import (
     HierarchyState,
-    PolarFields,
     complex_velocity_residual,
-    init_hierarchy,
     propagate_hierarchy,
     qhj_residual_from_series,
     reconstruct_polar,
@@ -271,10 +269,11 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
     x = grid.nodes
     window = _comparison_window(model, x, t_end)
     params = cfg.phys_params()
-    psi0 = PolarFields(R=RealField(grid, model.modulus(x, 0.0)), S=RealField(grid, model.action(x, 0.0)))
-
     orders = sorted({1, cfg.order, cfg.order + 2})
-    r_exact, s_exact = model.modulus(x, t_end), model.action(x, t_end)
+    # The hbar-free seed: s0 = S(0) and s1 = ln|psi(0)| from the closed
+    # forms (finite where |psi| underflows), every higher order zero.
+    seed = np.zeros((orders[-1] + 1, x.size))
+    seed[0], seed[1] = model.action(x, 0.0), model.log_modulus(x, 0.0)
 
     # The hierarchy is triangular: rows 0..n of a higher-order run are
     # an order-n run, bit for bit. So propagate once at the top order
@@ -288,7 +287,7 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
     while True:
         try:
             stack = propagate_hierarchy(
-                init_hierarchy(psi0, top), model.potential, cfg.dt, n_steps, params=params
+                HierarchyState(grid, seed[: top + 1]), model.potential, cfg.dt, n_steps, params=params
             )
             break
         except NumericalAbort as exc:
@@ -297,8 +296,7 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
                 raise
             top, failure = below[-1], exc
 
-    done, fields = [], []
-    errors = {}
+    done, s_rec, r_rec = [], [], []
     for order in (o for o in orders if o <= top):
         state = HierarchyState(grid, stack.values[: order + 1], time=stack.time)
         # An overflowed amplitude aborts the order; underflowed nodes are kept.
@@ -307,46 +305,43 @@ def _run_hierarchy_convergence(cfg: RunConfig, model: Model, run_dir: Path, out:
         except NumericalAbort as exc:
             failure = exc
             break
-        ds = polar.S.values - s_exact
-        err_s = float(np.max(np.abs(ds)[window]))
-        err_s_offset_free = float(
-            (np.max(ds[window]) - np.min(ds[window])) / 2.0
-        )
-        err_r = float(np.max(np.abs(polar.R.values - r_exact)[window]))
         done.append(order)
-        errors[str(order)] = {"S": err_s, "S_offset_free": err_s_offset_free, "R": err_r}
-        fields.append((x, polar.S.values, s_exact, polar.R.values, r_exact))
-    # Every order that finished is written, also when a higher one aborted.
-    stacked = np.concatenate(fields, axis=1) if fields else np.empty((5, 0))
+        s_rec.append(polar.S.values)
+        r_rec.append(polar.R.values)
+    # Every order that finished is written, also when a higher one
+    # aborted: one row per order of each (orders x nodes) array.
+    s_rec, r_rec = np.reshape(s_rec, (-1, x.size)), np.reshape(r_rec, (-1, x.size))
+    s_exact, r_exact = model.action(x, t_end), model.modulus(x, t_end)
+    ds = (s_rec - s_exact)[:, window]
+    scores = [  # (summary column, unit, manifest key, one value per order)
+        ("max_err_S", "action", "S", np.abs(ds).max(axis=1)),
+        ("max_err_S_offset_free", "action", "S_offset_free", (ds.max(axis=1) - ds.min(axis=1)) / 2.0),
+        ("max_err_R", "1/sqrt(length)", "R", np.abs(r_rec - r_exact)[:, window].max(axis=1)),
+    ]
+    k = len(done)
     _emit(
         out, run_dir, "fields.csv",
         [
             ("order", "1", np.repeat(np.array(done, dtype=int), x.size)),
-            ("x", "length", stacked[0]),
-            ("S_reconstructed", "action", stacked[1]),
-            ("S_exact", "action", stacked[2]),
-            ("R_reconstructed", "1/sqrt(length)", stacked[3]),
-            ("R_exact", "1/sqrt(length)", stacked[4]),
+            ("x", "length", np.tile(x, k)),
+            ("S_reconstructed", "action", s_rec.ravel()),
+            ("S_exact", "action", np.tile(s_exact, k)),
+            ("R_reconstructed", "1/sqrt(length)", r_rec.ravel()),
+            ("R_exact", "1/sqrt(length)", np.tile(r_exact, k)),
         ],
     )
-    _emit(
-        out, run_dir, "summary.csv",
-        [("order", "1", done)] + [
-            (name, unit, [errors[str(order)][key] for order in done])
-            for name, unit, key in (
-                ("max_err_S", "action", "S"),
-                ("max_err_S_offset_free", "action", "S_offset_free"),
-                ("max_err_R", "1/sqrt(length)", "R"),
-            )
-        ],
-    )
+    _emit(out, run_dir, "summary.csv",
+          [("order", "1", done)] + [(name, unit, values) for name, unit, _, values in scores])
     if failure is not None:
         raise failure
     out.metrics = {
         "t_end": t_end,
         "orders": orders,
         "window_halfwidth": "2 sigma_t around the packet center",
-        "errors": errors,
+        "errors": {
+            str(order): {key: float(values[i]) for _, _, key, values in scores}
+            for i, order in enumerate(done)
+        },
     }
 
 

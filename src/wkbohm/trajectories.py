@@ -317,8 +317,9 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     n_valid = np.full(n, t.size, dtype=int)
     lo, hi = xw
     inf = np.inf
+    bounded = not (lo == -inf and hi == inf)  # a NaN bound counts as bounded
     speeds = getattr(provider, "_speeds", None)
-    if speeds is not None and lo == -inf and hi == inf:
+    if speeds is not None and not bounded:
         positions = np.empty((n, t.size))
         positions[:, 0] = x
         t_i = t[:-1]
@@ -344,21 +345,13 @@ def integrate_ensemble_positions(provider, x0s: np.ndarray, t_grid) -> tuple[np.
     evaluate = getattr(provider, "_evaluate_unchecked", provider.evaluate)
     minimum, maximum = np.minimum.reduce, np.maximum.reduce
 
-    # (velocity, whether every probe lies in the window).
-    if lo == -inf and hi == inf:  # a NaN bound counts as bounded
-
-        def velocity(probe, ts):
+    # (velocity, whether every probe lies in the window). On a bounded
+    # window a probe outside is clamped into it (NaN to the lower edge)
+    # so the provider sees only valid points; its member dies this step.
+    def velocity(probe, ts):
+        if not bounded or (lo <= minimum(probe) and maximum(probe) <= hi):
             return evaluate(probe, ts), True
-
-    else:
-
-        def velocity(probe, ts):
-            # A probe outside is clamped into the window (NaN to the lower
-            # edge) so the provider sees only valid points; its member
-            # dies this step.
-            if lo <= minimum(probe) and maximum(probe) <= hi:
-                return evaluate(probe, ts), True
-            return evaluate(np.fmin(np.fmax(probe, lo), hi), ts), False
+        return evaluate(np.fmin(np.fmax(probe, lo), hi), ts), False
 
     for i in range(t.size - 1):
         if not rows.size:

@@ -554,21 +554,20 @@ class TestHierarchyConvergence:
 
     @staticmethod
     def standalone(cfg, call, order):
-        """reconstruct_polar(propagate_hierarchy(init_hierarchy(psi0, order), ...))."""
-        from wkbohm.hierarchy import (
-            PolarFields, init_hierarchy, propagate_hierarchy, reconstruct_polar,
-        )
-        from wkbohm.numerics import RealField
+        """reconstruct_polar(propagate_hierarchy(seed, ...)) at one order.
+
+        The seed is s0 = S(0), s1 = ln|psi(0)| from the model's closed
+        forms and zeros above.
+        """
+        from wkbohm.hierarchy import HierarchyState, propagate_hierarchy, reconstruct_polar
 
         state, potential, dt, n_steps, params = call
         model = resolve_config(cfg)[1]
-        grid = state.grid
-        x = grid.nodes
-        psi0 = PolarFields(
-            R=RealField(grid, model.modulus(x, 0.0)), S=RealField(grid, model.action(x, 0.0))
-        )
+        x = state.grid.nodes
+        seed = np.zeros((order + 1, x.size))
+        seed[0], seed[1] = model.action(x, 0.0), model.log_modulus(x, 0.0)
         stack = propagate_hierarchy(
-            init_hierarchy(psi0, order), potential, dt, n_steps, params=params
+            HierarchyState(state.grid, seed), potential, dt, n_steps, params=params
         )
         return reconstruct_polar(stack, params)
 
@@ -599,6 +598,37 @@ class TestHierarchyConvergence:
             polar = self.standalone(cfg, calls[0], order)
             assert np.array_equal(written[order][0], polar.S.values)
             assert np.array_equal(written[order][1], polar.R.values)
+
+    def test_grid_where_the_modulus_underflows_runs(self, tmp_path):
+        # |psi(0)| underflows to 0 at the edge nodes of this grid, 60
+        # widths out; the closed-form ln|psi(0)| seeds s1 there instead.
+        out_dir = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"experiment": "hierarchy-convergence", "model": "free", "grid_x_min": -60,
+             "grid_x_max": 60, "grid_points": 2001, "output_dir": str(out_dir)}
+        ))
+        model = resolve_config(parse_config(path.read_text()))[1]
+        assert model.modulus(-60.0, 0.0) == 0.0
+        assert cli_main(["run", str(path)]) == 0
+        run_dir = out_dir / "hierarchy-convergence"
+        assert json.loads((run_dir / "manifest.json").read_text())["status"] == "ok"
+        assert sorted(fields_by_order(run_dir)) == [1, 3, 5]
+
+    @pytest.mark.parametrize("model", ["free", "harmonic"])
+    def test_manifest_errors_are_the_summary_cells(self, tmp_path, monkeypatch, model):
+        _, out, _ = self.run_counted(tmp_path, monkeypatch, {"model": model})
+        errors = json.loads(out.manifest_path.read_text())["metrics"]["errors"]
+        header, *rows = (out.out_dir / "summary.csv").read_text().splitlines()
+        keys = {"max_err_S": "S", "max_err_S_offset_free": "S_offset_free", "max_err_R": "R"}
+        names = [cell.split(" ")[0] for cell in header.split(",")]  # "name [unit]"
+        assert names == ["order", *keys]
+        assert sorted(errors) == ["1", "3", "5"] and len(rows) == 3
+        for row in rows:
+            order, *cells = row.split(",")
+            assert sorted(errors[order]) == sorted(keys.values())
+            for name, cell in zip(names[1:], cells):
+                assert errors[order][keys[name]] == float(cell)
 
     def test_abort_below_every_order_raises_the_order_1_error(self, tmp_path, monkeypatch):
         # The order-5 run hits a caustic, the order-3 rerun a CFL

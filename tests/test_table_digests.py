@@ -33,7 +33,8 @@ def test_a_run_that_ends_as_declared_passes(tool, monkeypatch, capsys):
     assert code == 0 and err == []
     assert lines[0] == "ok/figure1 exit=0 status=ok error=None"
     assert [line.split()[0] for line in lines[1:]] == [
-        "ok/figure1/echo", "ok/figure1/trajectories.csv", "oracle/cn", "oracle/trajectories", "oracle/max_error"]
+        "ok/figure1/echo", "ok/figure1/trajectories.csv", "ok/figure1/metrics",
+        "oracle/cn", "oracle/trajectories", "oracle/max_error"]
 
 
 def test_a_run_that_misses_its_expectation_exits_1_and_is_named(tool, monkeypatch, capsys):
@@ -41,7 +42,7 @@ def test_a_run_that_misses_its_expectation_exits_1_and_is_named(tool, monkeypatc
     code, lines, err = run(tool, monkeypatch, capsys, configs)
     assert code == 1
     assert "wrong/figure1 exit=0 status=ok error=None" in lines
-    assert len(lines) == 2 * 3 + 3  # every line is still printed
+    assert len(lines) == 2 * 4 + 3  # every line is still printed
     assert err == [f"missed expectation: wrong/figure1: outcome 'exit=0 status=ok error=None' "
                    f"does not start with {tool.ABORTED!r}"]
 
@@ -71,7 +72,9 @@ def test_a_failed_run_names_its_cell_but_not_its_run_directory(tool, monkeypatch
     assert misses == []
     assert lines[0] == ("failed/nonfinite-cell exit=3 status=failed error=WkbohmError: non-finite cell in "
                         "<out>/figure1-short/trajectories.csv: row 598, column 'x': inf")
-    assert [line.split()[0] for line in lines[1:]] == ["failed/nonfinite-cell/echo"]  # no table written
+    assert [line.split()[0] for line in lines[1:]] == [  # no table written
+        "failed/nonfinite-cell/echo", "failed/nonfinite-cell/metrics"]
+    assert lines[2] == f"failed/nonfinite-cell/metrics sha256={hashlib.sha256(b'{}').hexdigest()}"
 
 
 def test_the_signed_zero_run_keeps_both_zeros_in_its_digested_table(tool, monkeypatch, tmp_path):
@@ -98,7 +101,9 @@ def test_a_residuals_run_prints_its_qhj_residual_after_its_table(tool, monkeypat
     qhj = manifest["metrics"]["qhj_max_window"]
     assert [line.split()[0] for line in lines] == [
         "moving/residuals-free", "moving/residuals-free/echo", "moving/residuals-free/residuals.csv",
-        "moving/residuals-free/qhj_max_window"]
+        "moving/residuals-free/metrics", "moving/residuals-free/qhj_max_window"]
+    metrics = json.dumps(manifest["metrics"], sort_keys=True).encode()
+    assert lines[-2] == f"moving/residuals-free/metrics sha256={hashlib.sha256(metrics).hexdigest()}"
     assert lines[-1] == f"moving/residuals-free/qhj_max_window {qhj:.17g}" and qhj <= 1e-8
 
 
@@ -106,6 +111,6 @@ def test_the_reference_runs_end_with_the_failed_signed_zero_scale_and_far_grid_r
     from wkbohm import config
 
     tags = [tag for tag, _, _ in tool.reference_configs(config)]
-    assert tags[-5:] == ["failed/nonfinite-cell", "signed-zero/figure1-short", "scale/equivariance-free",
-                         "moving/residuals-free", "wide/residuals-harmonic"]
-    assert len(tags) == len(set(tags)) == 29
+    assert tags[-6:] == ["failed/nonfinite-cell", "signed-zero/figure1-short", "scale/equivariance-free",
+                         "moving/residuals-free", "wide/residuals-harmonic", "wide/hierarchy-convergence-free"]
+    assert len(tags) == len(set(tags)) == 30

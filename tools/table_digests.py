@@ -10,15 +10,18 @@ runs chosen to end in an abort (a caustic, a CFL violation, an
 amplitude or an hbar^(2p) series weight that overflows), a config error
 (a model that cannot be built, a key the run does not read) or a failed
 run, a fan whose table holds both signed zeros, a free equivariance run
-at extreme units, and two residuals runs whose grids reach far past the
-packet.
+at extreme units, and two residuals runs and a hierarchy-convergence run
+whose grids reach far past the packet.
 
 For each config it prints one line with the exit code, manifest status
 and error (None for a run that writes no manifest; the run's output
 directory, which an error may name, reads `<out>`), one `<tag>/echo`
 line with the sha256 of its `validate` output, stdout and stderr
-together, then one line per CSV with its sha256, and for a residuals
-run the `<tag>/qhj_max_window` line with the largest quantum
+together, then one line per CSV with its sha256, for a run that wrote a
+manifest one `<tag>/metrics` line with the sha256 of its `metrics` block
+(`json.dumps(..., sort_keys=True)`; the cli-suite benchmark scores the
+hierarchy-convergence `errors` in it), and for a residuals run the
+`<tag>/qhj_max_window` line with the largest quantum
 Hamilton-Jacobi residual on its comparison window, so a closed form
 that stops solving its equation shows in a diff. Three lines follow for
 the Crank-Nicolson oracle path, which no CLI experiment runs:
@@ -66,6 +69,8 @@ SIGNED_ZERO_FAN = {"experiment": "figure1-short", "model": "free", "x0_fan": [-0
 SCALED_FREE = {"experiment": "equivariance", "model": "free", "p0": 1e150, "sigma0": 1e-150}
 MOVING_FREE = {"experiment": "residuals", "model": "free", "p0": 30}
 WIDE_HARMONIC = {"experiment": "residuals", "model": "harmonic", "grid_x_min": -60, "grid_x_max": 60}
+WIDE_FREE = {"experiment": "hierarchy-convergence", "model": "free",
+             "grid_x_min": -60, "grid_x_max": 60, "grid_points": 2001}
 
 # Prefixes of an outcome line, "exit=<code> status=<status> error=<error>".
 OK = "exit=0 status=ok error=None"
@@ -109,10 +114,12 @@ def reference_configs(config) -> list[tuple[str, dict, str]]:
     # A unit rescaling of the default free run whose sigma0^2 sigma_t^2
     # underflows: the velocity field stays finite in dimensionless groups.
     out.append(("scale/equivariance-free", SCALED_FREE, OK))
-    # Residuals on grids reaching over 60 packet widths from the centre,
-    # where |psi| underflows to 0 but its closed-form log does not.
+    # Residuals and a hierarchy seed on grids reaching over 60 packet widths
+    # from the centre, where |psi| underflows to 0 but its closed-form log
+    # does not.
     out.append(("moving/residuals-free", MOVING_FREE, OK))
     out.append(("wide/residuals-harmonic", WIDE_HARMONIC, OK))
+    out.append(("wide/hierarchy-convergence-free", WIDE_FREE, OK))
     return out
 
 
@@ -138,6 +145,9 @@ def digest_lines(cli, config, workdir: Path) -> tuple[list[str], list[str]]:
         for csv_path in sorted(run_dir.glob("*.csv")):
             digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
             lines.append(f"{tag}/{csv_path.name} {digest}")
+        if manifest:
+            metrics = json.dumps(manifest["metrics"], sort_keys=True).encode()
+            lines.append(f"{tag}/metrics sha256={hashlib.sha256(metrics).hexdigest()}")
         qhj = manifest.get("metrics", {}).get("qhj_max_window")
         if qhj is not None:
             lines.append(f"{tag}/qhj_max_window {qhj:.17g}")
