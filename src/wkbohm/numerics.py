@@ -193,14 +193,16 @@ def collect_snapshots(state, advance, n_steps: int, every: int) -> list:
 def _cell_weights(offset: int) -> np.ndarray:
     """(power, sample) map from 4 window samples to their cubic in r = s - offset.
 
-    The samples sit at s = 0..3. Each Lagrange basis polynomial is built
-    from integer roots and divided once, so the constant row is exactly
+    The samples sit at s = 0..3. Each Lagrange basis polynomial
+    (r - a)(r - b)(r - c) has integer roots, so its coefficients are
+    exact integers; it is divided once, so the constant row is exactly
     0 or 1 at the window's own nodes.
     """
     w = np.empty((4, 4))
     for i in range(4):
         others = [m for m in range(4) if m != i]
-        w[:, i] = np.polynomial.polynomial.polyfromroots([m - offset for m in others])
+        a, b, c = (m - offset for m in others)
+        w[:, i] = [-a * b * c, a * b + b * c + c * a, -(a + b + c), 1]
         w[:, i] /= np.prod([i - m for m in others])
     return w
 

@@ -9,6 +9,7 @@ import references
 from references import newton_cubic
 from wkbohm.errors import NonFiniteFieldError
 from wkbohm.numerics import (
+    _CELL_WEIGHTS,
     Grid1D,
     RealField,
     collect_snapshots,
@@ -269,6 +270,19 @@ class TestCubicCells:
         expected = np.swapaxes(references.cubic_cell_columns(values), -1, -2)
         assert table.shape == expected.shape
         assert table.tobytes() == expected.tobytes()
+
+    def test_weights_equal_the_polyfromroots_construction(self):
+        # The closed-form coefficients of the integer-root basis give the
+        # same bits as numpy's product of linear factors.
+        from numpy.polynomial.polynomial import polyfromroots
+
+        expected = np.empty((4, 4, 4))
+        for offset in range(4):
+            for i in range(4):
+                others = [m for m in range(4) if m != i]
+                expected[offset, :, i] = polyfromroots([m - offset for m in others])
+                expected[offset, :, i] /= np.prod([i - m for m in others])
+        assert _CELL_WEIGHTS.tobytes() == expected.tobytes()
 
     def test_scalar_query_gives_scalar(self):
         g = Grid1D(0.0, 1.0, 11)

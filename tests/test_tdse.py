@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -197,11 +198,28 @@ class TestCrankNicolson:
         assert (exc.order, exc.node, exc.x) == (None, None, None)
         assert exc.t == t and exc.value == drift and exc.limit == limit
 
+    def test_norm_drift_is_measured_from_the_start_of_the_run(self, monkeypatch):
+        # Each step grows the norm by 1e-10 of itself: 60 steps stay inside
+        # NORM_DRIFT_LIMIT and 6000 do not, so the verdict must not depend
+        # on the snapshot spacing.
+        _, state = free_state(half_width=15.0, n=151)
+        step = CrankNicolsonSolver.step_values
+        grow = np.sqrt(1.0 + 1e-10)
+        monkeypatch.setattr(CrankNicolsonSolver, "step_values", lambda self, psi, t: grow * step(self, psi, t))
+        with pytest.raises(NumericalAbort, match="after 6000 steps$"):
+            tdse_propagate(state, 1e-4, 6000)
+        with pytest.raises(NumericalAbort) as info:
+            tdse_propagate_collecting(state, 1e-4, 6000, every=60)
+        exc = info.value
+        assert str(exc).endswith(" of its initial value after 120 steps")
+        assert exc.t == pytest.approx(0.012) and exc.limit == NORM_DRIFT_LIMIT
+        assert exc.value == pytest.approx(1.2e-8, rel=1e-3)
+
     def test_solve_failure_names_the_time(self):
-        # A stub solve that reports a singular pivot (LAPACK info 1).
+        # A stub sweep that reports LAPACK info 1.
         _, state = free_state(half_width=15.0, n=201)
         solver = CrankNicolsonSolver(state.psi.grid, state.potential, state.params, 1e-2)
-        solver._zgttrs = lambda *args, overwrite_b: (args[-1], 1)
+        solver._ztbtrs = lambda factor, b, uplo, diag, overwrite_b: (b, 1)
         with pytest.raises(NumericalAbort) as info:
             solver.step_values(state.psi.values.copy(), np.float64(0.375))
         exc = info.value
@@ -294,6 +312,14 @@ class TestTridiagonalStep:
         solver.step_values(psi, 0.0)
         np.testing.assert_array_equal(psi, before)
 
+    def test_real_input_steps_as_its_complex_copy(self):
+        grid = Grid1D(-8.0, 8.0, 64)
+        solver = CrankNicolsonSolver(grid, Potential.free(), NATURAL, 1e-2)
+        psi = np.exp(-(grid.nodes**2))
+        out = solver.step_values(psi, 0.0)
+        assert out.dtype == complex
+        assert out.tobytes() == solver.step_values(psi + 0j, 0.0).tobytes()
+
     BUILD_SOLVER = (
         "from wkbohm.analytic import PhysParams\n"
         "from wkbohm.numerics import Grid1D\n"
@@ -319,29 +345,80 @@ class TestTridiagonalStep:
     def test_package_import_loads_no_scipy(self):
         assert self._loaded_scipy_modules("import wkbohm, wkbohm.tdse") == []
 
+    def test_package_import_loads_no_numpy_polynomial(self):
+        script = "import sys\nimport wkbohm, wkbohm.tdse\nprint('numpy.polynomial' in sys.modules)"
+        assert self._run_fresh(script) is False
+
     def test_solver_loads_only_the_lapack_extension(self):
         assert self._loaded_scipy_modules(self.BUILD_SOLVER) == ["scipy.linalg._flapack"]
 
     @pytest.mark.parametrize("solver_first", [True, False], ids=["solver-first", "lapack-first"])
     def test_solver_uses_scipy_lapack_functions(self, solver_first):
-        from scipy.linalg.lapack import zgttrf, zgttrs
+        from scipy.linalg.lapack import ztbtrs
 
         rng = np.random.default_rng(29)
-        z = rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
-        dl, d, du, b = z[0, 1:], z[1] + 4.0, z[2, 1:], z[3]
-        x, info = zgttrs(*zgttrf(dl, d, du)[:-1], b)
+        z = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+        band, b = z[:2], z[2]
+        x, info = ztbtrs(band, b, uplo="L", diag="U")
         assert info == 0
         steps = [self.BUILD_SOLVER, "from scipy.linalg import lapack\n"]
         script = "".join(steps if solver_first else steps[::-1]) + (
             "import sys\n"
             "import numpy as np\n"
+            "from wkbohm import tdse\n"
             "flapack = sys.modules['scipy.linalg._flapack']\n"
-            f"dl, d, du, b = (np.array(v) for v in {[v.tolist() for v in (dl, d, du, b)]!r})\n"
-            "x, info = solver._zgttrs(*flapack.zgttrf(dl, d, du)[:-1], b)\n"
-            "print((lapack._flapack is flapack, solver._zgttrs is lapack.zgttrs,\n"
+            f"band, b = (np.array(v) for v in {[v.tolist() for v in (band, b)]!r})\n"
+            "x, info = solver._ztbtrs(band, b, uplo='L', diag='U')\n"
+            "print((lapack._flapack is flapack, tdse._flapack() is flapack, solver._ztbtrs is lapack.ztbtrs,\n"
             "       flapack.zgttrf is lapack.zgttrf, info, x.tobytes()))\n"
         )
-        assert self._run_fresh(script) == (True, True, True, 0, x.tobytes())
+        assert self._run_fresh(script) == (True, True, True, True, 0, x.tobytes())
+
+    @staticmethod
+    def _lapack_with_zgttrf(monkeypatch, zgttrf):
+        lapack = tdse._flapack()
+        monkeypatch.setattr(tdse, "_flapack", lambda: SimpleNamespace(zgttrf=zgttrf, ztbtrs=lapack.ztbtrs))
+        return lapack
+
+    def test_pivoted_factorization_aborts_naming_the_row(self, monkeypatch):
+        # A stub zgttrf that reports rows 3 and 4 swapped (ipiv is 1-based).
+        def zgttrf(*diagonals):
+            *factors, ipiv, info = lapack.zgttrf(*diagonals)
+            ipiv[3] = 5
+            return (*factors, ipiv, info)
+
+        lapack = self._lapack_with_zgttrf(monkeypatch, zgttrf)
+        grid = Grid1D(-8.0, 8.0, 64)
+        with pytest.raises(NumericalAbort) as info:
+            CrankNicolsonSolver(grid, Potential.free(), NATURAL, 1e-2)
+        exc = info.value
+        assert type(exc) is NumericalAbort
+        assert str(exc) == (
+            "Crank-Nicolson factorization swapped rows 3 and 4; the two-sweep step needs an unpivoted LU"
+        )
+        assert exc.node == 3 and exc.x == grid.nodes[3]
+        assert (exc.order, exc.t, exc.value, exc.limit) == (None,) * 4
+
+    @pytest.mark.parametrize("model", ["free", "harmonic"])
+    @pytest.mark.parametrize("hbar", [1e-3, 1.0, 1e3])
+    def test_crank_nicolson_matrices_never_pivot(self, monkeypatch, model, hbar):
+        pivots = []
+
+        def zgttrf(*diagonals):
+            factors = lapack.zgttrf(*diagonals)
+            pivots.append(factors[-2])
+            return factors
+
+        lapack = self._lapack_with_zgttrf(monkeypatch, zgttrf)
+        params = PhysParams(hbar, 0.7)
+        for omega in [1.0, 40.0] if model == "harmonic" else [None]:
+            potential = Potential.free() if omega is None else Potential.harmonic(params.mass, omega)
+            for n in [8, 16, 201, 2001]:
+                for dt in [1e-6, 1e-3, 1.0, 1e3]:
+                    CrankNicolsonSolver(Grid1D(-10.0, 10.0, n), potential, params, dt)
+        assert pivots
+        for ipiv in pivots:
+            np.testing.assert_array_equal(ipiv, np.arange(1, ipiv.size + 1))
 
     @pytest.mark.parametrize("missing", ["scipy", "extension"])
     def test_missing_lapack_extension_raises_import_error(self, tmp_path, missing):
